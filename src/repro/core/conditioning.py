@@ -200,7 +200,16 @@ def condition_wsset(
 
     config = config or ExactConfig()
     pairs = list(tuples.items()) if isinstance(tuples, dict) else list(tuples)
-    tagged = [(tag, as_descriptor(descriptor)) for tag, descriptor in pairs]
+    every = tagged = [(tag, as_descriptor(descriptor)) for tag, descriptor in pairs]
+    unrelated: list = []
+    if prune_unrelated:
+        # The top-level split of cond(), ahead of any interning: a tuple
+        # sharing no variable with the condition is independent of it and
+        # comes back unchanged, so the engines never see (or pay for) it.
+        disjoint = condition.variables().isdisjoint
+        tagged = []
+        for pair in every:
+            (unrelated if disjoint(pair[1]) else tagged).append(pair)
 
     if condition.is_empty:
         raise ZeroProbabilityConditionError(
@@ -249,6 +258,18 @@ def condition_wsset(
                 "the condition has probability zero; the posterior is undefined"
             )
         rewritten_internal = engine.externalize_tuples(rewritten_packed)
+        # As intern_tuples does for the related ones: a descriptor assigning
+        # a value outside its variable's domain denotes no world; drop it.
+        variable_ids, value_ids = engine.space.variable_ids, engine.space.value_ids
+        alive = []
+        for pair in unrelated:
+            for variable, value in pair[1].items():
+                variable_id = variable_ids.get(variable)
+                if variable_id is not None and value not in value_ids[variable_id]:
+                    break
+            else:
+                alive.append(pair)
+        unrelated = alive
     else:
         engine = _ConditioningEngine(
             world_table,
@@ -292,9 +313,11 @@ def condition_wsset(
     for variable, distribution in delta_rows.items():
         delta_world_table.add_variable(variable, distribution, normalize=True)
 
-    rewritten: dict = {tag: [] for tag, _ in tagged}
+    rewritten: dict = {tag: [] for tag, _ in every}
     for tag, descriptor in rewritten_internal:
         rewritten[tag].append(WSDescriptor(descriptor))
+    for tag, descriptor in unrelated:
+        rewritten[tag].append(descriptor)
 
     return ConditioningResult(
         confidence=confidence,
@@ -657,14 +680,21 @@ def _changed_variable_mask(old, new) -> int | None:
     """Bitmask of old-space variable ids whose meaning changed in ``new``.
 
     ``None`` means the packed encoding itself moved (different shift) and no
-    entry can survive.  A variable-id reassignment marks every id from the
-    first mismatch onward as changed: packed assignments of later ids no
-    longer denote the same (variable, value) pairs.  Variables appended in
-    ``new`` past the old space's end cannot appear in old entries and are
-    ignored.
+    entry can survive.  Within one successor family (an executed ``assert``)
+    ids are never re-weighted or reassigned, so exactly the orphaned ones
+    changed.  Across a fresh rebuild a variable-id reassignment marks every
+    id from the first mismatch onward as changed: packed assignments of
+    later ids no longer denote the same (variable, value) pairs.  Variables
+    appended in ``new`` past the old space's end cannot appear in old entries
+    and are ignored.
     """
     if new.shift != old.shift:
         return None
+    if new.shares_ids_with(old):
+        changed = 0
+        for variable in old.variable_ids.keys() - new.variable_ids.keys():
+            changed |= 1 << old.variable_ids[variable]
+        return changed
     old_variables = old.variables
     new_variables = new.variables
     old_values = old.values
@@ -1355,16 +1385,14 @@ def conditioned_world_table(
     5); the database facade passes the variables used across *all* of its
     U-relations.
     """
-    combined = world_table.merged_with(result.delta_world_table)
-    if used_variables is None:
-        return combined
-    keep = set(used_variables)
-    missing = keep - set(combined.variables)
-    if missing:
+    keep = None if used_variables is None else set(used_variables)
+    combined = world_table.merged_with(result.delta_world_table, keep)
+    if keep is not None and len(combined) != len(keep):
+        missing = keep.difference(combined.variables)
         raise ConditioningError(
             f"rewritten descriptors use variables missing from the world table: {missing!r}"
         )
-    return combined.restrict(keep)
+    return combined
 
 
 def posterior_probability(

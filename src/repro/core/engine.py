@@ -14,9 +14,10 @@ queries a real workload issues against one world table.  An
   :class:`~repro.core.decompose.Budget` (call-count and wall-clock limits
   restart per query, as a service expects), optionally overridden per call;
 * **staleness tracking** — the handle watches the world table's version
-  counter (and identity, for conditioning, which replaces the table) and
-  transparently rebuilds the engine when the table changed, retiring the
-  statistics of the old engine into its aggregates;
+  counter and transparently rebuilds the engine when the table was mutated
+  in place, retiring the statistics of the old engine into its aggregates;
+  conditioning *replaces* the table by one whose interned ids extend the
+  old ones, and the engine (memo included) survives that, see :meth:`rebind`;
 * **aggregate statistics** — frames (recursive calls), memo hits, memo size,
   evictions and accumulated wall time across the handle's whole lifetime,
   snapshotted as :class:`EngineStats`;
@@ -118,6 +119,10 @@ class EngineStats:
     include the contributions of engines retired by a rebuild and of the
     worker engines of the parallel path.  ``memo_size`` and
     ``memo_evictions`` describe the *current* main engine's cache.
+    ``engine_rebuilds`` counts engines discarded (an in-place world-table
+    mutation, ``clear_cache``, an unrelated table), ``engine_extensions``
+    table replacements the live engine survived with its memo because the
+    new interned space was a successor of its own (an executed ``assert``).
 
     ``executor`` names the configured backend (``"serial"``, ``"thread"`` or
     ``"process"``), ``workers`` is the configured pool size (0 when
@@ -157,6 +162,7 @@ class EngineStats:
     memo_evictions: int = 0
     wall_time: float = 0.0
     engine_rebuilds: int = 0
+    engine_extensions: int = 0
     executor: str = "serial"
     workers: int = 0
     parallel_computations: int = 0
@@ -261,6 +267,7 @@ class EngineHandle:
         self._computations = 0
         self._wall_time = 0.0
         self._rebuilds = 0
+        self._extensions = 0
         # Frames / hits of engines discarded by rebuilds, folded into stats.
         self._retired_frames = 0
         self._retired_hits = 0
@@ -319,24 +326,41 @@ class EngineHandle:
         """Point the handle at a (possibly) different world table.
 
         Conditioning replaces a database's world table wholesale; sessions
-        call this before every computation so the next :meth:`engine` access
-        rebuilds against the current table.  Rebinding to the same object is
-        free.
+        call this before every computation.  Rebinding to the same object is
+        free.  When the new table's interned space is a successor of the
+        engine's (the table an executed ``assert`` produced), the live engines
+        are re-pointed at it and keep their memo and mask caches: conditioning
+        never re-weights an existing id, it only appends new ones and orphans
+        dropped ones, so every cached entry still denotes the same ws-set
+        (``engine_extensions`` counts these).  Any other table retires the
+        engine, which the next :meth:`engine` access rebuilds cold.
         """
         with self._lock:
-            if world_table is not self._world_table:
-                self._world_table = world_table
+            if world_table is self._world_table:
+                return
+            self._world_table = world_table
+            old = getattr(self._engine, "space", None)
+            space = world_table.interned() if old is not None else None
+            if space is None or not space.shares_ids_with(old):
                 self._retire()
+                return
+            with self._worker_lock:
+                for engine in (self._engine, *self._worker_engines):
+                    engine.world_table = world_table
+                    engine.space = space
+            self._engine_version = world_table.version
+            self._extensions += 1
 
     def invalidate(self) -> None:
         """Drop the current engine (and its memo); it is rebuilt lazily.
 
-        Compiled circuits are dropped too — this is the explicit
-        "cold everything" entry point.  A world-table *replacement*
-        (conditioning) does **not** come through here: it retires the engine
-        via :meth:`rebind` but keeps the circuit cache, whose entries are
-        then selectively revalidated against the new interned space (a
-        circuit survives iff the change did not touch its variables).
+        Compiled circuits and the conditioning memo are dropped too — this is
+        the explicit "cold everything" entry point.  A world-table
+        *replacement* (conditioning) does **not** come through here: it goes
+        through :meth:`rebind`, which keeps the engine memo across an
+        executed ``assert``, and the circuit cache and conditioning memo are
+        then selectively revalidated against the new interned space (an
+        entry survives iff the change did not touch its variables).
         """
         with self._lock:
             self._retire()
@@ -1031,6 +1055,7 @@ class EngineHandle:
             memo_evictions=evictions,
             wall_time=self._wall_time,
             engine_rebuilds=self._rebuilds,
+            engine_extensions=self._extensions,
             executor=self._executor_name,
             workers=self._workers,
             parallel_computations=self._parallel_computations,

@@ -33,6 +33,7 @@ and agrees with the legacy dict engine and brute-force enumeration (see
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 from itertools import chain
 from typing import TYPE_CHECKING
@@ -56,6 +57,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: A packed assignment ``(variable_id << shift) | value_id``.
 Packed = int
 
+#: Serialises appends to the id arrays a successor family shares.
+_GROW_LOCK = threading.Lock()
+
 #: A descriptor in interned form: a sorted tuple of packed assignments.
 PackedDescriptor = tuple
 
@@ -67,9 +71,17 @@ class InternedSpace:
     ``value_id`` in domain insertion order, so interned runs eliminate
     variables in the same deterministic order as the legacy engine.
 
-    Instances are immutable snapshots: they record the world table's version
-    counter at build time, and :meth:`WorldTable.interned` rebuilds the space
-    when the table has been mutated since.
+    A space records the world table's version counter at build time, and
+    :meth:`WorldTable.interned` rebuilds it (dense ids again) when the table
+    has been mutated in place since.  Conditioning instead *replaces* the
+    table, and the replacement's space is this one's :meth:`successor`: the
+    per-id arrays are append-only and shared by the whole family of
+    successors, each member owning only its ``variable_ids`` (the ids live in
+    its table).  Within a family an id therefore denotes one variable with
+    one distribution forever — surviving variables keep their id, dropped
+    ids are orphaned and never reused — so anything keyed by packed ids (the
+    engine memo, descriptor masks) stays valid across the replacement, and
+    relative id order, hence every float fold order, matches a fresh build.
     """
 
     __slots__ = (
@@ -85,21 +97,59 @@ class InternedSpace:
 
     def __init__(self, world_table: "WorldTable") -> None:
         self.version = world_table.version
-        self.variables: list["Variable"] = list(world_table.variables)
-        self.variable_ids: dict["Variable", int] = {
-            variable: index for index, variable in enumerate(self.variables)
-        }
+        self.variables: list["Variable"] = []
+        self.variable_ids: dict["Variable", int] = {}
         self.values: list[list["Value"]] = []
         self.value_ids: list[dict["Value", int]] = []
         self.weights: list[list[float]] = []
-        for variable in self.variables:
-            distribution = world_table.distribution(variable)
-            self.values.append(list(distribution))
-            self.value_ids.append({value: j for j, value in enumerate(distribution)})
-            self.weights.append(list(distribution.values()))
+        for variable in world_table.variables:
+            self.variable_ids[variable] = len(self.variables)
+            self._append(variable, world_table.distribution(variable))
         largest_domain = max((len(domain) for domain in self.values), default=1)
         self.shift = max(1, (largest_domain - 1).bit_length())
         self.mask = (1 << self.shift) - 1
+
+    def _append(self, variable: "Variable", distribution: dict) -> None:
+        self.variables.append(variable)
+        self.values.append(list(distribution))
+        self.value_ids.append({value: j for j, value in enumerate(distribution)})
+        self.weights.append(list(distribution.values()))
+
+    def successor(
+        self, world_table: "WorldTable", dropped, added
+    ) -> "InternedSpace | None":
+        """The space of the table conditioning replaces this one's table with.
+
+        ``world_table`` holds this space's live variables minus ``dropped``,
+        distributions untouched, plus the new variables ``added`` (a
+        sequence).  Returns ``None`` — the caller then builds a fresh dense
+        space — when a new domain does not fit ``shift`` or the family's dead
+        ids would outnumber the live ones.
+        """
+        live = len(self.variable_ids) - len(dropped) + len(added)
+        if len(self.variables) + len(added) > 2 * live or any(
+            world_table.domain_size(variable) > self.mask + 1 for variable in added
+        ):
+            return None
+        child = InternedSpace.__new__(InternedSpace)
+        child.version = world_table.version
+        child.variables, child.values = self.variables, self.values
+        child.value_ids, child.weights = self.value_ids, self.weights
+        child.shift, child.mask = self.shift, self.mask
+        child.variable_ids = variable_ids = dict(self.variable_ids)
+        for variable in dropped:
+            del variable_ids[variable]
+        # Siblings (two posteriors of one prior) may extend the shared arrays
+        # from different threads; the four appends must not interleave.
+        with _GROW_LOCK:
+            for variable in added:
+                variable_ids[variable] = len(self.variables)
+                self._append(variable, world_table.distribution(variable))
+        return child
+
+    def shares_ids_with(self, other: "InternedSpace") -> bool:
+        """True iff both spaces belong to one :meth:`successor` family."""
+        return self.variables is other.variables
 
     # ------------------------------------------------------------------
     # Packing / unpacking

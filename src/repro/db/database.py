@@ -44,7 +44,15 @@ Instance = tuple[tuple[str, tuple[tuple, ...]], ...]
 
 @dataclass
 class ConditioningSummary:
-    """Summary of one ``assert_condition`` operation on a database."""
+    """Summary of one ``assert_condition`` operation on a database.
+
+    ``rewritten_tuples`` counts the rows conditioning actually rewrote — the
+    posterior rows that replace the rows sharing a variable with the
+    condition — not the rows merely carried over (every other row is shared
+    with the prior as it is).  ``new_variables`` are the variables the
+    renormalisation created, ``dropped_variables`` those no U-relation
+    references any more (simplification rule 1).
+    """
 
     confidence: float
     new_variables: tuple = ()
@@ -233,38 +241,51 @@ class ProbabilisticDatabase:
         database and the variables created / dropped by the renormalisation.
         """
         ws_condition = self._as_condition(condition)
-        tagged = [
-            ((name, index), row.descriptor)
+        # Only rows sharing a variable with the condition can change (the
+        # top-level split of cond()); the relations' variable indexes find
+        # them, every other row is shared with the posterior as it is.
+        variables = ws_condition.variables()
+        touched = {
+            name: relation.rows_mentioning(variables)
             for name, relation in self._relations.items()
-            for index, row in enumerate(relation)
-        ]
+        }
         result = condition_wsset(
             ws_condition,
-            tagged,
+            [
+                ((name, position), row.descriptor)
+                for name, found in touched.items()
+                for position, row in found
+            ],
             self._world_table,
             config,
             **conditioning_options,
         )
 
-        posterior = ProbabilisticDatabase(WorldTable())
+        posterior = ProbabilisticDatabase()
         for name, relation in self._relations.items():
-            rebuilt = URelation(name, relation.attributes)
-            for index, row in enumerate(relation):
-                for descriptor in result.rewritten.get((name, index), ()):
-                    rebuilt.add_tuple(UTuple(descriptor, row.values))
-            posterior._relations[name] = rebuilt
+            posterior._relations[name] = relation.spliced(
+                {
+                    position: [
+                        UTuple(descriptor, row.values)
+                        for descriptor in result.rewritten[(name, position)]
+                    ]
+                    for position, row in touched[name]
+                }
+            )
 
         # Simplification rule 1: keep only the variables that some U-relation
         # still references; rule 2/3 were already applied inside cond().
-        combined = self._world_table.merged_with(result.delta_world_table)
         used = posterior.variables_in_use()
-        posterior._world_table = combined.restrict(used)
+        delta = result.delta_world_table
+        posterior._world_table = self._world_table.merged_with(delta, used)
 
         summary = ConditioningSummary(
             confidence=result.confidence,
-            new_variables=tuple(result.delta_world_table.variables),
+            new_variables=tuple(delta.variables),
             dropped_variables=tuple(
-                variable for variable in combined.variables if variable not in used
+                variable
+                for variable in (*self._world_table.variables, *delta.variables)
+                if variable not in used
             ),
             rewritten_tuples=sum(len(v) for v in result.rewritten.values()),
             result=result,

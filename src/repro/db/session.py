@@ -391,8 +391,9 @@ class Session:
         """Re-resolve the current world table and rebind the engine handle.
 
         Conditioning replaces a database's world table object wholesale;
-        rebinding keeps the handle pointed at (and rebuilt against) the
-        current one.  Called before every computation.
+        rebinding keeps the handle pointed at the current one (see
+        :meth:`EngineHandle.rebind` for what survives the switch).  Called
+        before every computation.
         """
         world_table = (
             self._database.world_table if self._database is not None
@@ -552,7 +553,11 @@ class Session:
         Routes through the same handle-level memo as :meth:`conditioned`,
         then immediately rebinds the handle to the replaced (posterior)
         world table — the one invalidation choke-point — so no later
-        computation or memo access can see pre-assert state.
+        computation or memo access can see pre-assert state.  The cost is
+        that of the rows sharing a variable with the condition: every other
+        row is shared with the prior, and the engine keeps its memo (the
+        posterior's interned ids extend the prior's), so reads of anything
+        the assert did not reach stay warm.
         """
         database = self._require_database()
         self.refresh()

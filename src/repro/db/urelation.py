@@ -42,6 +42,13 @@ class UTuple:
         return UTuple(self.descriptor, tuple(self.values[i] for i in indexes))
 
 
+def _index_rows(mentions: dict, rows: Iterable[UTuple]) -> None:
+    """Enter ``rows`` into a ``variable -> rows mentioning it`` index."""
+    for row in rows:
+        for variable in row.descriptor:
+            mentions.setdefault(variable, []).append(row)
+
+
 class URelation:
     """A named U-relation: a schema plus rows carrying ws-descriptors.
 
@@ -56,7 +63,7 @@ class URelation:
     ('SSN', 'NAME')
     """
 
-    __slots__ = ("name", "_attributes", "_index", "_rows")
+    __slots__ = ("name", "_attributes", "_index", "_rows", "_mentions")
 
     def __init__(
         self,
@@ -70,6 +77,9 @@ class URelation:
         self._attributes: tuple[str, ...] = tuple(attributes)
         self._index: dict[str, int] = {a: i for i, a in enumerate(self._attributes)}
         self._rows: list[UTuple] = []
+        # variable -> rows mentioning it (no empty entries); built on first
+        # use by rows_mentioning(), kept current by add_tuple() from then on.
+        self._mentions: dict[Variable, list[UTuple]] | None = None
         if rows is not None:
             for row in rows:
                 self.add_tuple(row)
@@ -125,6 +135,57 @@ class URelation:
                 f"{len(self._attributes)} of relation {self.name!r}"
             )
         self._rows.append(row)
+        if self._mentions is not None:
+            _index_rows(self._mentions, (row,))
+
+    def rows_mentioning(
+        self, variables: Iterable[Variable]
+    ) -> list[tuple[int, UTuple]]:
+        """``(position, row)`` of every row whose descriptor uses one of ``variables``.
+
+        In row order.  Served from the ``variable -> rows`` index, so the
+        Python-level work is proportional to the rows found; the one pass
+        over the row list only compares identities.
+        """
+        mentions = self._mentions
+        if mentions is None:
+            mentions = self._mentions = {}
+            _index_rows(mentions, self._rows)
+        found = {id(row) for v in variables for row in mentions.get(v, ())}
+        if not found:
+            return []
+        return [pair for pair in enumerate(self._rows) if id(pair[1]) in found]
+
+    def spliced(self, replacements: Mapping[int, Sequence[UTuple]]) -> "URelation":
+        """A copy with the row at each given position replaced by a run of rows.
+
+        Row order is kept, every other row is shared, and the variable index
+        is carried over (updated for the replaced rows only) rather than
+        rebuilt — the posterior relation of a conditioning step.
+        """
+        clone = URelation(self.name, self._attributes)
+        rows, out, start = self._rows, clone._rows, 0
+        for position in sorted(replacements):
+            out += rows[start:position]
+            out += replacements[position]
+            start = position + 1
+        out += rows[start:]
+        if self._mentions is not None:
+            clone._mentions = mentions = {
+                variable: list(found) for variable, found in self._mentions.items()
+            }
+            gone = {id(rows[position]) for position in replacements}
+            touched = {v for p in replacements for v in rows[p].descriptor}
+            for variable in touched:
+                mentions[variable] = [
+                    row for row in mentions[variable] if id(row) not in gone
+                ]
+            for added in replacements.values():
+                _index_rows(mentions, added)
+            for variable in touched:
+                if not mentions[variable]:
+                    del mentions[variable]
+        return clone
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -164,6 +225,8 @@ class URelation:
 
     def variables(self) -> frozenset[Variable]:
         """All world-table variables referenced by some row descriptor."""
+        if self._mentions is not None:
+            return frozenset(self._mentions)
         result: set[Variable] = set()
         for row in self._rows:
             result.update(row.descriptor.variables)

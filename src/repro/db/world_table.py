@@ -374,21 +374,41 @@ class WorldTable:
         }
         return clone
 
-    def merged_with(self, other: "WorldTable") -> "WorldTable":
+    def merged_with(
+        self, other: "WorldTable", keep: Iterable[Variable] | None = None
+    ) -> "WorldTable":
         """A new world table with the variables of both tables.
 
-        Variables present in both must have identical distributions.
+        Variables present in both must have identical distributions; ``keep``
+        restricts the result to the given variables (``restrict`` in the same
+        pass).  This is how conditioning builds the table that replaces this
+        one, so a current interned space is carried over as its
+        :meth:`~repro.core.interned.InternedSpace.successor`: every surviving
+        variable keeps its id across the replacement.
         """
-        clone = self.copy()
-        for variable in other.variables:
-            distribution = other.distribution(variable)
-            if variable in clone._alternatives:
-                if clone._alternatives[variable] != distribution:
-                    raise InvalidDistributionError(
-                        f"variable {variable!r} has conflicting distributions in merged tables"
-                    )
-            else:
-                clone._alternatives[variable] = dict(distribution)
+        added = {}
+        for variable, domain in other._alternatives.items():
+            if self._alternatives.get(variable, domain) != domain:
+                raise InvalidDistributionError(
+                    f"variable {variable!r} has conflicting distributions in merged tables"
+                )
+            if variable not in self._alternatives:
+                added[variable] = domain
+        keep = None if keep is None else set(keep)
+        clone = WorldTable()
+        clone._alternatives = kept = {
+            variable: dict(domain)
+            for source in (self._alternatives, added)
+            for variable, domain in source.items()
+            if keep is None or variable in keep
+        }
+        space = self._interned
+        if space is not None and space.version == self._version:
+            clone._interned = space.successor(
+                clone,
+                self._alternatives.keys() - kept.keys(),
+                [variable for variable in added if variable in kept],
+            )
         return clone
 
     # ------------------------------------------------------------------

@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+import repro
 from repro.core.decompose import BoundedMemo
 from repro.core.probability import ExactConfig, probability
 from repro.core.wsset import WSSet
@@ -492,8 +493,10 @@ def test_session_sql_assert_reconditions_through_session(ssn_database):
     assert result.kind == "assert"
     after = session.execute("select true from R where SSN = 7").confidence
     assert 0.0 <= before <= 1.0 and 0.0 <= after <= 1.0
-    # Conditioning replaced the world table; the session rebuilt its engine.
-    assert session.statistics().engine_rebuilds >= 1
+    # Conditioning replaced the world table; the long-lived session answers
+    # exactly what a fresh session over the posterior database answers.
+    with repro.connect(ssn_database.copy()) as fresh:
+        assert after == fresh.execute("select true from R where SSN = 7").confidence
 
 
 def test_session_rejects_foreign_session(ssn_database):
@@ -538,4 +541,29 @@ def test_session_observes_database_conditioning(ssn_database):
     posterior = session.confidence("R").value
     assert prior == pytest.approx(1.0)
     assert posterior == pytest.approx(1.0)
-    assert session.statistics().engine_rebuilds >= 1
+    with repro.connect(ssn_database.copy()) as fresh:
+        assert posterior == fresh.confidence("R").value
+
+
+def test_session_read_of_an_unasserted_group_is_a_memo_hit_after_assert():
+    from repro.cluster.__main__ import build_cluster_database
+
+    database = build_cluster_database("hardmix:groups=3,n=8,w=12,seed=0")
+    group = "select true from HARD where GROUP = {}".format
+    with repro.connect(database) as session:
+        cold = [session.execute(group(index)).confidence for index in range(3)]
+        before = session.statistics()
+        session.execute("assert select true from HARD where GROUP = 0 and ID < 2")
+        other = session.execute(group(1)).confidence
+        after = session.statistics()
+        assert other == cold[1]
+        # The assert reached group 0 only: the engine and its memo survived,
+        # so group 1 is answered without expanding a single new frame.
+        assert after.engine_rebuilds == before.engine_rebuilds
+        assert after.engine_extensions == before.engine_extensions + 1
+        assert after.memo_hits > before.memo_hits
+        assert after.frames - before.frames == 1
+        asserted = session.execute(group(0)).confidence
+    with repro.connect(database.copy()) as fresh:
+        assert asserted == fresh.execute(group(0)).confidence != cold[0]
+        assert other == fresh.execute(group(1)).confidence
