@@ -57,7 +57,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from repro.core.conditioning import (
@@ -65,14 +65,10 @@ from repro.core.conditioning import (
     ConditioningMemo,
 )
 from repro.core.decompose import Budget
-from repro.core.interned import (
-    InternedEngine,
-    deduplicate_interned,
-    remove_subsumed_interned,
-)
+from repro.core.interned import InternedEngine
 from repro.core.probability import ExactConfig, LegacyProbabilityEngine, make_engine
 from repro.core.procpool import ProcessPoolBackend
-from repro.errors import QueryError
+from repro.errors import QueryError, UnknownVariableError
 from repro.obs import trace as _trace
 from repro.obs.metrics import MetricsRegistry
 
@@ -191,7 +187,7 @@ class EngineStats:
         This is the payload of the confidence server's ``stats`` frame and of
         :attr:`repro.db.session.ConfidenceResult.stats` on the wire.
         """
-        payload = asdict(self)
+        payload = {name: getattr(self, name) for name in _STATS_FIELDS}
         payload["memo_hit_rate"] = self.memo_hit_rate
         return payload
 
@@ -205,8 +201,7 @@ class EngineStats:
         """
         if isinstance(payload, (list, tuple)):
             return cls.merged(cls.from_dict(entry) for entry in payload)
-        names = {f.name for f in fields(cls)}
-        return cls(**{key: value for key, value in payload.items() if key in names})
+        return cls(**{name: payload[name] for name in _STATS_FIELDS if name in payload})
 
     @classmethod
     def merged(cls, snapshots: "Iterable[EngineStats]") -> "EngineStats":
@@ -226,16 +221,18 @@ class EngineStats:
                 merged = snapshot
                 continue
             values = {}
-            for spec in fields(cls):
-                if spec.name in _STATS_GAUGE_FIELDS:
-                    values[spec.name] = getattr(snapshot, spec.name)
+            for name in _STATS_FIELDS:
+                if name in _STATS_GAUGE_FIELDS:
+                    values[name] = getattr(snapshot, name)
                 else:
-                    values[spec.name] = getattr(merged, spec.name) + getattr(
-                        snapshot, spec.name
-                    )
+                    values[name] = getattr(merged, name) + getattr(snapshot, name)
             merged = cls(**values)
         return merged if merged is not None else cls()
 
+
+#: Every :class:`EngineStats` field name, in declaration (= wire) order; all
+#: fields are flat scalars, so the codecs need no recursive ``asdict`` walk.
+_STATS_FIELDS = tuple(spec.name for spec in fields(EngineStats))
 
 #: :class:`EngineStats` fields that are point-in-time readings (gauge
 #: semantics: last writer wins when merging), not accumulating counters.
@@ -530,15 +527,54 @@ class EngineHandle:
             try:
                 return run(engine)
             finally:
-                seconds = time.perf_counter() - started
-                self._wall_time += seconds
-                self._computations += 1
-                self.metrics.histogram("repro_engine_compute_seconds").record(
-                    seconds
-                )
+                self._account(started)
                 if before is not None:
                     after = engine.phase_counters()
                     sp.set(**{key: after[key] - before[key] for key in before})
+
+    def _account(self, started: float) -> None:
+        """Book one serial computation that began at ``started``."""
+        seconds = time.perf_counter() - started
+        self._wall_time += seconds
+        self._computations += 1
+        self.metrics.histogram("repro_engine_compute_seconds").record(seconds)
+
+    def cached_probability(
+        self, ws_set: "WSSet", world_table: "WorldTable"
+    ) -> "tuple[float, EngineStats] | None":
+        """Non-blocking hit probe: ``(probability, snapshot)`` or ``None``.
+
+        Answers what :meth:`probability` would, booked like any computation,
+        when that takes one frame of the live engine
+        (:meth:`InternedEngine.cached_wsset`).  Never waits, rebuilds or
+        rebinds, so an event loop may call it: ``None`` — ask
+        :meth:`probability` — when a computation holds the lock, without a
+        live interned engine, when ``world_table`` (the caller's current one)
+        is not the bound table at the engine's version, and on a ws-set the
+        engine cannot intern (the worker path reports that error).
+        """
+        if self.config.engine != "interned" or not self._lock.acquire(blocking=False):
+            return None
+        try:
+            engine = self._engine
+            if (
+                engine is None
+                or world_table is not self._world_table
+                or world_table.version != self._engine_version
+            ):
+                return None
+            engine.reset_budget(Budget())  # a hit needs no budget
+            started = time.perf_counter()
+            try:
+                value = engine.cached_wsset(ws_set)
+            except UnknownVariableError:
+                return None
+            if value is None:
+                return None
+            self._account(started)
+            return value, self.snapshot()
+        finally:
+            self._lock.release()
 
     def _budget(self, max_calls: int | None, time_limit: float | None) -> Budget:
         return Budget(
@@ -607,9 +643,7 @@ class EngineHandle:
             groups: list[list[float]] = []
             jobs: list[tuple[int, int, tuple | None, list]] = []
             for group_index, target in enumerate(targets):
-                interned = deduplicate_interned(space.intern_wsset(target))
-                if config.simplify_subsumed:
-                    interned = remove_subsumed_interned(interned)
+                interned = engine.simplified(target)
                 if not interned:
                     groups.append([0.0])
                     continue
@@ -716,9 +750,7 @@ class EngineHandle:
             space = engine.space
             if self._circuit_space is not space:
                 self._refresh_circuits(space)
-            interned = deduplicate_interned(space.intern_wsset(ws_set))
-            if self.config.simplify_subsumed:
-                interned = remove_subsumed_interned(interned)
+            interned = engine.simplified(ws_set)
             key = tuple(sorted(interned))
             circuit = self._circuit_cache.get(key)
             if circuit is not None:
@@ -789,12 +821,8 @@ class EngineHandle:
         or a single component — the already-simplified ws-set is evaluated
         serially via ``engine.run`` rather than redoing the whole pipeline.
         """
-        config = self.config
         engine = self.engine()
-        space = engine.space
-        interned = deduplicate_interned(space.intern_wsset(ws_set))
-        if config.simplify_subsumed:
-            interned = remove_subsumed_interned(interned)
+        interned = engine.simplified(ws_set)
         if len(interned) < _MIN_PARALLEL_DESCRIPTORS:
             components = [interned]
         else:
@@ -930,9 +958,7 @@ class EngineHandle:
             engine = self.engine()
             space = engine.space
             with _trace.span("decompose") as sp:
-                interned = deduplicate_interned(space.intern_wsset(ws_set))
-                if config.simplify_subsumed:
-                    interned = remove_subsumed_interned(interned)
+                interned = engine.simplified(ws_set)
                 components = (
                     engine.components_of(interned)
                     if len(interned) >= _MIN_PARALLEL_DESCRIPTORS

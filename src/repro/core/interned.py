@@ -401,6 +401,12 @@ _SUM = 1  # ⊕-frame: accumulates Σ weight · P(child); finishes as acc
 #: even one ⊕-expansion (measured optimum on the Figure 11a workload).
 _CLOSED_FORM_LIMIT = 5
 
+#: Ws-sets of more descriptors than this are never offered to the hit probe
+#: (:meth:`InternedEngine.cached_wsset`): the probe runs on a server's event
+#: loop, and the quadratic worst case of subsumption removal must stay in
+#: ping territory (~0.15 ms at this size) however large a client's ws-set is.
+_PROBE_LIMIT = 64
+
 #: Upper bound on the per-engine descriptor-mask cache; reaching it clears the
 #: cache wholesale (the masks are cheap to recompute, the bound only protects
 #: long-lived session engines from unbounded growth).
@@ -578,11 +584,30 @@ class InternedEngine:
     # -- public entry points --------------------------------------------
     def compute_wsset(self, ws_set: "WSSet") -> float:
         """Probability of a :class:`WSSet` (interns, simplifies, evaluates)."""
-        return self._compute(self.space.intern_wsset(ws_set))
+        return self._evaluate(self.simplified(ws_set))
+
+    def cached_wsset(self, ws_set: "WSSet") -> float | None:
+        """Hit probe: :meth:`compute_wsset` iff it costs one frame, else ``None``.
+
+        Answers exactly when the top-level :meth:`_expand` resolves without
+        pushing a frame — the memo holds the whole ws-set, or it is empty,
+        contains ∅ or fits the closed form — with the counters of that one
+        frame; a miss (and a ws-set over :data:`_PROBE_LIMIT`) leaves every
+        counter as it was.
+        """
+        if len(ws_set) > _PROBE_LIMIT:
+            return None
+        return self._expand(self.simplified(ws_set), 0, None, False)
+
+    def simplified(self, ws_set: "WSSet") -> list[PackedDescriptor]:
+        """A :class:`WSSet` interned, with the input simplifications applied."""
+        return self._simplify(self.space.intern_wsset(ws_set))
 
     def compute(self, descriptors: list[dict]) -> float:
         """Probability of a ws-set given as plain-dict descriptors."""
-        return self._compute(self.space.intern_descriptors(descriptors))
+        return self._evaluate(
+            self._simplify(self.space.intern_descriptors(descriptors))
+        )
 
     def run(self, interned: list[PackedDescriptor]) -> float:
         """Probability of an already-interned, already-simplified ws-set."""
@@ -596,13 +621,13 @@ class InternedEngine:
         confidence-only subproblems here without ever materialising dict
         descriptors.
         """
-        return self._compute(list(interned))
+        return self._evaluate(self._simplify(interned))
 
-    def _compute(self, interned: list[PackedDescriptor]) -> float:
+    def _simplify(self, interned: list[PackedDescriptor]) -> list[PackedDescriptor]:
         interned = deduplicate_interned(interned)
         if self.config.simplify_subsumed:
             interned = remove_subsumed_interned(interned)
-        return self._evaluate(interned)
+        return interned
 
     # -- iterative evaluation -------------------------------------------
     def _evaluate(self, descriptors: list[PackedDescriptor]) -> float:
@@ -639,6 +664,9 @@ class InternedEngine:
     ):
         """Resolve a ws-set to a value, or push a frame and return ``None``.
 
+        ``stack=None`` is the hit probe (:meth:`cached_wsset`): where a frame
+        would be pushed the call is taken back and ``None`` returned.
+
         ``from_independent`` marks the children of a ⊗-node: they are maximal
         connected components of an already-simplified ws-set, so re-running
         the component search (it would find one component) and the per-step
@@ -674,6 +702,9 @@ class InternedEngine:
             if cached is not None:
                 self.cache_hits += 1
                 return cached
+        if stack is None:
+            stats.recursive_calls -= 1
+            return None
 
         space = self.space
         shift = space.shift

@@ -21,9 +21,9 @@ engine, so sub-ws-sets common to several value tuples are solved once.  The
 SQL executor runs through a session as well (:meth:`Session.execute` /
 :meth:`Session.execute_script`), giving multi-statement scripts and repeated
 ``conf()`` queries the same warm state.  :class:`AsyncSession` is the async
-executor surface: the same interface with coroutine methods
-(``asyncio.to_thread``-based) plus a ``gather``-style
-:meth:`AsyncSession.confidence_many`.
+executor surface: the same interface with coroutine methods (a worker
+thread behind a non-blocking cache probe, :meth:`Session.cached`) plus a
+``gather``-style :meth:`AsyncSession.confidence_many`.
 
 The pre-session free functions (:func:`repro.db.confidence.confidence_by_tuple`
 and friends, :func:`repro.sql.executor.execute` with a bare config) keep
@@ -395,12 +395,14 @@ class Session:
         :meth:`EngineHandle.rebind` for what survives the switch).  Called
         before every computation.
         """
-        world_table = (
-            self._database.world_table if self._database is not None
-            else self._handle.world_table
-        )
+        world_table = self._current_world_table()
         self._handle.rebind(world_table)
         return world_table
+
+    def _current_world_table(self) -> WorldTable:
+        if self._database is not None:
+            return self._database.world_table
+        return self._handle.world_table
 
     @property
     def world_table(self) -> WorldTable:
@@ -462,6 +464,39 @@ class Session:
                    **options) -> ConfidenceResult:
         """Convenience wrapper building the :class:`ConfidenceRequest` inline."""
         return self.query(ConfidenceRequest(target, method, **options))
+
+    def cached(self, request: ConfidenceRequest) -> ConfidenceResult | None:
+        """Answer ``request`` from the engine's cache, or ``None``; never blocks.
+
+        The result is the one :meth:`query` would give — value, methods,
+        statistics, the ``repro_session_request_seconds`` sample — for an
+        ``exact`` / ``hybrid`` request on a :class:`WSSet` that the live
+        engine resolves in one frame (:meth:`EngineHandle.cached_probability`
+        lists what else declines).  A deadline or a call / time budget does
+        not disqualify a hit, which needs none; traced requests, sampling
+        methods and relation / name targets (O(rows) to collect) always do.
+        :class:`AsyncSession` calls this on the event loop before paying for
+        its thread hop.
+        """
+        ws_set = request.target
+        if (
+            request.trace
+            or self._trace
+            or request.method not in ("exact", "hybrid")
+            or not isinstance(ws_set, WSSet)
+        ):
+            return None
+        started = time.perf_counter()
+        hit = self._handle.cached_probability(ws_set, self._current_world_table())
+        if hit is None:
+            return None
+        value, stats = hit
+        result = ConfidenceResult(value, "exact", request.method, stats=stats)
+        result.wall_time = time.perf_counter() - started
+        self._handle.metrics.histogram(
+            "repro_session_request_seconds", method="exact"
+        ).record(result.wall_time)
+        return result
 
     def confidence_many(
         self,
@@ -872,14 +907,17 @@ class Session:
 class AsyncSession:
     """Async facade over a :class:`Session` (the async executor surface).
 
-    Every method mirrors its synchronous counterpart and runs it on a
-    dedicated single worker thread, so the event loop stays responsive during
-    long exact computations.  Calls serialise on that worker — the shared
-    engine (one memo cache, one budget) is the whole point of a session, and
-    a one-thread executor keeps its state consistent without parking one
-    pool thread per queued call the way a lock around ``asyncio.to_thread``
-    would: a large ``gather`` batch queues inside the executor instead of
-    exhausting the interpreter-wide default thread pool.
+    Every method mirrors its synchronous counterpart.  :meth:`query` and
+    :meth:`confidence` first ask :meth:`Session.cached` on the calling (event
+    loop) thread: the hand-off to a thread costs several times a cached
+    answer.  Every miss and every other method runs on a dedicated single
+    worker thread, so the event loop stays responsive during long exact
+    computations.  Calls serialise on that worker — the
+    shared engine (one memo cache, one budget) is the whole point of a
+    session, and a one-thread executor keeps its state consistent without
+    parking one pool thread per queued call the way a lock around
+    ``asyncio.to_thread`` would: a large ``gather`` batch queues inside the
+    executor instead of exhausting the interpreter-wide default thread pool.
     """
 
     def __init__(self, session: Session, *, owns_session: bool = False) -> None:
@@ -913,12 +951,19 @@ class AsyncSession:
             self.session.close()
 
     async def query(self, request: ConfidenceRequest) -> ConfidenceResult:
+        result = self.session.cached(request)
+        if result is None:
+            result = await self.compute(request)
+        return result
+
+    async def compute(self, request: ConfidenceRequest) -> ConfidenceResult:
+        """:meth:`query` minus the cache probe, for callers that probed already."""
         return await self._run(self.session.query, request)
 
     async def confidence(
         self, target: "WSSet | URelation | str", method: str = "exact", **options
     ) -> ConfidenceResult:
-        return await self._run(self.session.confidence, target, method, **options)
+        return await self.query(ConfidenceRequest(target, method, **options))
 
     async def confidence_many(
         self,
@@ -990,7 +1035,8 @@ class SessionPool:
     """A fixed pool of :class:`AsyncSession` members sharing *one* engine.
 
     This is the concurrency seam of the confidence server: every member
-    serialises its own calls on its own worker thread and wraps its own
+    serialises its own worker-thread calls (cached answers skip the thread,
+    see :class:`AsyncSession`) and wraps its own
     :class:`Session`, but all those sessions share the primary session's
     :class:`~repro.core.engine.EngineHandle` (the ``handle=`` hook) — one
     interned id space, one memo cache, one set of aggregate statistics, for

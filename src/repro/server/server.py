@@ -308,6 +308,7 @@ class ConfidenceServer:
         self._requests_total = 0
         self._errors_total = 0
         self._deadline_exceeded_total = 0
+        self._inline_answers_total = 0
         self._draining = False
         self._inflight = 0
         self._idle = asyncio.Event()
@@ -658,16 +659,23 @@ class ConfidenceServer:
             request = self._fold_deadline(
                 ConfidenceRequest.from_payload(args), remaining_ms
             )
-            # With a slow-query threshold armed, trace server-side even when
-            # the client did not ask: a slow query's log line should carry
-            # its span tree, and by the time we know it was slow it is too
-            # late to trace it.  The forced trace is stripped again below.
-            forced_trace = self._slow_query_ms is not None and not request.trace
-            if forced_trace:
-                request = replace(request, trace=True)
             started = time.monotonic()
+            forced_trace = False
             async with self._gate:
-                result = await self._pool.acquire().query(request)
+                result = self._cached(op, request)
+                if result is None:
+                    # With a slow-query threshold armed, trace server-side
+                    # even when the client did not ask: a slow query's log
+                    # line should carry its span tree, and by the time we
+                    # know it was slow it is too late to trace it.  Forced
+                    # behind the cache only (traced requests are never
+                    # answered inline) and stripped again below.
+                    forced_trace = (
+                        self._slow_query_ms is not None and not request.trace
+                    )
+                    if forced_trace:
+                        request = replace(request, trace=True)
+                    result = await self._pool.acquire().compute(request)
             payload = result.to_payload()
             self._log_slow_query(op, started, payload)
             if forced_trace:
@@ -851,32 +859,51 @@ class ConfidenceServer:
             )
         return [ConfidenceRequest.from_payload(payload) for payload in payloads]
 
+    def _cached(
+        self, op: str, request: ConfidenceRequest
+    ) -> "ConfidenceResult | None":
+        """Answer from the warm engine on this (the loop) thread, and count it.
+
+        ``None`` means the pool-member route.  All members share the primary
+        session's handle, so its non-blocking ``cached`` speaks for them; it
+        runs where the hop would: inside the shared gate, after admission.
+        """
+        result = self._pool.session.cached(request)
+        if result is not None:
+            self._inline_answers_total += 1
+            self.metrics.counter("repro_server_inline_answers_total", op=op).inc()
+        return result
+
     async def _confidence_many(
         self, requests: list[ConfidenceRequest]
     ) -> list["ConfidenceResult"]:
-        """Answer a batch by fanning it out across the session pool.
+        """Answer a batch: cached requests inline, the rest across the pool.
 
-        Each request goes to its own pool member, so the batch pipelines up
-        to ``pool_size`` requests; with ``executor="process"`` the engine
-        handle releases its lock during worker computation, making the
-        fan-out genuinely parallel across cores.  Results keep request
-        order, and the whole batch shares the one gate acquisition of its
-        frame.  A failing request fails the batch with its typed error —
-        batches are all-or-nothing, like every other frame.  The error is
-        only sent once *every* request of the batch has finished (the first
-        failure in request order wins): answering early would leave the
-        still-running requests occupying pool members invisibly, stalling
-        the client's own retries behind zombie computations.
+        Requests the warm engine answers in one frame are answered right
+        here (:meth:`_cached`); each of the others goes to its own pool
+        member, so the batch pipelines up to ``pool_size`` requests; with
+        ``executor="process"`` the engine handle releases its lock during
+        worker computation, making the fan-out genuinely parallel across
+        cores.  Results keep request order, and the whole batch shares the
+        one gate acquisition of its frame.  A failing request fails the
+        batch with its typed error — batches are all-or-nothing, like every
+        other frame.  The error is only sent once *every* request of the
+        batch has finished (the first failure in request order wins):
+        answering early would leave the still-running requests occupying
+        pool members invisibly, stalling the client's own retries behind
+        zombie computations.
         """
-        members = [self._pool.acquire() for _ in requests]
-        results = await asyncio.gather(
-            *(member.query(request) for member, request in zip(members, requests)),
+        results = [self._cached("confidence_many", request) for request in requests]
+        misses = [index for index, result in enumerate(results) if result is None]
+        answers = await asyncio.gather(
+            *(self._pool.acquire().compute(requests[index]) for index in misses),
             return_exceptions=True,
         )
-        for result in results:
-            if isinstance(result, BaseException):
-                raise result
-        return list(results)
+        for index, answer in zip(misses, answers):
+            if isinstance(answer, BaseException):
+                raise answer
+            results[index] = answer
+        return results
 
     async def _confidence_batch(self, args: dict) -> dict:
         relation = args.get("relation")
@@ -956,6 +983,7 @@ class ConfidenceServer:
                 "admitted_total": self._admission.admitted_total,
                 "shed_total": self._admission.shed_total,
                 "deadline_exceeded_total": self._deadline_exceeded_total,
+                "inline_answers_total": self._inline_answers_total,
             },
         }
 

@@ -74,3 +74,30 @@ def example52_database(figure3_world_table) -> ProbabilisticDatabase:
 def rng() -> random.Random:
     """A deterministically seeded RNG for tests that need randomness."""
     return random.Random(20080824)  # the VLDB 2008 start date
+
+
+@pytest.fixture
+def hard_database():
+    """Factory: ``hard_database(num_descriptors, seed) -> (database, descriptors)``.
+
+    A Figure 11a #P-hard instance (16 boolean variables, 4-assignment
+    descriptors) as a database whose relation ``HARD(ID)`` has one row per
+    descriptor; slices of ``descriptors`` make ws-sets past the engine's
+    closed-form limit, i.e. real memo entries.
+    """
+    from repro.workloads.hard import HardCaseParameters, generate_hard_instance
+
+    def build(num_descriptors: int = 160, seed: int = 3):
+        instance = generate_hard_instance(
+            HardCaseParameters(
+                num_variables=16, alternatives=2, descriptor_length=4,
+                num_descriptors=num_descriptors, seed=seed,
+            )
+        )
+        database = ProbabilisticDatabase(instance.world_table)
+        relation = database.create_relation("HARD", ("ID",))
+        for index, descriptor in enumerate(instance.ws_set):
+            relation.add(descriptor.as_dict(), (index,))
+        return database, list(instance.ws_set)
+
+    return build
