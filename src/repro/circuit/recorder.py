@@ -94,7 +94,6 @@ class CircuitRecorder:
         #: set accumulate in different sequences (different last bits).
         self._ie_memo: dict[tuple, int] = {}
         self._const_ids: dict[float, int] = {}
-        self._mask_cache: dict = {}
 
     # ------------------------------------------------------------------
     # Entry point
@@ -185,9 +184,7 @@ class CircuitRecorder:
 
         shift = self._shift
         if self._use_independent_partitioning and not from_independent:
-            components = connected_components_interned(
-                descriptors, shift, self._mask_cache
-            )
+            components = connected_components_interned(descriptors, shift)
             if len(components) > 1:
                 stack.append(_RecorderFrame(PROD, components, key))
                 return None

@@ -14,12 +14,9 @@ replays the engine's entry pipeline at the descriptor level:
   pass both the legacy and the interned simplifiers use), so the surviving
   descriptors and their order match ``deduplicate_interned`` +
   ``remove_subsumed_interned`` bit for bit;
-* :func:`split_components` — the exact fuse semantics of
-  ``connected_components_interned``: a descriptor joins the *first* existing
-  component whose variable set it intersects (and is appended to it **before**
-  any later intersecting components fuse into it), a non-intersecting
-  descriptor opens a new component, and the single-component case returns the
-  input list *in input order* (the engine's ``live == 1`` shortcut — member
+* :func:`split_components` — the ordering contract of
+  ``connected_components_interned``: components in slot-creation order,
+  members in join/fuse order, and a single component *in input order* (member
   order differs from fuse order there, and ⊕-node accumulation is
   order-sensitive).
 
@@ -69,43 +66,52 @@ def simplify_descriptors(
 def split_components(
     descriptors: "list[WSDescriptor]",
 ) -> "list[list[WSDescriptor]]":
-    """Partition into variable-disjoint components, engine fuse order.
+    """Partition into variable-disjoint components, in the engine's order.
 
-    Bit-for-bit the control flow of ``connected_components_interned`` with
-    variable sets in place of bitmasks: scan existing components in slot
-    order, append the descriptor to the first intersecting one *before*
-    fusing any later intersecting components into it, retire fused slots in
-    place, and return ``[list(descriptors)]`` — input order — when a single
-    component survives.  The top-level ⊗ merge and every ⊕-node under it
-    accumulate in this member order, so any deviation here shows up as a
+    The contract of ``connected_components_interned`` over variables instead
+    of variable ids.  **Slot order:** a descriptor sharing no variable with
+    the earlier ones opens the next slot, and the result lists the surviving
+    slots in creation order.  **Fuse order:** any other descriptor is
+    appended to the lowest-numbered slot holding one of its variables, and
+    the other slots it touches are then emptied onto that one in ascending
+    slot order.  **Input order:** a single surviving component is returned
+    as ``[list(descriptors)]``.  The top-level ⊗ merge and every ⊕-node
+    under it accumulate in this member order, so any deviation shows up as a
     last-bit difference between cluster and single-node answers.
     """
-    component_vars: list[set] = []
-    component_members: "list[list[WSDescriptor] | None]" = []
-    live = 0
+    slot_of: dict = {}
+    redirect: list[int] = []
+    members: "list[list[WSDescriptor] | None]" = []
     for descriptor in descriptors:
-        variables = descriptor.variables
         first = -1
-        for index in range(len(component_vars)):
-            if component_vars[index] & variables:
+        touched = None
+        for variable in descriptor:
+            slot = slot_of.get(variable)
+            if slot is not None:
+                while redirect[slot] != slot:
+                    redirect[slot] = redirect[redirect[slot]]  # path halving
+                    slot = redirect[slot]
                 if first < 0:
-                    component_vars[index] |= variables
-                    component_members[index].append(descriptor)
-                    first = index
-                else:
-                    # The descriptor bridges two components: fuse them.
-                    component_vars[first] |= component_vars[index]
-                    component_members[first].extend(component_members[index])
-                    component_vars[index] = set()
-                    component_members[index] = None
-                    live -= 1
+                    first = slot
+                elif slot != first:
+                    touched = (touched or {first}) | {slot}
         if first < 0:
-            component_vars.append(set(variables))
-            component_members.append([descriptor])
-            live += 1
-    if live == 1:
-        return [list(descriptors)]
-    return [members for members in component_members if members]
+            first = len(members)
+            redirect.append(first)
+            members.append([descriptor])
+        else:
+            # A descriptor touching several slots fuses them into the lowest.
+            first, *rest = sorted(touched) if touched else (first,)
+            joined = members[first]
+            joined.append(descriptor)
+            for slot in rest:
+                joined.extend(members[slot])
+                members[slot] = None
+                redirect[slot] = first
+        for variable in descriptor:
+            slot_of.setdefault(variable, first)
+    components = [component for component in members if component]
+    return components if len(components) != 1 else [list(descriptors)]
 
 
 def merge_component_values(values: "Sequence[float]") -> float:

@@ -192,21 +192,30 @@ def kept_after_subsumption(items: list[set]) -> list[int]:
     An item is *subsumed* when another item is a subset of it — a strict
     subset, or an equal set occurring earlier in the input (so among exact
     duplicates the first occurrence wins).  Items are processed in ascending
-    size (ties broken by input position) and candidates are only tested
-    against the already-kept, smaller-or-equal items; testing against removed
-    items is unnecessary because subsumption is transitive.
+    size (ties broken by input position); testing against removed items is
+    unnecessary because subsumption is transitive.  Every kept item is filed
+    under one of its elements, and a candidate is tested only against the
+    items filed under its own elements: a subset's filing element belongs to
+    the candidate, so no subsuming item is missed, and sparse inputs cost
+    time linear in their total size instead of one test per kept item.
     """
     order = sorted(range(len(items)), key=lambda index: (len(items[index]), index))
+    if order and not items[order[0]]:
+        return [order[0]]  # the first empty item subsumes every other item
     kept: list[int] = []
-    kept_sets: list[set] = []
+    filed: dict = {}
     for index in order:
         candidate = items[index]
-        for smaller in kept_sets:
-            if smaller <= candidate:
-                break
+        for element in candidate:
+            for smaller in filed.get(element, ()):
+                if smaller <= candidate:
+                    break
+            else:
+                continue
+            break
         else:
             kept.append(index)
-            kept_sets.append(candidate)
+            filed.setdefault(next(iter(candidate)), []).append(candidate)
     kept.sort()
     return kept
 

@@ -326,9 +326,9 @@ class EngineHandle:
         call this before every computation.  Rebinding to the same object is
         free.  When the new table's interned space is a successor of the
         engine's (the table an executed ``assert`` produced), the live engines
-        are re-pointed at it and keep their memo and mask caches: conditioning
-        never re-weights an existing id, it only appends new ones and orphans
-        dropped ones, so every cached entry still denotes the same ws-set
+        are re-pointed at it and keep their memo: conditioning never
+        re-weights an existing id, it only appends new ones and orphans
+        dropped ones, so every memo entry still denotes the same ws-set
         (``engine_extensions`` counts these).  Any other table retires the
         engine, which the next :meth:`engine` access rebuilds cold.
         """

@@ -80,8 +80,8 @@ class InternedSpace:
     its table).  Within a family an id therefore denotes one variable with
     one distribution forever — surviving variables keep their id, dropped
     ids are orphaned and never reused — so anything keyed by packed ids (the
-    engine memo, descriptor masks) stays valid across the replacement, and
-    relative id order, hence every float fold order, matches a fresh build.
+    engine memo) stays valid across the replacement, and relative id order,
+    hence every float fold order, matches a fresh build.
     """
 
     __slots__ = (
@@ -260,61 +260,75 @@ def remove_subsumed_interned(
 
 
 def connected_components_interned(
-    descriptors: list[PackedDescriptor],
-    shift: int,
-    mask_cache: "dict[PackedDescriptor, int] | None" = None,
+    descriptors: list[PackedDescriptor], shift: int
 ) -> list[list[PackedDescriptor]]:
-    """Partition into variable-disjoint components (merged variable bitmasks).
+    """Partition into variable-disjoint components (Section 4.2's union-find).
 
-    Each descriptor's variable set becomes an arbitrary-precision bitmask
-    (bit ``variable_id``); a descriptor joins the first component whose mask
-    it intersects and fuses any further intersecting components into it.
-    Machine-word AND/OR beats pointer-chasing union-find at the ws-set sizes
-    the engine sees, and the common single-component outcome returns the
-    input list unchanged — this runs at every INDVE node, so it is the
-    engine's hottest helper.
+    Components live in numbered *slots*.  A descriptor whose variables are
+    all new opens the next slot; otherwise it joins the lowest-numbered slot
+    holding one of its variables, and the other slots it touches are then
+    fused into that one in ascending slot order (the descriptor is appended
+    *before* their members).  The result lists the surviving slots in
+    creation order with members in that join/fuse order — except that a
+    single component is returned as ``[descriptors]``, the input list object
+    in input order.  Every ⊗/⊕ fold, memo key and recorded circuit follows
+    this order, so it is the function's contract, not an accident.
 
-    ``mask_cache`` memoises per-descriptor masks across calls: sibling
-    ⊕-branches share their ``T`` descriptors verbatim (same tuple objects),
-    so the cache turns the per-descriptor bit-fold into one dict hit on every
-    node after the first that sees the descriptor.
+    ``slot_of`` maps a variable id to the slot that first held it and
+    ``redirect`` a fused slot to the slot it was folded into, so a descriptor
+    costs one dict lookup per assignment whatever the number of components.
+    This runs at every INDVE node — the engine's hottest helper.
     """
-    component_masks: list[int] = []
-    component_members: list[list[PackedDescriptor] | None] = []
+    slot_of: dict[int, int] = {}
+    redirect: list[int] = []
+    members: list[list[PackedDescriptor] | None] = []
     live = 0
     for descriptor in descriptors:
-        if mask_cache is not None:
-            mask = mask_cache.get(descriptor)
-            if mask is None:
-                mask = 0
-                for packed in descriptor:
-                    mask |= 1 << (packed >> shift)
-                mask_cache[descriptor] = mask
-        else:
-            mask = 0
-            for packed in descriptor:
-                mask |= 1 << (packed >> shift)
         first = -1
-        for index in range(len(component_masks)):
-            if component_masks[index] & mask:
-                if first < 0:
-                    component_masks[index] |= mask
-                    component_members[index].append(descriptor)
-                    first = index
+        others = fresh = None
+        for packed in descriptor:
+            variable_id = packed >> shift
+            slot = slot_of.get(variable_id)
+            if slot is None:
+                if fresh is None:
+                    fresh = [variable_id]
                 else:
-                    # The descriptor bridges two components: fuse them.
-                    component_masks[first] |= component_masks[index]
-                    component_members[first].extend(component_members[index])
-                    component_masks[index] = 0
-                    component_members[index] = None
-                    live -= 1
+                    fresh.append(variable_id)
+                continue
+            while redirect[slot] != slot:
+                redirect[slot] = redirect[redirect[slot]]  # path halving
+                slot = redirect[slot]
+            if slot != first:
+                if first < 0:
+                    first = slot
+                elif others is None:
+                    others = {slot}
+                else:
+                    others.add(slot)
         if first < 0:
-            component_masks.append(mask)
-            component_members.append([descriptor])
+            first = len(members)
+            redirect.append(first)
+            members.append([descriptor])
             live += 1
+        elif others is None:
+            members[first].append(descriptor)
+        else:
+            # The descriptor bridges components: fuse into the lowest slot.
+            others.add(first)
+            first, *rest = sorted(others)
+            joined = members[first]
+            joined.append(descriptor)
+            for slot in rest:
+                joined.extend(members[slot])
+                members[slot] = None
+                redirect[slot] = first
+            live -= len(rest)
+        if fresh is not None:
+            for variable_id in fresh:
+                slot_of[variable_id] = first
     if live == 1:
         return [descriptors]
-    return [members for members in component_members if members]
+    return [component for component in members if component]
 
 
 def split_on_variable_interned(
@@ -407,11 +421,6 @@ _CLOSED_FORM_LIMIT = 5
 #: ping territory (~0.15 ms at this size) however large a client's ws-set is.
 _PROBE_LIMIT = 64
 
-#: Upper bound on the per-engine descriptor-mask cache; reaching it clears the
-#: cache wholesale (the masks are cheap to recompute, the bound only protects
-#: long-lived session engines from unbounded growth).
-_MASK_CACHE_LIMIT = 1 << 17
-
 
 class _Frame:
     """One suspended ⊗- or ⊕-node of the explicit evaluation stack."""
@@ -471,9 +480,6 @@ class InternedEngine:
         self.memoize = config.effective_memoize
         self.cache: dict[tuple, float] = make_memo(config.memo_limit)
         self.cache_hits = 0
-        # Per-descriptor variable bitmasks, shared across sibling ⊕-branches
-        # (the T set re-enters the component search verbatim in every branch).
-        self._mask_cache: dict[PackedDescriptor, int] = {}
         # Hot-loop bindings: resolved once so _expand avoids repeated
         # attribute chases on every node.
         self._use_independent_partitioning = config.use_independent_partitioning
@@ -524,17 +530,13 @@ class InternedEngine:
     def components_of(
         self, interned: list[PackedDescriptor]
     ) -> list[list[PackedDescriptor]]:
-        """Variable-disjoint components of an interned ws-set.
+        """Variable-disjoint components of an interned ws-set, engine order.
 
-        Shares the engine's per-descriptor mask cache (applying its size
-        guard), so external callers — the parallel ⊗-component dispatcher —
-        reuse the warm masks without touching private state.
+        The split the engine's own root ⊗-node makes, for external callers —
+        the parallel ⊗-component dispatcher — that evaluate the components
+        themselves.
         """
-        if len(self._mask_cache) > _MASK_CACHE_LIMIT:
-            self._mask_cache.clear()
-        return connected_components_interned(
-            interned, self.space.shift, self._mask_cache
-        )
+        return connected_components_interned(interned, self.space.shift)
 
     @property
     def minlog_vector_threshold(self) -> int | None:
@@ -709,10 +711,7 @@ class InternedEngine:
         space = self.space
         shift = space.shift
         if self._use_independent_partitioning and not from_independent:
-            mask_cache = self._mask_cache
-            if len(mask_cache) > _MASK_CACHE_LIMIT:
-                mask_cache.clear()
-            components = connected_components_interned(descriptors, shift, mask_cache)
+            components = connected_components_interned(descriptors, shift)
             if len(components) > 1:
                 stats.independent_nodes += 1
                 stack.append(_Frame(_PROD, components, None, key, depth))

@@ -198,17 +198,10 @@ class WSSet:
         ``d is contained in d'`` (i.e. ``d`` extends ``d'``).  This is the
         simplification used in Example 3.2 to expose independence.
         """
-        kept: list[WSDescriptor] = []
-        descriptors = self._descriptors
-        for i, candidate in enumerate(descriptors):
-            subsumed = any(
-                candidate.is_contained_in(other)
-                for j, other in enumerate(descriptors)
-                if i != j
-            )
-            if not subsumed:
-                kept.append(candidate)
-        return WSSet(kept)
+        from repro.core.decompose import kept_after_subsumption  # imports this module
+
+        kept = kept_after_subsumption([set(d.items()) for d in self._descriptors])
+        return WSSet(self._descriptors[index] for index in kept)
 
     def without_singleton_variables(self, world_table: "WorldTable") -> "WSSet":
         """Drop assignments of variables whose domain has a single value.
