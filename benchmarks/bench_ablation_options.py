@@ -1,11 +1,8 @@
-"""Ablation E7: engine options — engine choice, memoisation, subsumption, heuristics.
+"""Ablation E7: engine options — memoisation, subsumption, heuristics.
 
 These knobs are not part of the paper's algorithm (memoisation is BDD-style
-node sharing; per-step subsumption generalises Example 3.2; the interned
-engine is an engineering rebuild of the same recursion); the benchmarks
-quantify whether they pay for themselves on the #P-hard workload.  The
-``legacy-*`` configurations keep the original plain-dict engine measurable
-against the interned default (see also ``bench_engine_hotpath.py``).
+node sharing; per-step subsumption generalises Example 3.2); the benchmarks
+quantify whether they pay for themselves on the #P-hard workload.
 """
 
 from __future__ import annotations
@@ -21,12 +18,6 @@ TIME_LIMIT = 15.0
 CONFIGURATIONS = {
     "baseline": ExactConfig.indve("minlog", time_limit=TIME_LIMIT),
     "no-memo": ExactConfig.indve("minlog", memoize=False, time_limit=TIME_LIMIT),
-    "legacy-engine": ExactConfig.indve(
-        "minlog", engine="legacy", time_limit=TIME_LIMIT
-    ),
-    "legacy-memoized": ExactConfig.indve(
-        "minlog", engine="legacy", memoize=True, time_limit=TIME_LIMIT
-    ),
     "subsumption-every-step": ExactConfig.indve(
         "minlog", subsumption_every_step=True, time_limit=TIME_LIMIT
     ),

@@ -64,12 +64,6 @@ from repro.db.constraints import (
     EqualityGeneratingDependency,
     DenialConstraint,
 )
-from repro.db.confidence import (
-    confidence_by_tuple,
-    confidence_of_relation,
-    certain_tuples,
-    possible_tuples,
-)
 from repro.db.session import (
     Session,
     AsyncSession,
@@ -135,10 +129,6 @@ __all__ = [
     "KeyConstraint",
     "EqualityGeneratingDependency",
     "DenialConstraint",
-    "confidence_by_tuple",
-    "confidence_of_relation",
-    "certain_tuples",
-    "possible_tuples",
     "Session",
     "AsyncSession",
     "SessionPool",

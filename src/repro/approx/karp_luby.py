@@ -18,15 +18,13 @@ Dagum, Karp, Luby and Ross exactly as in the paper's ``kl(ε)`` baseline.
 
 Sampling substrate
 ------------------
-By default the estimator runs on the **interned** representation of the world
+The estimator runs on the **interned** representation of the world
 table (:meth:`~repro.db.world_table.WorldTable.interned`): clauses are sorted
 tuples of packed ``(variable_id << shift) | value_id`` ints, clause selection
 walks a precomputed cumulative-weight array, worlds are ``variable_id ->
 value_id`` maps sampled through per-variable cumulative arrays, and the
 "is ``j`` the first covering clause" test is a scan over packed ints — no
-string hashing, no per-draw distribution dict rebuilds.  The pre-interning
-plain-dict sampler is kept behind ``interned=False`` as an ablation baseline
-for ``benchmarks/bench_interned_substrate.py``.
+string hashing, no per-draw distribution dict rebuilds.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover
 else:
     Variable = object
 
-#: Clause counts at which the interned estimator computes the clause-weight
+#: Clause counts at which the estimator computes the clause-weight
 #: products with the numpy kernel of :mod:`repro.core.vector` (when numpy is
 #: installed) instead of a python loop.
 _VECTOR_WEIGHTS_THRESHOLD = 32
@@ -71,9 +69,9 @@ class KarpLubyEstimator:
     """Reusable Karp-Luby estimator for one ws-set over one world table.
 
     Construction pre-computes the clause weights, the cumulative distribution
-    used for clause sampling, and (on the interned substrate) the packed
-    clause tuples and per-variable cumulative weight arrays needed for the
-    fast "is ``j`` the first covering clause" test.
+    used for clause sampling, and the packed clause tuples and per-variable
+    cumulative weight arrays needed for the fast "is ``j`` the first covering
+    clause" test.
     """
 
     def __init__(
@@ -83,7 +81,6 @@ class KarpLubyEstimator:
         *,
         seed: int | None = None,
         estimator: str = "first-clause",
-        interned: bool = True,
     ) -> None:
         if estimator not in ("first-clause", "coverage"):
             raise ValueError(
@@ -91,42 +88,15 @@ class KarpLubyEstimator:
             )
         self.world_table = world_table
         self.estimator = estimator
-        self.interned = interned
         self.rng = random.Random(seed)
-        if interned:
-            self._setup_interned(ws_set, world_table)
-            self._clause_count = len(self._clauses)
-            self._trivially_true = any(not clause for clause in self._clauses)
-        else:
-            # The plain-dict clause copies are only needed by the legacy
-            # sampling internals; the interned substrate never builds them.
-            self.descriptors = [dict(d.items()) for d in ws_set]
-            self._clause_count = len(self.descriptors)
-            self._trivially_true = any(not d for d in self.descriptors)
-            self.weights = [d.probability(world_table) for d in ws_set]
-            variables: set = set()
-            for descriptor in self.descriptors:
-                variables.update(descriptor)
-            #: Variables relevant to the event; all others integrate out.
-            self.variables: tuple = tuple(
-                v for v in world_table.variables if v in variables
-            )
-        self.total_weight = float(sum(self.weights))
-        self._cumulative_weights = list(accumulate(self.weights))
-
-    def _setup_interned(self, ws_set: WSSet, world_table: "WorldTable") -> None:
         space = world_table.interned()
         self._space = space
         self._shift = space.shift
         self._value_mask = space.mask
-        clauses = []
-        for descriptor in ws_set:
-            packed = space.intern_items(descriptor.items())
-            if packed is None:
-                # Out-of-domain assignment: the clause holds in no world and
-                # carries weight zero, so it is never sampled and never covers.
-                continue
-            clauses.append(packed)
+        # A clause with an out-of-domain assignment holds in no world and
+        # carries weight zero; interning drops it, so it is never sampled and
+        # never covers.
+        clauses = space.intern_wsset(ws_set)
         self._clauses: list[tuple] = clauses
         self.weights = self._clause_weights(clauses, space)
         # Relevant variables (dense ids, ascending = world-table order) and
@@ -137,7 +107,12 @@ class KarpLubyEstimator:
             variable_id: list(accumulate(space.weights[variable_id]))
             for variable_id in relevant
         }
+        #: Variables relevant to the event; all others integrate out.
         self.variables = tuple(space.variables[i] for i in relevant)
+        self._clause_count = len(clauses)
+        self._trivially_true = any(not clause for clause in clauses)
+        self.total_weight = float(sum(self.weights))
+        self._cumulative_weights = list(accumulate(self.weights))
 
     @staticmethod
     def _clause_weights(clauses: list[tuple], space) -> list[float]:
@@ -182,18 +157,12 @@ class KarpLubyEstimator:
         if self._trivially_true:
             return 1.0 / self.total_weight if self.total_weight else 0.0
         clause_index = self._sample_clause()
-        if self.interned:
-            if self.estimator == "first-clause":
-                return 1.0 if self._is_first_covering_interned(clause_index) else 0.0
-            return 1.0 / self._coverage_count_interned(clause_index)
         if self.estimator == "first-clause":
             # Only the variables of clauses 0..clause_index-1 can influence the
             # outcome, so sample them lazily: the expected per-iteration cost
             # drops from O(#relevant variables) to O(earlier clause sizes).
             return 1.0 if self._is_first_covering(clause_index) else 0.0
-        world = self._sample_world(self.descriptors[clause_index])
-        coverage = self._coverage_count(world)
-        return 1.0 / coverage
+        return 1.0 / self._coverage_count(clause_index)
 
     def estimate(self, iterations: int) -> ApproximationResult:
         """Average ``iterations`` draws of the (unnormalised) estimator."""
@@ -242,7 +211,7 @@ class KarpLubyEstimator:
         )
 
     # ------------------------------------------------------------------
-    # Internals — shared
+    # Internals
     # ------------------------------------------------------------------
     def _method_name(self) -> str:
         return f"karp-luby[{self.estimator}]"
@@ -257,9 +226,6 @@ class KarpLubyEstimator:
             len(cumulative) - 1,
         )
 
-    # ------------------------------------------------------------------
-    # Internals — interned substrate
-    # ------------------------------------------------------------------
     def _sample_value_id(self, variable_id: int) -> int:
         """Sample one value id of a variable through its cumulative weights."""
         cumulative = self._cumulative_by_id[variable_id]
@@ -270,7 +236,7 @@ class KarpLubyEstimator:
             len(cumulative) - 1,
         )
 
-    def _is_first_covering_interned(self, clause_index: int) -> bool:
+    def _is_first_covering(self, clause_index: int) -> bool:
         """Sample a world from P(· | clause) lazily; is the clause the first covering one?"""
         shift = self._shift
         value_mask = self._value_mask
@@ -291,7 +257,7 @@ class KarpLubyEstimator:
                 return False
         return True
 
-    def _coverage_count_interned(self, clause_index: int) -> int:
+    def _coverage_count(self, clause_index: int) -> int:
         """Number of clauses covering a full world sampled from P(· | clause)."""
         shift = self._shift
         value_mask = self._value_mask
@@ -311,51 +277,6 @@ class KarpLubyEstimator:
             raise AssertionError("sampled world is not covered by any clause")
         return count
 
-    # ------------------------------------------------------------------
-    # Internals — legacy plain-dict substrate (ablation baseline)
-    # ------------------------------------------------------------------
-    def _sample_world(self, clause: dict) -> dict:
-        world = dict(clause)
-        for variable in self.variables:
-            if variable not in world:
-                world[variable] = self.world_table.sample_value(self.rng, variable)
-        return world
-
-    def _first_covering(self, world: dict) -> int:
-        for index, descriptor in enumerate(self.descriptors):
-            if all(world.get(v) == value for v, value in descriptor.items()):
-                return index
-        raise AssertionError("sampled world is not covered by any clause")
-
-    def _is_first_covering(self, clause_index: int) -> bool:
-        """Sample a world from P(· | clause) lazily; is the clause the first covering one?"""
-        clause = self.descriptors[clause_index]
-        world = dict(clause)
-        sample_value = self.world_table.sample_value
-        rng = self.rng
-        for descriptor in self.descriptors[:clause_index]:
-            covers = True
-            for variable, value in descriptor.items():
-                assigned = world.get(variable)
-                if assigned is None:
-                    assigned = sample_value(rng, variable)
-                    world[variable] = assigned
-                if assigned != value:
-                    covers = False
-                    break
-            if covers:
-                return False
-        return True
-
-    def _coverage_count(self, world: dict) -> int:
-        count = 0
-        for descriptor in self.descriptors:
-            if all(world.get(v) == value for v, value in descriptor.items()):
-                count += 1
-        if count == 0:
-            raise AssertionError("sampled world is not covered by any clause")
-        return count
-
 
 def karp_luby_confidence(
     ws_set: WSSet,
@@ -367,7 +288,6 @@ def karp_luby_confidence(
     use_optimal_stopping: bool = True,
     estimator: str = "first-clause",
     max_iterations: int | None = 2_000_000,
-    interned: bool = True,
 ) -> ApproximationResult:
     """One-shot (ε, δ)-approximate confidence of a ws-set.
 
@@ -376,14 +296,11 @@ def karp_luby_confidence(
     otherwise the classic ``⌈4 m ln(2/δ)/ε²⌉`` bound is used.
     ``max_iterations`` caps the work of the stopping rule (the observed sample
     mean is returned when the cap is hit), analogous to the wall-clock caps
-    the paper places on its experiments.  ``interned=False`` selects the
-    pre-interning plain-dict sampler (ablation baseline).
+    the paper places on its experiments.
     """
     if ws_set.contains_universal:
         return ApproximationResult(1.0, 0, epsilon, delta, "karp-luby")
-    kl = KarpLubyEstimator(
-        ws_set, world_table, seed=seed, estimator=estimator, interned=interned
-    )
+    kl = KarpLubyEstimator(ws_set, world_table, seed=seed, estimator=estimator)
     with _span("karp_luby_rounds", epsilon=epsilon, delta=delta) as sp:
         if use_optimal_stopping:
             result = kl.estimate_optimal(

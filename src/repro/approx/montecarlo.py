@@ -7,11 +7,10 @@ all samples miss — but it is a useful sanity baseline and is cheap when the
 confidence is large (which is exactly the regime of Figure 11(b), where the
 answer confidence is close to one).
 
-Like the Karp-Luby estimator, the sampler runs on the interned substrate by
-default: worlds are sampled as dense ``variable_id -> value_id`` assignments
-through precomputed cumulative weight arrays and satisfaction is a scan over
-packed int tuples.  ``interned=False`` keeps the historical plain-dict
-sampling for ablation.
+Like the Karp-Luby estimator, the sampler runs on the interned substrate:
+worlds are sampled as dense ``variable_id -> value_id`` assignments through
+precomputed cumulative weight arrays and satisfaction is a scan over packed
+int tuples.
 """
 
 from __future__ import annotations
@@ -38,13 +37,14 @@ def naive_monte_carlo_confidence(
     epsilon: float = 0.05,
     delta: float = 0.05,
     seed: int | None = None,
-    interned: bool = True,
 ) -> ApproximationResult:
     """Estimate the confidence of ``ws_set`` by sampling complete worlds.
 
     If ``iterations`` is omitted, a Chernoff-style bound guaranteeing an
     *additive* (ε, δ)-approximation is used.  Only the variables mentioned by
-    the ws-set are sampled; the others are irrelevant to the event.
+    the ws-set are sampled; the others are irrelevant to the event.  A
+    descriptor over a variable the world table does not know raises
+    :class:`~repro.errors.UnknownVariableError`, like every other method.
     """
     if ws_set.is_empty:
         return ApproximationResult(0.0, 0, epsilon, delta, "naive-mc")
@@ -56,38 +56,19 @@ def naive_monte_carlo_confidence(
     rng = random.Random(seed)
 
     with _span("montecarlo_sample", iterations=iterations):
-        if interned:
-            hits = _sample_interned(ws_set, world_table, rng, iterations)
-        else:
-            hits = _sample_legacy(ws_set, world_table, rng, iterations)
+        hits = _sample(ws_set, world_table, rng, iterations)
     return ApproximationResult(hits / iterations, iterations, epsilon, delta, "naive-mc")
 
 
-def _sample_interned(
+def _sample(
     ws_set: WSSet, world_table: "WorldTable", rng: random.Random, iterations: int
 ) -> int:
     """Count satisfying worlds over packed descriptors and dense value ids."""
     space = world_table.interned()
     shift = space.shift
     value_mask = space.mask
-    variable_ids = space.variable_ids
-    value_ids = space.value_ids
-    clauses = []
-    for descriptor in ws_set:
-        packed = []
-        for variable, value in descriptor.items():
-            variable_id = variable_ids.get(variable)
-            value_id = (
-                None if variable_id is None else value_ids[variable_id].get(value)
-            )
-            if value_id is None:
-                # Unknown variable or out-of-domain value: the clause holds in
-                # no sampled world — exactly how the legacy sampler scores it.
-                packed = None
-                break
-            packed.append((variable_id << shift) | value_id)
-        if packed is not None:
-            clauses.append(tuple(packed))
+    # Out-of-domain values drop the clause (it holds in no sampled world).
+    clauses = space.intern_wsset(ws_set)
     if not clauses:
         return 0
     relevant = sorted({p >> shift for clause in clauses for p in clause})
@@ -109,22 +90,4 @@ def _sample_interned(
             else:
                 hits += 1
                 break
-    return hits
-
-
-def _sample_legacy(
-    ws_set: WSSet, world_table: "WorldTable", rng: random.Random, iterations: int
-) -> int:
-    """The historical plain-dict sampler (ablation baseline)."""
-    mentioned = ws_set.variables()
-    variables = [v for v in world_table.variables if v in mentioned]
-    descriptors = [dict(d.items()) for d in ws_set]
-    hits = 0
-    for _ in range(iterations):
-        world = {v: world_table.sample_value(rng, v) for v in variables}
-        if any(
-            all(world.get(var) == value for var, value in descriptor.items())
-            for descriptor in descriptors
-        ):
-            hits += 1
     return hits

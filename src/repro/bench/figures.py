@@ -340,14 +340,11 @@ def ablation_engine_options(
     )
     instances = sweep_wsset_sizes(base, list(sizes))
     configurations = {
-        # The interned default already memoises; the ablation pair is
-        # therefore default vs memoisation switched off.
+        # The default memoises; the ablation pair is therefore default vs
+        # memoisation switched off.
         "indve(minlog)": ExactConfig.indve("minlog", time_limit=time_limit),
         "indve-no-memo": ExactConfig.indve(
             "minlog", memoize=False, time_limit=time_limit
-        ),
-        "indve-legacy": ExactConfig.indve(
-            "minlog", engine="legacy", time_limit=time_limit
         ),
         "indve+subsume-steps": ExactConfig.indve(
             "minlog", subsumption_every_step=True, time_limit=time_limit

@@ -134,7 +134,7 @@ def write_sweep_json(
     """Write a sweep (plus optional extra top-level keys) as a JSON report.
 
     Used by the benchmark scripts to persist machine-readable results (e.g.
-    ``BENCH_engine_hotpath.json``) next to the human-readable tables.
+    ``BENCH_session_batching.json``) next to the human-readable tables.
     Returns the path written.
     """
     payload = sweep_to_dict(result)

@@ -28,7 +28,7 @@ from repro.core.heuristics import (
 )
 from repro.core.decompose import compute_tree, BoundedMemo, DecompositionStats
 from repro.core.interned import InternedEngine, InternedSpace
-from repro.core.probability import ExactConfig, make_engine, probability, confidence
+from repro.core.probability import ExactConfig, probability, confidence
 from repro.core.engine import EngineHandle, EngineStats
 from repro.core.elimination import descriptor_elimination_probability
 from repro.core.conditioning import condition_wsset, ConditioningResult
@@ -62,7 +62,6 @@ __all__ = [
     "ExactConfig",
     "EngineHandle",
     "EngineStats",
-    "make_engine",
     "probability",
     "confidence",
     "descriptor_elimination_probability",

@@ -11,7 +11,7 @@ replays the engine's entry pipeline at the descriptor level:
 * :func:`simplify_descriptors` — first-occurrence deduplication followed by
   subsumption removal, sharing
   :func:`~repro.core.decompose.kept_after_subsumption` (the same size-sorted
-  pass both the legacy and the interned simplifiers use), so the surviving
+  pass the dict and the interned simplifiers use), so the surviving
   descriptors and their order match ``deduplicate_interned`` +
   ``remove_subsumed_interned`` bit for bit;
 * :func:`split_components` — the ordering contract of

@@ -77,7 +77,7 @@ from repro.core.interned import (
     remove_subsumed_interned,
     split_on_variable_interned,
 )
-from repro.core.probability import ExactConfig, make_engine
+from repro.core.probability import ExactConfig
 from repro.core.wsset import WSSet
 from repro.errors import ConditioningError, ZeroProbabilityConditionError
 from repro.obs.trace import span as _span
@@ -134,7 +134,6 @@ def condition_wsset(
     drop_singleton_new_variables: bool = True,
     merge_equal_new_variables: bool = True,
     literal_independence_rule: bool = False,
-    implementation: str | None = None,
     memo: ConditioningMemo | None = None,
 ) -> ConditioningResult:
     """Condition a set of tuple descriptors on a condition ws-set (Figure 8).
@@ -171,18 +170,10 @@ def condition_wsset(
         every independent component and union the results).  This reproduces
         the paper's Example 5.2 output but does *not* preserve the posterior
         instance distribution in general — see the module docstring.  Off by
-        default; forces the legacy implementation.
-    implementation:
-        ``"interned"`` runs the renormalising recursion over packed-int
-        descriptors on an explicit frame stack
-        (:class:`_InternedConditioningEngine`), sharing the
-        :meth:`~repro.db.world_table.WorldTable.interned` id space and the
-        delegate engine's memo; ``"legacy"`` is the original plain-dict
-        recursion, kept for ablation.  ``None`` (the default) derives the
-        implementation from ``config.engine`` — the interned recursion for
-        the default interned engine, the legacy recursion for
-        ``engine="legacy"`` or when ``literal_independence_rule`` is set
-        (the literal Figure 8 ⊗-rule only exists in the legacy engine).
+        default; when set, the plain-dict transcription of Figure 8
+        (:class:`_ConditioningEngine`) runs instead of the packed-int
+        recursion (:class:`_InternedConditioningEngine`), which has no
+        ⊗-rule.
     memo:
         A :class:`ConditioningMemo` shared across calls — usually the
         handle-level cache from
@@ -191,8 +182,8 @@ def condition_wsset(
         solved subproblems.  ``None`` with ``config.condition_memoize`` on
         (the default) uses a private per-run memo, which still captures
         repeats across sibling branches; ``config.condition_memoize=False``
-        disables memoisation entirely (the ablation knob).  Interned engine
-        only; the legacy implementation ignores it.
+        disables memoisation entirely (the ablation knob).  The literal
+        Figure 8 recursion ignores it.
     """
     # Imported here (not at module level) to keep repro.core importable on its
     # own: repro.db.database imports this module in turn.
@@ -216,23 +207,7 @@ def condition_wsset(
             "the condition denotes the empty world-set; the posterior is undefined"
         )
 
-    if implementation is None:
-        implementation = (
-            "legacy"
-            if config.engine == "legacy" or literal_independence_rule
-            else "interned"
-        )
-    elif implementation not in ("interned", "legacy"):
-        raise ValueError(
-            f"unknown conditioning implementation {implementation!r}; "
-            "use 'interned' or 'legacy'"
-        )
-    if implementation == "interned" and literal_independence_rule:
-        raise ValueError(
-            "literal_independence_rule requires implementation='legacy'"
-        )
-
-    if implementation == "interned":
+    if not literal_independence_rule:
         engine = _InternedConditioningEngine(
             world_table,
             config,
@@ -276,7 +251,6 @@ def condition_wsset(
             config,
             prune_unrelated=prune_unrelated,
             drop_singleton_new_variables=drop_singleton_new_variables,
-            literal_independence_rule=literal_independence_rule,
         )
 
         descriptors = deduplicate(to_internal(condition))
@@ -329,12 +303,13 @@ def condition_wsset(
 
 
 class _ConditioningEngine:
-    """Fused ComputeTree ∘ cond recursion (Figures 4 and 8) over plain dicts.
+    """Figure 8 as printed: ComputeTree ∘ cond over plain dicts, ⊗-rule included.
 
-    By default the renormalising recursion uses variable elimination only;
-    independent partitioning is exploited solely for the confidence-only
-    subproblems delegated to the probability engine (see the module
-    docstring for why the literal ⊗-rule of Figure 8 is not sound).
+    Entered only by ``literal_independence_rule=True``.  At an ⊗-node every
+    independent component is conditioned on its own and the rewritten tuples
+    are unioned without re-weighting (see the module docstring for why that
+    rule is not sound); confidence-only subproblems are delegated to the
+    probability engine.
     """
 
     def __init__(
@@ -344,7 +319,6 @@ class _ConditioningEngine:
         *,
         prune_unrelated: bool,
         drop_singleton_new_variables: bool,
-        literal_independence_rule: bool = False,
     ) -> None:
         self.world_table = world_table
         self.config = config
@@ -353,12 +327,11 @@ class _ConditioningEngine:
         self.stats = DecompositionStats()
         self.prune_unrelated = prune_unrelated
         self.drop_singleton_new_variables = drop_singleton_new_variables
-        self.literal_independence_rule = literal_independence_rule
         # One probability engine shared across every delegated confidence-only
         # subproblem of this conditioning run: the budget covers the whole run
         # and the engine's memo cache persists across the delegated calls
         # (many branches leave identical residual condition ws-sets).
-        self.confidence_engine = make_engine(
+        self.confidence_engine = InternedEngine(
             world_table, config, budget=self.budget, record_elimination_order=False
         )
         # new variable -> {value: unnormalised weight}; normalised at the end.
@@ -388,7 +361,7 @@ class _ConditioningEngine:
         if self.config.subsumption_every_step:
             descriptors = remove_subsumed(descriptors)
 
-        if self.literal_independence_rule and self.config.use_independent_partitioning:
+        if self.config.use_independent_partitioning:
             components = connected_components(descriptors)
             if len(components) > 1:
                 return self._cond_independent(components, tuples, depth)
@@ -768,12 +741,14 @@ class _CondFrame:
 class _InternedConditioningEngine:
     """The Figure 8 renormalising recursion over packed-int descriptors.
 
-    The interned counterpart of :class:`_ConditioningEngine`: condition
-    descriptors and tuple descriptors are sorted tuples of packed assignments
-    in the :meth:`WorldTable.interned` id space, the recursion runs on an
-    explicit frame stack (no recursion-limit guard needed), per-tuple and
-    per-node variable sets are arbitrary-precision bitmasks, and the
-    confidence-only subproblems are delegated to a shared
+    Renormalises through variable elimination (⊕-nodes) only — independent
+    partitioning is exploited solely for the delegated confidence-only
+    subproblems (see the module docstring for why the printed ⊗-rule is not
+    sound).  Condition descriptors and tuple descriptors are sorted tuples of
+    packed assignments in the :meth:`WorldTable.interned` id space, the
+    recursion runs on an explicit frame stack (no recursion-limit guard
+    needed), per-tuple and per-node variable sets are arbitrary-precision
+    bitmasks, and the confidence-only subproblems are delegated to a shared
     :class:`~repro.core.interned.InternedEngine` without leaving the packed
     representation (one memo cache and one budget for the whole run).
 
@@ -783,8 +758,8 @@ class _InternedConditioningEngine:
     swap and externalisation recovers the original domain values.
 
     The rewriting itself is **lazy**: instead of materialising every
-    rewritten descriptor at every ⊕-node (each tuple is copied once per
-    ancestor in the legacy engine, a multiplicative fan-out), the recursion
+    rewritten descriptor at every ⊕-node (one copy of each tuple per
+    ancestor, a multiplicative fan-out), the recursion
     returns a *rewrite tree* of ``('leaf', records)`` chunks and ``('op',
     var_bit, new_packed | None, children)`` nodes — an ``op`` means "strip
     the eliminated variable and (unless rule 2 dropped the new variable)
@@ -795,10 +770,8 @@ class _InternedConditioningEngine:
     per level.
 
     Tuple descriptors assigning a value outside its variable's domain denote
-    no possible world; they are dropped at interning time (the legacy engine
-    may return such a descriptor syntactically unchanged, which denotes the
-    same empty world-set).  Assignments of variables unknown to the world
-    table ride along untouched, exactly as in the legacy engine.
+    no possible world; they are dropped at interning time.  Assignments of
+    variables unknown to the world table ride along untouched.
     """
 
     def __init__(

@@ -66,9 +66,9 @@ from repro.core.conditioning import (
 )
 from repro.core.decompose import Budget
 from repro.core.interned import InternedEngine
-from repro.core.probability import ExactConfig, LegacyProbabilityEngine, make_engine
+from repro.core.probability import ExactConfig
 from repro.core.procpool import ProcessPoolBackend
-from repro.errors import QueryError, UnknownVariableError
+from repro.errors import UnknownVariableError
 from repro.obs import trace as _trace
 from repro.obs.metrics import MetricsRegistry
 
@@ -259,7 +259,7 @@ class EngineHandle:
         # server seam).  Re-entrant: probability() holds it while the
         # parallel path calls back into engine().
         self._lock = threading.RLock()
-        self._engine: InternedEngine | LegacyProbabilityEngine | None = None
+        self._engine: InternedEngine | None = None
         self._engine_version: int | None = None
         self._computations = 0
         self._wall_time = 0.0
@@ -336,9 +336,8 @@ class EngineHandle:
             if world_table is self._world_table:
                 return
             self._world_table = world_table
-            old = getattr(self._engine, "space", None)
-            space = world_table.interned() if old is not None else None
-            if space is None or not space.shares_ids_with(old):
+            space = world_table.interned() if self._engine is not None else None
+            if space is None or not space.shares_ids_with(self._engine.space):
                 self._retire()
                 return
             with self._worker_lock:
@@ -412,15 +411,13 @@ class EngineHandle:
             # the parent.
             self._backend.invalidate()
 
-    def engine(self):
+    def engine(self) -> InternedEngine:
         """The current engine, rebuilt if the world table was mutated."""
         version = self._world_table.version
         if self._engine is None or version != self._engine_version:
             self._retire()
-            self._engine = make_engine(
-                self._world_table,
-                self.config,
-                record_elimination_order=False,
+            self._engine = InternedEngine(
+                self._world_table, self.config, record_elimination_order=False
             )
             self._engine_version = version
         return self._engine
@@ -428,11 +425,11 @@ class EngineHandle:
     def conditioning_memo(self) -> ConditioningMemo | None:
         """The handle-level conditioning-subproblem memo, freshly revalidated.
 
-        ``None`` when the config disables it (legacy engine or
-        ``condition_memoize=False``).  Every access re-binds the memo to the
-        *current* interned space — rebuilding the engine first if the world
-        table was mutated — which makes this the single invalidation
-        choke-point for conditioning state: a ``set_distribution``
+        ``None`` when the config disables it (``condition_memoize=False``).
+        Every access re-binds the memo to the *current* interned space —
+        rebuilding the engine first if the world table was mutated — which
+        makes this the single invalidation choke-point for conditioning
+        state: a ``set_distribution``
         re-weighting bumps the table version, the rebuilt space is diffed
         against the one the entries were keyed under, and only entries whose
         variable bitmask intersects the changed variables are evicted (the
@@ -442,7 +439,7 @@ class EngineHandle:
         pre-assert posterior can never be served.
         """
         config = self.config
-        if config.engine == "legacy" or not config.condition_memoize:
+        if not config.condition_memoize:
             return None
         with self._lock:
             memo = self._cond_memo
@@ -487,7 +484,6 @@ class EngineHandle:
         parallel_capable = (
             self._workers
             and not self._closed
-            and config.engine == "interned"
             and config.use_independent_partitioning
         )
         if parallel_capable and self._executor_name == "process":
@@ -519,11 +515,7 @@ class EngineHandle:
         with _trace.span("engine_evaluate") as sp:
             # Memo lookups and closed forms are far too hot for per-frame
             # spans; a trace attributes them by counter deltas instead.
-            before = (
-                engine.phase_counters()
-                if sp.enabled and hasattr(engine, "phase_counters")
-                else None
-            )
+            before = engine.phase_counters() if sp.enabled else None
             try:
                 return run(engine)
             finally:
@@ -549,11 +541,11 @@ class EngineHandle:
         (:meth:`InternedEngine.cached_wsset`).  Never waits, rebuilds or
         rebinds, so an event loop may call it: ``None`` — ask
         :meth:`probability` — when a computation holds the lock, without a
-        live interned engine, when ``world_table`` (the caller's current one)
+        live engine, when ``world_table`` (the caller's current one)
         is not the bound table at the engine's version, and on a ws-set the
         engine cannot intern (the worker path reports that error).
         """
-        if self.config.engine != "interned" or not self._lock.acquire(blocking=False):
+        if not self._lock.acquire(blocking=False):
             return None
         try:
             engine = self._engine
@@ -601,8 +593,8 @@ class EngineHandle:
         released), and each group merges its component values in
         deterministic order — bit-identical to evaluating the groups one by
         one, but with cross-group parallelism instead of per-group dispatch
-        latency.  Other executors (and non-interned configs) fall back to a
-        serial loop over :meth:`probability`.
+        latency.  Other executors fall back to a serial loop over
+        :meth:`probability`.
         """
         targets = list(ws_sets)
         if not targets:
@@ -612,7 +604,6 @@ class EngineHandle:
             self._workers
             and not self._closed
             and self._executor_name == "process"
-            and config.engine == "interned"
             and config.use_independent_partitioning
         )
         if not pooled:
@@ -738,11 +729,6 @@ class EngineHandle:
         variables kept their distributions are retargeted and kept, touched
         ones are dropped and recompiled on demand.
         """
-        if self.config.engine != "interned":
-            raise QueryError(
-                "circuit compilation requires the interned engine "
-                f"(config.engine={self.config.engine!r})"
-            )
         from repro.circuit import CircuitRecorder
 
         with self._lock:
@@ -1105,6 +1091,6 @@ class EngineHandle:
     def __repr__(self) -> str:
         stats = self.snapshot()
         return (
-            f"EngineHandle({self.config.engine!r}, computations={stats.computations}, "
+            f"EngineHandle({self.config.label}, computations={stats.computations}, "
             f"memo={stats.memo_size} entries, {stats.memo_hits} hits)"
         )

@@ -77,7 +77,8 @@ class Heuristic:
 
         ``world_table`` may be any *domain-size provider* — an object with a
         ``domain_size(variable)`` method for the variables keyed in
-        ``occurrences``.  The legacy engine passes the
+        ``occurrences``.  The dict-based recursions (``compute_tree``, the
+        literal Figure 8 conditioning) pass the
         :class:`~repro.db.world_table.WorldTable` itself (variables are their
         original names); the interned engine passes its
         :class:`~repro.core.interned.InternedSpace` (variables are dense

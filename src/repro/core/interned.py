@@ -27,8 +27,7 @@ The engine computes exactly the probability equations of Figure 7:
 * ⊕-node (variable elimination):      ``P = Σ_i P({x → i}) · P(S_{x→i} ∪ T)``
 * ∅ leaf: ``P = 1``;   ⊥ leaf (empty ws-set): ``P = 0``
 
-and agrees with the legacy dict engine and brute-force enumeration (see
-``tests/core/test_interned.py``).
+and agrees with brute-force enumeration (see ``tests/core/test_interned.py``).
 """
 
 from __future__ import annotations
@@ -68,8 +67,8 @@ class InternedSpace:
     """Dense integer interning of a world table's variables and domains.
 
     The space assigns ``variable_id`` in insertion order of the world table and
-    ``value_id`` in domain insertion order, so interned runs eliminate
-    variables in the same deterministic order as the legacy engine.
+    ``value_id`` in domain insertion order, so runs eliminate variables in a
+    deterministic order.
 
     A space records the world table's version counter at build time, and
     :meth:`WorldTable.interned` rebuilds it (dense ids again) when the table
@@ -190,10 +189,8 @@ class InternedSpace:
 
         Returns ``None`` when some value is not in its variable's domain: such
         a descriptor is satisfied by no possible world and contributes nothing
-        to the probability of a ws-set (the legacy engine reaches the same
-        conclusion by never generating a branch for the value).  Unknown
-        *variables* raise, exactly like the legacy engine does when it has to
-        eliminate one.
+        to the probability of a ws-set.  Unknown *variables* raise
+        :class:`~repro.errors.UnknownVariableError`.
         """
         variable_ids = self.variable_ids
         value_ids = self.value_ids
@@ -440,13 +437,12 @@ class _Frame:
 class InternedEngine:
     """ComputeTree ∘ P over packed-int descriptors with an explicit stack.
 
-    Satisfies the same engine protocol as the legacy
-    :class:`~repro.core.probability.LegacyProbabilityEngine`: ``compute`` /
-    ``compute_wsset`` entry points, plus ``stats``, ``cache_hits`` and a
-    shareable ``budget``.  One engine instance may be reused across many
-    ws-sets over the same world table — the memo cache then acts as a
-    cross-query component cache, which is what the conditioning engine
-    exploits for its delegated confidence subproblems.
+    ``compute`` / ``compute_wsset`` are the entry points; ``stats``,
+    ``cache_hits`` and a shareable ``budget`` ride along.  One engine
+    instance may be reused across many ws-sets over the same world table —
+    the memo cache then acts as a cross-query component cache, which is what
+    the conditioning engine exploits for its delegated confidence
+    subproblems.
     """
 
     def __init__(
@@ -477,7 +473,7 @@ class InternedEngine:
             config.max_calls, config.time_limit
         )
         self.stats = DecompositionStats()
-        self.memoize = config.effective_memoize
+        self.memoize = config.memoize
         self.cache: dict[tuple, float] = make_memo(config.memo_limit)
         self.cache_hits = 0
         # Hot-loop bindings: resolved once so _expand avoids repeated

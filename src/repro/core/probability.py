@@ -17,18 +17,13 @@ Two algorithm variants of the experimental section are obtained through
 
 plus the heuristic choice (``minlog`` / ``minmax`` / ablation heuristics) and
 the engineering knobs evaluated in the ablation benchmarks: subsumption
-simplification, memoisation of repeated sub-ws-sets, and the choice of engine.
+simplification and memoisation of repeated sub-ws-sets.
 
-Two engine implementations compute the same function:
-
-* ``engine="interned"`` (the default) — the integer-packed iterative engine of
-  :mod:`repro.core.interned`: variables and values are interned into dense
-  ids, descriptors become sorted tuples of packed ints, the recursion runs on
-  an explicit stack, and sub-ws-set memoisation (component caching) is on by
-  default because canonical keys are cheap.
-* ``engine="legacy"`` — the original recursive engine over plain string-keyed
-  dicts, kept as an ablation baseline and exercised by the ablation
-  benchmarks.
+The recursion itself is the integer-packed iterative engine of
+:mod:`repro.core.interned`: variables and values are interned into dense ids,
+descriptors become sorted tuples of packed ints, the recursion runs on an
+explicit stack, and sub-ws-set memoisation (component caching) is on by
+default because canonical keys are cheap.
 """
 
 from __future__ import annotations
@@ -36,26 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from repro.core.decompose import (
-    Budget,
-    DecompositionStats,
-    connected_components,
-    deduplicate,
-    make_memo,
-    recursion_guard,
-    remove_subsumed,
-    split_on_variable,
-    to_internal,
-)
-from repro.core.heuristics import Heuristic, count_occurrences, make_heuristic
+from repro.core.decompose import Budget, DecompositionStats
+from repro.core.heuristics import Heuristic
 from repro.core.interned import InternedEngine
 from repro.core.wsset import WSSet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db.world_table import WorldTable
-
-#: Names accepted by :attr:`ExactConfig.engine`.
-ENGINES = ("interned", "legacy")
 
 #: Names accepted by :attr:`ExactConfig.executor`.
 EXECUTORS = ("serial", "thread", "process")
@@ -79,11 +61,9 @@ class ExactConfig:
         costlier but can expose more independence. Ablation knob.
     memoize:
         Cache results of repeated sub-ws-sets (component caching, in the
-        spirit of BDD node sharing / #SAT solvers).  ``None`` (the default)
-        means "engine default": on for the interned engine, whose canonical
-        keys are cheap O(size) tuple hashes, off for the legacy engine, whose
-        nested-frozenset keys rarely pay for themselves.  Set explicitly to
-        force either behaviour (the ablation knob).
+        spirit of BDD node sharing / #SAT solvers).  On by default: the
+        canonical keys are cheap O(size) tuple hashes.  ``False`` is the
+        ablation knob.
     memo_limit:
         Optional bound on the number of memo-cache entries.  ``None`` (the
         default) keeps the cache unbounded, which is right for one-shot
@@ -101,17 +81,13 @@ class ExactConfig:
         (:meth:`~repro.core.engine.EngineHandle.conditioning_memo`).  Cached
         hits re-allocate their fresh variables live and rebind the shared
         rewrite trees, so results are bit-identical to the unmemoised run.
-        ``False`` is the ablation knob.  Interned engine only.
+        ``False`` is the ablation knob.
     condition_memo_limit:
         Optional entry bound of the conditioning memo (``None`` keeps
         per-run memos unbounded; handle-level memos fall back to
         :data:`~repro.core.engine.DEFAULT_CONDITION_MEMO_LIMIT`).
     max_calls, time_limit:
         Optional budget limits forwarded to :class:`~repro.core.decompose.Budget`.
-    engine:
-        ``"interned"`` (default) for the integer-packed iterative engine of
-        :mod:`repro.core.interned`; ``"legacy"`` for the original recursive
-        plain-dict engine.
     executor:
         Execution backend used by :class:`~repro.core.engine.EngineHandle`
         for top-level ⊗-components: ``"serial"`` (default) evaluates
@@ -120,10 +96,10 @@ class ExactConfig:
         and ``"process"`` fans components out to a persistent process pool
         (:mod:`repro.core.procpool`) for true multi-core evaluation.  The
         merge is deterministic, so every executor returns bit-identical
-        results.  Only honoured by the interned engine through an engine
-        handle; the one-shot functions always run serially.
+        results.  Only honoured through an engine handle; the one-shot
+        functions always run serially.
     numpy_threshold:
-        Size at which the interned engine switches its fold-heavy helpers
+        Size at which the engine switches its fold-heavy helpers
         (the minlog cost estimate over candidate variables, the ⊕-branch
         weight folds) to the numpy kernels of :mod:`repro.core.vector`:
         vectorisation kicks in when a fold spans at least this many elements.
@@ -136,13 +112,12 @@ class ExactConfig:
     heuristic: "str | Heuristic" = "minlog"
     simplify_subsumed: bool = True
     subsumption_every_step: bool = False
-    memoize: bool | None = None
+    memoize: bool = True
     memo_limit: int | None = None
     condition_memoize: bool = True
     condition_memo_limit: int | None = None
     max_calls: int | None = None
     time_limit: float | None = None
-    engine: str = "interned"
     numpy_threshold: int | None = 32
     executor: str = "serial"
 
@@ -152,6 +127,8 @@ class ExactConfig:
             raise ValueError(
                 f"unknown executor {self.executor!r}; known executors: {known}"
             )
+        if self.memo_limit is not None and self.memo_limit < 2:
+            raise ValueError("memo_limit must be at least 2")
         if self.condition_memo_limit is not None and self.condition_memo_limit < 2:
             raise ValueError("condition_memo_limit must be at least 2")
 
@@ -168,17 +145,6 @@ class ExactConfig:
     def with_heuristic(self, heuristic: "str | Heuristic") -> "ExactConfig":
         """A copy of this configuration with a different heuristic."""
         return replace(self, heuristic=heuristic)
-
-    def with_engine(self, engine: str) -> "ExactConfig":
-        """A copy of this configuration with a different engine."""
-        return replace(self, engine=engine)
-
-    @property
-    def effective_memoize(self) -> bool:
-        """The resolved memoisation flag: explicit value, or the engine default."""
-        if self.memoize is None:
-            return self.engine == "interned"
-        return self.memoize
 
     @property
     def label(self) -> str:
@@ -197,40 +163,6 @@ class ProbabilityResult:
     probability: float
     stats: DecompositionStats = field(default_factory=DecompositionStats)
     cache_hits: int = 0
-
-
-def make_engine(
-    world_table: "WorldTable",
-    config: ExactConfig,
-    budget: "Budget | None" = None,
-    record_elimination_order: bool = True,
-):
-    """Instantiate the configured probability engine.
-
-    Both engines satisfy the same protocol: ``compute_wsset(ws_set)`` and
-    ``compute(descriptors)`` entry points (each applying deduplication and the
-    configured subsumption simplification), plus ``stats``, ``cache_hits`` and
-    a ``budget`` that may be shared across several computations.  Callers that
-    keep one engine alive across many computations should pass
-    ``record_elimination_order=False`` so the per-node elimination log does
-    not grow without bound.
-    """
-    if config.engine == "interned":
-        return InternedEngine(
-            world_table,
-            config,
-            budget=budget,
-            record_elimination_order=record_elimination_order,
-        )
-    if config.engine == "legacy":
-        return LegacyProbabilityEngine(
-            world_table,
-            config,
-            budget=budget,
-            record_elimination_order=record_elimination_order,
-        )
-    known = ", ".join(ENGINES)
-    raise ValueError(f"unknown engine {config.engine!r}; known engines: {known}")
 
 
 def probability(
@@ -267,7 +199,7 @@ def probability_with_stats(
 ) -> ProbabilityResult:
     """Like :func:`probability` but also returns decomposition statistics."""
     config = config or ExactConfig()
-    engine = make_engine(world_table, config)
+    engine = InternedEngine(world_table, config)
     value = engine.compute_wsset(ws_set)
     return ProbabilityResult(value, engine.stats, engine.cache_hits)
 
@@ -296,146 +228,8 @@ def probability_of_descriptors(
     :class:`~repro.core.decompose.Budget` may be shared so that time limits
     cover a whole enclosing run.  Callers issuing *many* such subproblems over
     one world table (e.g. the conditioning engine) should instead build one
-    engine with :func:`make_engine` and reuse it, so the memo cache is shared
-    across the calls.
+    :class:`~repro.core.interned.InternedEngine` and reuse it, so the memo
+    cache is shared across the calls.
     """
     config = config or ExactConfig()
-    engine = make_engine(world_table, config, budget=budget)
-    return engine.compute(descriptors)
-
-
-class LegacyProbabilityEngine:
-    """Fused ComputeTree ∘ P recursion over plain-dict descriptors.
-
-    The original engine, kept as an ablation baseline for the interned engine
-    (:class:`repro.core.interned.InternedEngine`) and selected with
-    ``ExactConfig(engine="legacy")``.
-    """
-
-    def __init__(
-        self,
-        world_table: "WorldTable",
-        config: ExactConfig,
-        budget: "Budget | None" = None,
-        record_elimination_order: bool = True,
-    ) -> None:
-        self.world_table = world_table
-        self.config = config
-        self.heuristic = make_heuristic(config.heuristic)
-        # Long-lived shared engines (conditioning's delegate) disable the
-        # per-node elimination log, which would otherwise grow without bound.
-        self.record_elimination_order = record_elimination_order
-        self.budget = budget if budget is not None else Budget(
-            config.max_calls, config.time_limit
-        )
-        self.stats = DecompositionStats()
-        self.memoize = config.effective_memoize
-        self.cache: dict = make_memo(config.memo_limit)
-        self.cache_hits = 0
-
-    def reset_budget(self, budget: "Budget") -> None:
-        """Install a fresh budget (handles re-arm per computation)."""
-        self.budget = budget
-
-    # -- public entry points --------------------------------------------
-    def compute_wsset(self, ws_set: WSSet) -> float:
-        """Probability of a :class:`WSSet` (converts, simplifies, evaluates)."""
-        return self.compute(to_internal(ws_set))
-
-    def compute(self, descriptors: list[dict]) -> float:
-        """Probability of a ws-set given as plain-dict descriptors."""
-        descriptors = deduplicate(descriptors)
-        if self.config.simplify_subsumed:
-            descriptors = remove_subsumed(descriptors)
-        return self.run(descriptors)
-
-    def run(self, descriptors: list[dict]) -> float:
-        """Probability of an already-simplified ws-set."""
-        with recursion_guard():
-            return self._probability(descriptors, depth=0)
-
-    # -- recursion --------------------------------------------------------
-    def _probability(self, descriptors: list[dict], depth: int) -> float:
-        self.budget.tick()
-        self.stats.recursive_calls += 1
-        self.stats.max_depth = max(self.stats.max_depth, depth)
-
-        if not descriptors:
-            self.stats.bottom_nodes += 1
-            return 0.0
-        if any(not descriptor for descriptor in descriptors):
-            self.stats.leaf_nodes += 1
-            return 1.0
-
-        if self.config.subsumption_every_step:
-            descriptors = remove_subsumed(descriptors)
-
-        cache_key = None
-        if self.memoize:
-            cache_key = frozenset(frozenset(d.items()) for d in descriptors)
-            cached = self.cache.get(cache_key)
-            if cached is not None:
-                self.cache_hits += 1
-                return cached
-
-        value = self._decompose(descriptors, depth)
-
-        if cache_key is not None:
-            self.cache[cache_key] = value
-        return value
-
-    def _decompose(self, descriptors: list[dict], depth: int) -> float:
-        if self.config.use_independent_partitioning:
-            components = connected_components(descriptors)
-            if len(components) > 1:
-                self.stats.independent_nodes += 1
-                complement = 1.0
-                for component in components:
-                    complement *= 1.0 - self._probability(component, depth + 1)
-                return 1.0 - complement
-        return self._eliminate_variable(descriptors, depth)
-
-    def _eliminate_variable(self, descriptors: list[dict], depth: int) -> float:
-        occurrences = count_occurrences(descriptors)
-        variable = self.heuristic.select_variable(
-            occurrences, len(descriptors), self.world_table
-        )
-        if self.record_elimination_order:
-            self.stats.eliminated_variables.append(variable)
-        self.stats.variable_nodes += 1
-        by_value, unmentioned = split_on_variable(descriptors, variable)
-
-        total = 0.0
-        shared_t_probability: float | None = None
-        for value in self.world_table.domain(variable):
-            weight = self.world_table.probability(variable, value)
-            if weight == 0.0:
-                continue
-            if value in by_value:
-                subset = deduplicate(by_value[value] + unmentioned)
-                branch_probability = self._probability(subset, depth + 1)
-            else:
-                if shared_t_probability is None:
-                    shared_t_probability = (
-                        self._probability(list(unmentioned), depth + 1)
-                        if unmentioned
-                        else 0.0
-                    )
-                branch_probability = shared_t_probability
-            total += weight * branch_probability
-        return total
-
-
-#: Backwards-compatible alias of the pre-interning engine class name.
-_ProbabilityEngine = LegacyProbabilityEngine
-
-
-def __getattr__(name: str):
-    # EngineHandle lives in repro.core.engine (which imports this module); the
-    # lazy re-export keeps ``from repro.core.probability import EngineHandle``
-    # working without a circular import.
-    if name in ("EngineHandle", "EngineStats"):
-        from repro.core import engine
-
-        return getattr(engine, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return InternedEngine(world_table, config, budget=budget).compute(descriptors)

@@ -29,13 +29,7 @@ from repro.db.constraints import (
     EqualityGeneratingDependency,
     DenialConstraint,
 )
-from repro.db.confidence import (
-    ConfidenceRow,
-    certain_tuples,
-    confidence_by_tuple,
-    confidence_of_relation,
-    possible_tuples,
-)
+from repro.db.confidence import ConfidenceRow
 from repro.db.session import (
     AsyncSession,
     ConfidenceRequest,
@@ -63,10 +57,6 @@ __all__ = [
     "EqualityGeneratingDependency",
     "DenialConstraint",
     "ConfidenceRow",
-    "confidence_by_tuple",
-    "confidence_of_relation",
-    "certain_tuples",
-    "possible_tuples",
     "Session",
     "AsyncSession",
     "ConfidenceRequest",

@@ -1,39 +1,19 @@
-"""The ``conf()`` aggregate: tuple confidence computation over U-relations.
+"""The ``conf()`` aggregate's result row.
 
 The confidence of a tuple ``t`` in (the result of a query on) a probabilistic
 database is the combined probability weight of all possible worlds in which
 ``t`` is present.  On U-relations this is the probability of the ws-set of all
 row descriptors carrying the value of ``t`` — exactly the quantity computed by
-the exact engines of :mod:`repro.core.probability`.
-
-The free functions here are the historical pre-session surface and are
-**deprecated**: every call now emits a :class:`DeprecationWarning` and routes
-through the unified :class:`~repro.db.api.ConfidenceAPI` — each opens a
-transient :class:`~repro.db.session.Session` (or reuses one passed via
-``session=``) and delegates to the session method of the same meaning.
-Migrate by obtaining a session once — ``repro.connect(database)`` (or
-``database.session()``) — and calling :meth:`~repro.db.session.Session.
-confidence_batch`, :meth:`~repro.db.session.Session.certain_tuples`,
-:meth:`~repro.db.session.Session.possible_tuples` or
-:meth:`~repro.db.session.Session.confidence` directly; that also makes
-repeated calls share one engine and memo cache instead of rebuilding them
-per call.
+the exact engine of :mod:`repro.core.probability`.  Sessions compute it
+(:meth:`~repro.db.session.Session.confidence_batch` and friends, obtained
+with ``repro.connect(database)`` or ``database.session()``); this module holds
+the row type they return.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-from repro.core.probability import ExactConfig, probability
-from repro.db.urelation import URelation
-from repro.errors import QueryError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.db.session import Session
-    from repro.db.world_table import WorldTable
 
 
 @dataclass(frozen=True)
@@ -48,144 +28,3 @@ class ConfidenceRow:
         row = dict(zip(attributes, self.values))
         row["conf"] = self.confidence
         return row
-
-
-def _session_for(
-    world_table: "WorldTable",
-    config: ExactConfig | None,
-    session: "Session | None",
-) -> "Session":
-    """The session to compute through: the given one, or a transient one."""
-    if session is not None:
-        if config is not None:
-            raise QueryError(
-                "pass either config or session=, not both "
-                "(the session already carries its config)"
-            )
-        if session.world_table is not world_table:
-            raise QueryError(
-                "the given session is bound to a different world table"
-            )
-        return session
-    from repro.db.session import Session
-
-    return Session(world_table, config)
-
-
-def _deprecated(name: str, replacement: str) -> None:
-    warnings.warn(
-        f"repro.db.confidence.{name}() is deprecated; obtain a session with "
-        f"repro.connect(database) (or database.session()) and call "
-        f"{replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _confidence_by_tuple(
-    relation: URelation,
-    world_table: "WorldTable",
-    config: ExactConfig | None = None,
-    *,
-    session: "Session | None" = None,
-) -> list[ConfidenceRow]:
-    """Non-warning implementation shared with internal callers."""
-    return _session_for(world_table, config, session).confidence_batch(relation)
-
-
-def confidence_by_tuple(
-    relation: URelation,
-    world_table: "WorldTable",
-    config: ExactConfig | None = None,
-    *,
-    session: "Session | None" = None,
-) -> list[ConfidenceRow]:
-    """Confidence of each distinct value tuple of ``relation``.
-
-    .. deprecated:: use :meth:`~repro.db.session.Session.confidence_batch`
-       via ``repro.connect(database)``.
-
-    This closes the possible-worlds semantics: the result is an ordinary
-    relation of value tuples with a numerical confidence column, as in the
-    query ``select SSN, conf(SSN) from R where NAME = 'Bill'`` of the paper's
-    introduction.  All tuples are solved through one shared engine; pass
-    ``session=`` to share that engine across calls as well.
-    """
-    _deprecated("confidence_by_tuple", "session.confidence_batch(relation)")
-    return _confidence_by_tuple(relation, world_table, config, session=session)
-
-
-def _confidence_of_relation(
-    relation: URelation,
-    world_table: "WorldTable",
-    config: ExactConfig | None = None,
-    *,
-    session: "Session | None" = None,
-) -> float:
-    """Non-warning implementation shared with internal callers."""
-    if session is not None:
-        session = _session_for(world_table, config, session)
-        return session.confidence(relation.descriptors()).value
-    return probability(relation.descriptors(), world_table, config)
-
-
-def confidence_of_relation(
-    relation: URelation,
-    world_table: "WorldTable",
-    config: ExactConfig | None = None,
-    *,
-    session: "Session | None" = None,
-) -> float:
-    """Confidence of the Boolean query "the relation is nonempty".
-
-    .. deprecated:: use :meth:`~repro.db.session.Session.confidence` via
-       ``repro.connect(database)``.
-
-    This is ``P(π_∅(relation))``: the probability of the union of all row
-    descriptors — the quantity measured throughout the paper's experiments.
-    """
-    _deprecated("confidence_of_relation", "session.confidence(relation)")
-    return _confidence_of_relation(relation, world_table, config, session=session)
-
-
-def certain_tuples(
-    relation: URelation,
-    world_table: "WorldTable",
-    config: ExactConfig | None = None,
-    *,
-    tolerance: float = 1e-9,
-    session: "Session | None" = None,
-) -> list[tuple]:
-    """The value tuples present in *every* world (``where conf(...) = 1``).
-
-    .. deprecated:: use :meth:`~repro.db.session.Session.certain_tuples` via
-       ``repro.connect(database)``.
-
-    This is the query from the introduction that motivates exact (rather than
-    approximate) confidence computation: Monte-Carlo estimators independently
-    underestimate each tuple's confidence and therefore miss certain answers
-    with high probability.
-    """
-    _deprecated("certain_tuples", "session.certain_tuples(relation)")
-    return _session_for(world_table, config, session).certain_tuples(
-        relation, tolerance=tolerance
-    )
-
-
-def possible_tuples(
-    relation: URelation,
-    world_table: "WorldTable",
-    config: ExactConfig | None = None,
-    *,
-    threshold: float = 0.0,
-    session: "Session | None" = None,
-) -> list[ConfidenceRow]:
-    """Value tuples whose confidence exceeds ``threshold`` (default: possible at all).
-
-    .. deprecated:: use :meth:`~repro.db.session.Session.possible_tuples` via
-       ``repro.connect(database)``.
-    """
-    _deprecated("possible_tuples", "session.possible_tuples(relation)")
-    return _session_for(world_table, config, session).possible_tuples(
-        relation, threshold=threshold
-    )

@@ -5,7 +5,7 @@ U-relations and offers the operations the paper builds on:
 
 * possible-world semantics (enumeration, instance distributions) for small
   databases — used by examples and as ground truth in tests;
-* confidence computation (the ``conf()`` aggregate) through the exact engines;
+* confidence computation (the ``conf()`` aggregate) through the exact engine;
 * **conditioning**: ``assert_condition`` removes all worlds violating a
   condition (a ws-set, a Boolean-query answer, or an integrity constraint) and
   renormalises the database, materialising the posterior database for
@@ -21,11 +21,7 @@ from typing import TYPE_CHECKING
 from repro.core.conditioning import ConditioningResult, condition_wsset
 from repro.core.probability import ExactConfig, probability
 from repro.core.wsset import WSSet
-from repro.db.confidence import (
-    ConfidenceRow,
-    _confidence_by_tuple,
-    _confidence_of_relation,
-)
+from repro.db.confidence import ConfidenceRow
 from repro.db.constraints import Constraint
 from repro.db.urelation import URelation, UTuple
 from repro.db.world_table import WorldTable
@@ -221,7 +217,7 @@ class ProbabilisticDatabase:
     ) -> list[ConfidenceRow]:
         """``conf()`` per distinct value tuple of a relation or query answer."""
         relation = self.relation(target) if isinstance(target, str) else target
-        return _confidence_by_tuple(relation, self._world_table, config)
+        return self.session(config).confidence_batch(relation)
 
     # ------------------------------------------------------------------
     # Conditioning (Section 5)
@@ -368,15 +364,4 @@ def _canonical_instance(instance: Mapping[str, list[tuple]]) -> Instance:
     return tuple(
         (name, tuple(sorted(rows, key=repr)))
         for name, rows in sorted(instance.items())
-    )
-
-
-def relation_confidence(
-    database: ProbabilisticDatabase,
-    name: str,
-    config: ExactConfig | None = None,
-) -> float:
-    """Convenience wrapper: confidence that the named relation is nonempty."""
-    return _confidence_of_relation(
-        database.relation(name), database.world_table, config
     )

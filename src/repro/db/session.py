@@ -25,9 +25,8 @@ executor surface: the same interface with coroutine methods (a worker
 thread behind a non-blocking cache probe, :meth:`Session.cached`) plus a
 ``gather``-style :meth:`AsyncSession.confidence_many`.
 
-The pre-session free functions (:func:`repro.db.confidence.confidence_by_tuple`
-and friends, :func:`repro.sql.executor.execute` with a bare config) keep
-working as thin wrappers that open a transient session per call.
+:func:`repro.sql.executor.execute` with a bare config keeps working as a thin
+wrapper that opens a transient session per call.
 
 Two session features exist for the confidence server (:mod:`repro.server`):
 
@@ -348,7 +347,7 @@ class Session:
                 config = replace(config, executor=executor)
             if memo_limit is not None:
                 config = replace(config, memo_limit=memo_limit)
-            elif config.memo_limit is None and config.effective_memoize:
+            elif config.memo_limit is None and config.memoize:
                 # Bound the shared memo sanely: a session's cache must not grow
                 # without bound over thousands of queries.
                 config = replace(config, memo_limit=DEFAULT_MEMO_LIMIT)

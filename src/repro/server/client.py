@@ -409,7 +409,7 @@ class ServerSession(_SessionCalls):
 
         Unlike :meth:`server_stats` this takes no server-side locks, so it
         answers even while conditioning or a saturated queue stalls
-        everything else.  Requires a protocol-version-3 server.
+        everything else.
         """
         return self._call("health")
 
@@ -419,7 +419,6 @@ class ServerSession(_SessionCalls):
         ``{"sharded": false}`` on a stand-alone server; on a shard,
         ``{"sharded": true, "shard": i, "shards": n, "map": ...}`` with
         ``map`` a :class:`~repro.cluster.partition.ShardMap` payload.
-        Requires a protocol-version-4 server.
         """
         return self._call("shard_map")
 
@@ -453,11 +452,7 @@ class ServerSession(_SessionCalls):
 
         The server fans the batch out across its session pool (with a
         process executor the requests genuinely overlap across cores) and
-        answers in target order.  Requires a protocol-version-2 server:
-        this client stamps ``v: 2`` on *every* frame, so against an old
-        (v1) server every call — this one included — raises a
-        ``ProtocolError`` with code ``unsupported-version``; there is no
-        per-operation fallback.
+        answers in target order.
         """
         targets = list(targets)
         if not targets:
@@ -509,8 +504,8 @@ class ServerSession(_SessionCalls):
         The server compiles the target's lineage into a circuit once
         (cached across calls on the shared engine handle) and re-evaluates
         it per point — mirroring :meth:`~repro.db.session.Session.what_if`.
-        Requires a protocol-version-3 server.  ``variable`` and ``value``
-        must be JSON-representable, like ws-set targets.
+        ``variable`` and ``value`` must be JSON-representable, like ws-set
+        targets.
         """
         result = self._call(
             "what_if",
@@ -538,7 +533,6 @@ class ServerSession(_SessionCalls):
         Counters, gauges and histogram snapshots keyed by Prometheus-style
         series name; feed histograms to
         :func:`repro.obs.metrics.quantile_from_snapshot` for p50/p90/p99.
-        Requires a protocol-version-3 server.
         """
         return self._call("metrics")["metrics"]
 

@@ -1,29 +1,30 @@
 """The confidence server's wire protocol: length-prefixed JSON frames.
 
 Every frame is a 4-byte big-endian unsigned length followed by that many
-bytes of UTF-8 JSON encoding one object.  Requests carry a protocol version,
-a client-chosen correlation id, an operation name and its arguments::
+bytes of UTF-8 JSON encoding one object.  Requests carry the protocol version
+(:data:`PROTOCOL_VERSION`, the only one spoken), a client-chosen correlation
+id, an operation name and its arguments::
 
-    {"v": 1, "id": 7, "op": "confidence", "args": {...}}
+    {"v": 4, "id": 7, "op": "confidence", "args": {...}}
 
 Responses echo the id and carry either a result or a structured error::
 
-    {"v": 1, "id": 7, "ok": true,  "result": {...}}
-    {"v": 1, "id": 7, "ok": false, "error": {"code": "budget-exceeded",
+    {"v": 4, "id": 7, "ok": true,  "result": {...}}
+    {"v": 4, "id": 7, "ok": false, "error": {"code": "budget-exceeded",
                                              "message": "..."}}
 
 Operations (see ``docs/protocol.md`` for the full schemas):
 
 ``ping``
     Liveness check; returns the server's protocol version.
-``health`` (since version 3)
+``health``
     Serving health: admission-queue depth, in-flight count, shed totals and
     a coarse ``status`` (``ok`` / ``overloaded`` / ``draining``).  Never
     queued behind computations, so it answers even under full load.
 ``stats``
     Engine statistics (:meth:`repro.core.engine.EngineStats.as_dict`) plus
     server-level counters.
-``metrics`` (since version 3)
+``metrics``
     A merged :meth:`repro.obs.metrics.MetricsRegistry.snapshot` of the
     server's and the engine handle's instruments: per-op and per-method
     latency histograms (p50/p90/p99 derivable client-side via
@@ -35,19 +36,19 @@ Operations (see ``docs/protocol.md`` for the full schemas):
     (:meth:`~repro.db.session.ConfidenceRequest.to_payload` form, including
     per-request budgets, seeds and ε/δ) answered with a
     :class:`~repro.db.session.ConfidenceResult` payload.
-``confidence_many`` (since version 2)
+``confidence_many``
     A batch of confidence requests answered in one round trip; the server
     fans the batch out across its session pool, so with a process executor
     the requests genuinely overlap.  Results come back in request order.
 ``confidence_batch``
     Per-tuple ``conf()`` of a named relation through
     :meth:`~repro.db.session.Session.confidence_batch`.
-``what_if`` (since version 3)
+``what_if``
     A what-if sweep: one target, one variable, many probability points,
     answered in a single frame through a compiled lineage circuit
     (:meth:`~repro.db.session.Session.what_if`) — the decomposition runs
     once server-side, every point is a circuit re-evaluation.
-``shard_map`` (since version 4)
+``shard_map``
     The cluster partition this server was booted with: its own shard index,
     the shard count and the full :class:`~repro.cluster.partition.ShardMap`
     payload (variable -> shard ownership plus per-relation component
@@ -109,21 +110,9 @@ from repro.testing import faults as _faults
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sql.executor import QueryResult
 
-#: Version the clients of this build send on every frame.
+#: The one protocol version: clients send it on every frame, and the server
+#: answers a frame carrying anything else with ``unsupported-version``.
 PROTOCOL_VERSION = 4
-
-#: Versions the server answers.  Version 1 (PR 4) lacks ``confidence_many``
-#: but is otherwise identical, so v1 clients keep working unchanged; a v1
-#: frame asking for a v2-only operation gets the same ``unknown-op`` error an
-#: actual v1 server would send.  Version 3 adds the ``health``
-#: and ``what_if`` operations, the per-request ``deadline_ms`` frame field, and the
-#: ``deadline-exceeded`` / ``overloaded`` error codes; v1/v2 frames never see
-#: any of them (``deadline_ms`` on an old frame is ignored, and old clients
-#: degrade unknown codes to :class:`~repro.errors.RemoteError`).  Version 4
-#: (this build) adds the cluster surface: the ``shard_map`` operation, the
-#: ``shard`` section of ``health`` payloads and the ``shard-unavailable``
-#: error code a cluster coordinator raises for a dead shard.
-SUPPORTED_VERSIONS = (1, 2, 3, 4)
 
 #: Default TCP port of ``python -m repro.server`` (the paper's year).
 DEFAULT_PORT = 2008
@@ -148,15 +137,6 @@ OPS = (
     "execute",
     "execute_script",
 )
-
-#: Operations that exist only from the given protocol version on.
-OPS_SINCE_VERSION = {
-    "confidence_many": 2,
-    "health": 3,
-    "what_if": 3,
-    "metrics": 3,
-    "shard_map": 4,
-}
 
 #: Operations a client may safely retry after a transport failure.
 #:
@@ -332,7 +312,7 @@ def request_frame(
 ) -> dict:
     """A request frame for ``op`` (client side).
 
-    ``deadline_ms`` (protocol version 3) asks the server to answer within
+    ``deadline_ms`` asks the server to answer within
     that many milliseconds of receiving the frame — covering queueing time,
     not just computation — or fail fast with ``deadline-exceeded``.
     """
@@ -342,9 +322,9 @@ def request_frame(
     return frame
 
 
-def ok_frame(id: object, result: object, *, version: int = PROTOCOL_VERSION) -> dict:
-    """A success response echoing the request ``id`` (and its ``version``)."""
-    return {"v": version, "id": id, "ok": True, "result": result}
+def ok_frame(id: object, result: object) -> dict:
+    """A success response echoing the request ``id``."""
+    return {"v": PROTOCOL_VERSION, "id": id, "ok": True, "result": result}
 
 
 def error_frame(
@@ -352,14 +332,12 @@ def error_frame(
     code: str,
     message: str,
     detail: dict | None = None,
-    *,
-    version: int = PROTOCOL_VERSION,
 ) -> dict:
     """An error response; ``id`` is ``None`` when the request had none."""
     error: dict = {"code": code, "message": message}
     if detail:
         error["detail"] = detail
-    return {"v": version, "id": id, "ok": False, "error": error}
+    return {"v": PROTOCOL_VERSION, "id": id, "ok": False, "error": error}
 
 
 def encode_frame(

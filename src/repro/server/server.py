@@ -71,9 +71,7 @@ from repro.server import protocol
 from repro.testing import faults as _faults
 from repro.server.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
-    OPS_SINCE_VERSION,
     PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     error_frame,
     ok_frame,
 )
@@ -482,47 +480,31 @@ class ConfidenceServer:
         )
 
     async def _respond(self, frame: dict) -> dict:
-        """Map one request frame onto one response frame (never raises).
-
-        Responses echo the request's protocol version, so a v1 client keeps
-        seeing v1 frames.  Operations newer than the request's version are
-        answered with ``unknown-op`` — exactly what a server of that version
-        would have said.
-        """
+        """Map one request frame onto one response frame (never raises)."""
         id = frame.get("id")
         if not (id is None or isinstance(id, (int, str))):
             id = None
         version = frame.get("v")
-        if version not in SUPPORTED_VERSIONS:
+        if version != PROTOCOL_VERSION:
             self._errors_total += 1
-            supported = ", ".join(str(v) for v in SUPPORTED_VERSIONS)
             return error_frame(
                 id,
                 "unsupported-version",
-                f"this server speaks protocol versions {supported}, "
+                f"this server speaks protocol version {PROTOCOL_VERSION}, "
                 f"got {version!r}",
             )
         op = frame.get("op")
-        if op not in protocol.OPS or OPS_SINCE_VERSION.get(op, 1) > version:
+        if op not in protocol.OPS:
             self._errors_total += 1
-            known = ", ".join(
-                name
-                for name in protocol.OPS
-                if OPS_SINCE_VERSION.get(name, 1) <= version
-            )
             return error_frame(
                 id,
                 "unknown-op",
-                f"unknown operation {op!r} in protocol version {version}; "
-                f"known: {known}",
-                version=version,
+                f"unknown operation {op!r}; known: {', '.join(protocol.OPS)}",
             )
         args = frame.get("args") or {}
         if not isinstance(args, dict):
             self._errors_total += 1
-            return error_frame(
-                id, "malformed-frame", "args must be an object", version=version
-            )
+            return error_frame(id, "malformed-frame", "args must be an object")
         deadline_ms = frame.get("deadline_ms")
         if deadline_ms is not None and (
             isinstance(deadline_ms, bool)
@@ -535,7 +517,6 @@ class ConfidenceServer:
                 "malformed-frame",
                 f"deadline_ms must be a positive number of milliseconds, "
                 f"got {deadline_ms!r}",
-                version=version,
             )
         deadline = (
             time.monotonic() + deadline_ms / 1000.0 if deadline_ms is not None else None
@@ -550,31 +531,23 @@ class ConfidenceServer:
             if isinstance(error, DeadlineExceededError):
                 self._deadline_exceeded_total += 1
             code = protocol.error_code(error)
-            return error_frame(
-                id, code, str(error),
-                protocol.error_detail(error), version=version,
-            )
+            return error_frame(id, code, str(error), protocol.error_detail(error))
         except (KeyError, TypeError, ValueError) as error:
             self._errors_total += 1
             code = "malformed-frame"
-            return error_frame(
-                id, code, f"bad arguments for {op}: {error}",
-                version=version,
-            )
+            return error_frame(id, code, f"bad arguments for {op}: {error}")
         except Exception as error:  # noqa: BLE001 - a request must never kill the server
             logger.exception("internal error answering %s", op)
             self._errors_total += 1
             code = "internal"
-            return error_frame(
-                id, "internal", f"{type(error).__name__}: {error}", version=version
-            )
+            return error_frame(id, "internal", f"{type(error).__name__}: {error}")
         finally:
             elapsed = time.monotonic() - started
             self.metrics.histogram("repro_server_op_seconds", op=op).record(elapsed)
             self.metrics.counter("repro_server_requests_total", op=op).inc()
             if code is not None:
                 self.metrics.counter("repro_server_errors_total", code=code).inc()
-        return ok_frame(id, result, version=version)
+        return ok_frame(id, result)
 
     # ------------------------------------------------------------------
     # Operations

@@ -1,9 +1,8 @@
 """Tests for the interned sampling substrate of Karp-Luby and naive MC.
 
-The key guarantees: the interned samplers are unbiased (fixed-seed estimates
-land within tolerance of the exact confidence on randomized instances, for
-both estimator variants), agree statistically with the legacy plain-dict
-samplers, and are reproducible per seed.
+The key guarantees: the samplers are unbiased (fixed-seed estimates land
+within tolerance of the exact confidence on randomized instances, for both
+estimator variants) and are reproducible per seed.
 """
 
 from __future__ import annotations
@@ -34,9 +33,7 @@ def random_instance(seed, *, num_variables=6, num_descriptors=6, max_length=3):
 class TestInternedKarpLuby:
     def test_matches_exact_on_paper_example(self, figure3_wsset, figure3_world_table):
         exact = probability(figure3_wsset, figure3_world_table)
-        estimator = KarpLubyEstimator(
-            figure3_wsset, figure3_world_table, seed=7, interned=True
-        )
+        estimator = KarpLubyEstimator(figure3_wsset, figure3_world_table, seed=7)
         result = estimator.estimate(20000)
         assert result.estimate == pytest.approx(exact, rel=0.05)
 
@@ -45,27 +42,16 @@ class TestInternedKarpLuby:
     def test_unbiased_on_random_instances(self, seed, estimator):
         world_table, ws_set = random_instance(6100 + seed)
         exact = brute_force_probability(ws_set, world_table)
-        kl = KarpLubyEstimator(
-            ws_set, world_table, seed=seed, estimator=estimator, interned=True
-        )
+        kl = KarpLubyEstimator(ws_set, world_table, seed=seed, estimator=estimator)
         result = kl.estimate(20000)
         assert result.estimate == pytest.approx(exact, rel=0.1, abs=0.02)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_interned_and_legacy_substrates_agree(self, seed):
+    def test_clause_weights_are_descriptor_probabilities(self, seed):
         world_table, ws_set = random_instance(6200 + seed)
-        interned = KarpLubyEstimator(
-            ws_set, world_table, seed=seed, interned=True
-        ).estimate(20000)
-        legacy = KarpLubyEstimator(
-            ws_set, world_table, seed=seed, interned=False
-        ).estimate(20000)
-        assert interned.estimate == pytest.approx(legacy.estimate, abs=0.03)
-        # Identical clause weights (the cheap part must not drift either).
-        assert KarpLubyEstimator(ws_set, world_table, interned=True).weights == \
-            pytest.approx(
-                KarpLubyEstimator(ws_set, world_table, interned=False).weights
-            )
+        assert KarpLubyEstimator(ws_set, world_table).weights == pytest.approx(
+            [descriptor.probability(world_table) for descriptor in ws_set]
+        )
 
     def test_seeded_runs_are_reproducible(self):
         world_table, ws_set = random_instance(6300)
@@ -78,7 +64,7 @@ class TestInternedKarpLuby:
         # {x: 99} holds in no world; the interned estimator drops it, leaving
         # the estimate for the remaining clause unchanged.
         ws_set = WSSet([{"x": 99}, {"u": 1}])
-        kl = KarpLubyEstimator(ws_set, figure3_world_table, seed=0, interned=True)
+        kl = KarpLubyEstimator(ws_set, figure3_world_table, seed=0)
         result = kl.estimate(5000)
         assert result.estimate == pytest.approx(0.7, abs=0.05)
 
@@ -99,19 +85,9 @@ class TestInternedMonteCarlo:
         world_table, ws_set = random_instance(6500 + seed)
         exact = brute_force_probability(ws_set, world_table)
         result = naive_monte_carlo_confidence(
-            ws_set, world_table, iterations=20000, seed=seed, interned=True
+            ws_set, world_table, iterations=20000, seed=seed
         )
         assert result.estimate == pytest.approx(exact, abs=0.02)
-
-    def test_interned_and_legacy_substrates_agree(self):
-        world_table, ws_set = random_instance(6600)
-        interned = naive_monte_carlo_confidence(
-            ws_set, world_table, iterations=20000, seed=3, interned=True
-        )
-        legacy = naive_monte_carlo_confidence(
-            ws_set, world_table, iterations=20000, seed=3, interned=False
-        )
-        assert interned.estimate == pytest.approx(legacy.estimate, abs=0.03)
 
     def test_seeded_runs_are_reproducible(self):
         world_table, ws_set = random_instance(6700)

@@ -20,7 +20,6 @@ from repro.db.world_table import WorldTable
 from repro.errors import (
     BudgetExceededError,
     InvalidDistributionError,
-    QueryError,
     UnknownValueError,
     UnknownVariableError,
 )
@@ -267,11 +266,6 @@ class TestCacheAndInvalidation:
 
 
 class TestCompileSurface:
-    def test_compile_requires_interned_engine(self, world_table, ws_set):
-        session = Session(world_table, ExactConfig(engine="legacy"))
-        with pytest.raises(QueryError):
-            session.compile(ws_set)
-
     def test_compile_is_budgeted(self):
         instance = hard_instance(40)
         session = Session(instance.world_table)

@@ -5,7 +5,7 @@ unmemoised recursion — same confidence, same rewritten descriptors, same new
 variables with the same float weights — within one run (sibling-branch hits),
 across calls through a shared :class:`ConditioningMemo`, under tiny memo
 limits that force evictions, and across executors.  On top of that: the
-interned memoised path still agrees with the legacy engine and brute force,
+memoised path still agrees with brute force,
 the handle-level cache invalidates selectively on re-weighting, and an
 interleaved assert/confidence/what_if session never serves stale posteriors.
 """
@@ -16,7 +16,10 @@ import random
 
 import pytest
 
-from repro.core.bruteforce import brute_force_posterior_worlds
+from repro.core.bruteforce import (
+    brute_force_posterior_worlds,
+    brute_force_probability,
+)
 from repro.core.conditioning import (
     ConditioningMemo,
     condition_wsset,
@@ -131,19 +134,16 @@ class TestBitIdentity:
         assert memo.hits >= 1
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_memoised_interned_matches_legacy_marginals(self, seed):
+    def test_memoised_matches_brute_force_marginals(self, seed):
         world_table, condition, tuples = random_case(67000 + seed)
         memo = ConditioningMemo()
         try:
-            interned = condition_wsset(
-                condition, tuples, world_table, implementation="interned", memo=memo
-            )
+            interned = condition_wsset(condition, tuples, world_table, memo=memo)
         except ZeroProbabilityConditionError:
             pytest.skip("sampled an unsatisfiable condition")
-        legacy = condition_wsset(
-            condition, tuples, world_table, implementation="legacy"
+        assert interned.confidence == pytest.approx(
+            brute_force_probability(condition, world_table), abs=1e-12
         )
-        assert interned.confidence == pytest.approx(legacy.confidence, abs=1e-12)
         posterior = brute_force_posterior_worlds(condition, world_table)
         combined = conditioned_world_table(world_table, interned)
         for tag, descriptor in tuples:

@@ -1,9 +1,9 @@
 """Tests for the interned decomposition engine (integer packing, iterative core).
 
-The central guarantee is cross-engine agreement: on random instances the
-interned engine, the legacy dict engine and brute-force world enumeration all
-compute the same probability (within 1e-9), for INDVE and VE and every
-heuristic.  The unit tests additionally pin the packed representation and the
+The central guarantee is agreement with the oracle: on random instances the
+engine and brute-force world enumeration compute the same probability (within
+1e-9), for INDVE and VE and every heuristic.  The unit tests additionally pin
+the packed representation and the
 interned counterparts of the shared ws-set helpers, and the oracle tests hold
 the index-based ⊗-partitioning and subsumption passes to the quadratic scans
 they replaced (kept here as reference implementations).
@@ -40,7 +40,6 @@ from repro.core.interned import (
 )
 from repro.core.probability import (
     ExactConfig,
-    make_engine,
     probability,
     probability_of_descriptors,
     probability_with_stats,
@@ -160,25 +159,7 @@ class TestInternedHelpers:
 
 class TestEngineBasics:
     def test_example_47_is_the_default_engine(self, figure3_wsset, figure3_world_table):
-        assert ExactConfig().engine == "interned"
         assert probability(figure3_wsset, figure3_world_table) == pytest.approx(0.7578)
-
-    def test_unknown_engine_rejected(self, figure3_wsset, figure3_world_table):
-        with pytest.raises(ValueError, match="unknown engine"):
-            probability(
-                figure3_wsset, figure3_world_table, ExactConfig(engine="turbo")
-            )
-
-    def test_effective_memoize_defaults(self):
-        assert ExactConfig().effective_memoize is True
-        assert ExactConfig(engine="legacy").effective_memoize is False
-        assert ExactConfig(memoize=False).effective_memoize is False
-        assert ExactConfig(engine="legacy", memoize=True).effective_memoize is True
-
-    def test_with_engine(self):
-        config = ExactConfig().with_engine("legacy")
-        assert config.engine == "legacy"
-        assert config.use_independent_partitioning
 
     def test_empty_and_universal_wssets(self, figure3_world_table):
         assert probability(WSSet.empty(), figure3_world_table) == 0.0
@@ -207,7 +188,7 @@ class TestEngineBasics:
             probability(ws_set, world_table, ExactConfig(time_limit=1e-12))
 
     def test_engine_reuse_shares_the_memo_cache(self, figure3_world_table):
-        engine = make_engine(figure3_world_table, ExactConfig())
+        engine = InternedEngine(figure3_world_table, ExactConfig())
         descriptors = [
             {"x": 1, "y": 1, "z": 1},
             {"x": 2, "y": 2, "z": 1},
@@ -233,7 +214,7 @@ class TestEngineBasics:
 
 
 class TestCrossEngineAgreement:
-    """Satellite property test: interned == legacy == brute force (1e-9)."""
+    """Property test: every configuration == brute force (1e-9)."""
 
     @pytest.mark.parametrize("seed", range(20))
     @pytest.mark.parametrize("method", ["indve", "ve"])
@@ -251,18 +232,7 @@ class TestCrossEngineAgreement:
                     use_independent_partitioning=use_ip, heuristic=heuristic
                 ),
             )
-            legacy = probability(
-                ws_set,
-                world_table,
-                ExactConfig(
-                    use_independent_partitioning=use_ip,
-                    heuristic=heuristic,
-                    engine="legacy",
-                ),
-            )
             assert interned == pytest.approx(expected, abs=1e-9)
-            assert legacy == pytest.approx(expected, abs=1e-9)
-            assert interned == pytest.approx(legacy, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_memoization_does_not_change_results(self, seed):
@@ -270,7 +240,7 @@ class TestCrossEngineAgreement:
         world_table = random_world_table(rng, num_variables=6, max_domain_size=3)
         ws_set = random_wsset(rng, world_table, num_descriptors=8, max_length=3)
         expected = brute_force_probability(ws_set, world_table)
-        for memoize in (None, True, False):
+        for memoize in (True, False):
             value = probability(ws_set, world_table, ExactConfig(memoize=memoize))
             assert value == pytest.approx(expected, abs=1e-9)
 
@@ -283,8 +253,6 @@ class TestCrossEngineAgreement:
         for config in (
             ExactConfig(simplify_subsumed=False),
             ExactConfig(subsumption_every_step=True),
-            ExactConfig(simplify_subsumed=False, engine="legacy"),
-            ExactConfig(subsumption_every_step=True, engine="legacy"),
         ):
             assert probability(ws_set, world_table, config) == pytest.approx(
                 expected, abs=1e-9
@@ -304,26 +272,16 @@ class TestConditioningWithInternedDelegation:
         condition_mass = brute_force_probability(condition, world_table)
         if condition_mass == 0.0:
             pytest.skip("zero-probability condition")
-        results = {}
-        for engine in ("interned", "legacy"):
-            result = condition_wsset(
-                condition, tuples, world_table, ExactConfig(engine=engine)
+        result = condition_wsset(condition, tuples, world_table, ExactConfig())
+        assert result.confidence == pytest.approx(condition_mass, abs=1e-9)
+        combined = conditioned_world_table(world_table, result)
+        for tag, descriptor in tuples:
+            joint = brute_force_probability(
+                WSSet([descriptor]).intersect(condition), world_table
             )
-            results[engine] = result
-            assert result.confidence == pytest.approx(condition_mass, abs=1e-9)
-            combined = conditioned_world_table(world_table, result)
-            for tag, descriptor in tuples:
-                joint = brute_force_probability(
-                    WSSet([descriptor]).intersect(condition), world_table
-                )
-                rewritten = WSSet(result.rewritten.get(tag, ()))
-                actual = (
-                    probability(rewritten, combined) if len(rewritten) else 0.0
-                )
-                assert actual == pytest.approx(joint / condition_mass, abs=1e-9)
-        assert results["interned"].confidence == pytest.approx(
-            results["legacy"].confidence, abs=1e-9
-        )
+            rewritten = WSSet(result.rewritten.get(tag, ()))
+            actual = probability(rewritten, combined) if len(rewritten) else 0.0
+            assert actual == pytest.approx(joint / condition_mass, abs=1e-9)
 
     def test_delegate_engine_is_shared_across_subproblems(self, figure3_world_table):
         condition = WSSet([{"x": 1}, {"x": 2, "y": 1}, {"u": 1, "v": 1}, {"u": 2}])

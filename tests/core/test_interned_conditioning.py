@@ -1,10 +1,8 @@
-"""Cross-engine tests for the interned conditioning recursion.
+"""Oracle tests for the interned conditioning recursion.
 
-The central guarantee: on randomized instances the interned frame-stack
-engine, the legacy dict recursion and brute-force world enumeration agree on
-the condition confidence and on every posterior tuple marginal to 1e-9, and
-the two implementations produce equivalent ΔW tables (same sources, same
-weighted alternatives up to new-variable naming).
+The central guarantee: on randomized instances the frame-stack engine and
+brute-force world enumeration agree on the condition confidence and on every
+posterior tuple marginal to 1e-9.
 """
 
 from __future__ import annotations
@@ -13,10 +11,13 @@ import random
 
 import pytest
 
-from repro.core.bruteforce import brute_force_posterior_worlds
+from repro.core.bruteforce import (
+    brute_force_posterior_worlds,
+    brute_force_probability,
+)
 from repro.core.conditioning import condition_wsset, conditioned_world_table
 from repro.core.descriptors import WSDescriptor
-from repro.core.probability import ExactConfig, probability
+from repro.core.probability import probability
 from repro.core.wsset import WSSet
 from repro.db.world_table import WorldTable
 from repro.errors import ZeroProbabilityConditionError
@@ -61,36 +62,6 @@ def random_case(seed, *, num_variables=5, condition_size=4, tuple_count=5):
     return world_table, condition, tuples
 
 
-class TestImplementationDispatch:
-    def test_default_config_uses_interned_and_legacy_engine_uses_legacy(self):
-        # Both produce the same result either way; this pins the routing knob.
-        w = WorldTable()
-        w.add_variable("x", {1: 0.4, 2: 0.6})
-        condition = WSSet([{"x": 1}])
-        tuples = [("t", WSDescriptor({"x": 1}))]
-        interned = condition_wsset(condition, tuples, w)
-        legacy = condition_wsset(condition, tuples, w, ExactConfig(engine="legacy"))
-        assert interned.confidence == pytest.approx(legacy.confidence)
-
-    def test_unknown_implementation_rejected(self):
-        w = WorldTable()
-        w.add_variable("x", {1: 0.4, 2: 0.6})
-        with pytest.raises(ValueError):
-            condition_wsset(WSSet([{"x": 1}]), [], w, implementation="bogus")
-
-    def test_literal_rule_requires_legacy(self):
-        w = WorldTable()
-        w.add_variable("x", {1: 0.4, 2: 0.6})
-        with pytest.raises(ValueError):
-            condition_wsset(
-                WSSet([{"x": 1}]),
-                [],
-                w,
-                implementation="interned",
-                literal_independence_rule=True,
-            )
-
-
 class TestPaperExamplesInterned:
     """The introduction's SSN example through the interned implementation."""
 
@@ -106,8 +77,7 @@ class TestPaperExamplesInterned:
 
     def test_confidence_and_marginals(self, figure2_world_table):
         result = condition_wsset(
-            self.condition, self.tuples(), figure2_world_table,
-            implementation="interned",
+            self.condition, self.tuples(), figure2_world_table
         )
         assert result.confidence == pytest.approx(0.44)
         marginals = posterior_tuple_marginals(
@@ -118,8 +88,7 @@ class TestPaperExamplesInterned:
 
     def test_delta_distributions_sum_to_one(self, figure2_world_table):
         result = condition_wsset(
-            self.condition, self.tuples(), figure2_world_table,
-            implementation="interned",
+            self.condition, self.tuples(), figure2_world_table
         )
         for variable in result.delta_world_table.variables:
             distribution = result.delta_world_table.distribution(variable)
@@ -130,26 +99,20 @@ class TestPaperExamplesInterned:
 class TestCrossEngineAgreement:
     @pytest.mark.parametrize("seed", range(25))
     @pytest.mark.parametrize("prune", [True, False])
-    def test_interned_matches_legacy_and_brute_force(self, seed, prune):
+    def test_matches_brute_force(self, seed, prune):
         world_table, condition, tuples = random_case(41000 + seed)
         try:
             interned = condition_wsset(
                 world_table=world_table,
                 condition=condition,
                 tuples=tuples,
-                implementation="interned",
                 prune_unrelated=prune,
             )
         except ZeroProbabilityConditionError:
             pytest.skip("sampled an unsatisfiable condition")
-        legacy = condition_wsset(
-            world_table=world_table,
-            condition=condition,
-            tuples=tuples,
-            implementation="legacy",
-            prune_unrelated=prune,
+        assert interned.confidence == pytest.approx(
+            brute_force_probability(condition, world_table), abs=1e-12
         )
-        assert interned.confidence == pytest.approx(legacy.confidence, abs=1e-12)
         expected = brute_force_tuple_marginals(condition, tuples, world_table)
         interned_marginals = posterior_tuple_marginals(interned, tuples, world_table)
         for tag, value in expected.items():
@@ -160,9 +123,7 @@ class TestCrossEngineAgreement:
         world_table, condition, _ = random_case(47000 + seed)
         tuples = [(i, descriptor) for i, descriptor in enumerate(condition)]
         try:
-            result = condition_wsset(
-                condition, tuples, world_table, implementation="interned"
-            )
+            result = condition_wsset(condition, tuples, world_table)
         except ZeroProbabilityConditionError:
             pytest.skip("sampled an unsatisfiable condition")
         combined = conditioned_world_table(world_table, result)
@@ -183,8 +144,7 @@ class TestCrossEngineAgreement:
         ):
             try:
                 interned = condition_wsset(
-                    condition, tuples, world_table,
-                    implementation="interned", **options,
+                    condition, tuples, world_table, **options
                 )
             except ZeroProbabilityConditionError:
                 pytest.skip("sampled an unsatisfiable condition")
@@ -200,9 +160,7 @@ class TestInternedSpecifics:
         # along unchanged (it can never meet an eliminated variable).
         condition = WSSet([{"j": 1}])
         tuples = [("t", WSDescriptor({"b": 4, "ghost": 9}))]
-        result = condition_wsset(
-            condition, tuples, figure2_world_table, implementation="interned"
-        )
+        result = condition_wsset(condition, tuples, figure2_world_table)
         (descriptor,) = result.rewritten["t"]
         assert descriptor.get("ghost") == 9
         assert descriptor.get("b") == 4
@@ -210,9 +168,7 @@ class TestInternedSpecifics:
     def test_out_of_domain_tuple_value_denotes_no_world(self, figure2_world_table):
         condition = WSSet([{"j": 1}])
         tuples = [("dead", WSDescriptor({"b": 99})), ("live", WSDescriptor({"b": 4}))]
-        result = condition_wsset(
-            condition, tuples, figure2_world_table, implementation="interned"
-        )
+        result = condition_wsset(condition, tuples, figure2_world_table)
         assert result.rewritten["dead"] == []
         assert result.rewritten["live"] != []
 
@@ -228,9 +184,7 @@ class TestInternedSpecifics:
             assignments[f"x{index}"] = 0
         condition = WSSet([assignments])
         tuples = [("t", WSDescriptor(assignments))]
-        result = condition_wsset(
-            condition, tuples, world_table, implementation="interned"
-        )
+        result = condition_wsset(condition, tuples, world_table)
         assert result.confidence == pytest.approx(0.9999**count)
         assert result.stats.max_depth > 1000
         # Rule 2 strips every eliminated variable: the surviving descriptor

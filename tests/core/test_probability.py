@@ -87,11 +87,11 @@ class TestConfigurations:
             ExactConfig.ve("minmax"),
             ExactConfig.indve("frequency"),
             ExactConfig.indve("first"),
-            ExactConfig.indve("minlog", memoize=True),
+            ExactConfig.indve("minlog", memoize=False),
             ExactConfig.indve("minlog", subsumption_every_step=True),
             ExactConfig.indve("minlog", simplify_subsumed=False),
         ],
-        ids=lambda c: c.label + ("+memo" if c.memoize else "")
+        ids=lambda c: c.label + ("" if c.memoize else "-memo")
         + ("+substeps" if c.subsumption_every_step else "")
         + ("-simplify" if not c.simplify_subsumed else ""),
     )
@@ -112,15 +112,57 @@ class TestConfigurations:
         assert config.label == "indve(minmax)"
         assert config.use_independent_partitioning
 
-    def test_stats_report_node_kinds(self, figure3_wsset, figure3_world_table):
-        """The legacy recursion accounts every ws-tree node kind it visits."""
-        result = probability_with_stats(
-            figure3_wsset, figure3_world_table, ExactConfig(engine="legacy")
+    @pytest.mark.parametrize("field", ["memo_limit", "condition_memo_limit"])
+    def test_memo_limits_are_validated_at_construction(self, field):
+        # Not on the first request of a server booted with the config.
+        with pytest.raises(ValueError, match=f"{field} must be at least 2"):
+            ExactConfig(**{field: 1})
+        assert getattr(ExactConfig(**{field: 2}), field) == 2
+
+    def test_one_engine_one_sampler_no_selectors(self):
+        """The pre-interning forks are gone, not hidden behind a default."""
+        import dataclasses
+        import inspect
+
+        import repro.db.confidence
+        from repro.approx import (
+            KarpLubyEstimator,
+            karp_luby_confidence,
+            naive_monte_carlo_confidence,
         )
-        assert result.probability == pytest.approx(0.7578)
+        from repro.core.conditioning import condition_wsset
+
+        fields = {spec.name: spec for spec in dataclasses.fields(ExactConfig)}
+        assert "engine" not in fields
+        assert fields["memoize"].default is True
+        assert "implementation" not in inspect.signature(condition_wsset).parameters
+        for sampler in (
+            KarpLubyEstimator,
+            karp_luby_confidence,
+            naive_monte_carlo_confidence,
+        ):
+            assert "interned" not in inspect.signature(sampler).parameters
+        public = {
+            name
+            for name, value in vars(repro.db.confidence).items()
+            if getattr(value, "__module__", None) == "repro.db.confidence"
+        }
+        assert public == {"ConfidenceRow"}
+
+    def test_stats_report_node_kinds(self):
+        """The recursion accounts every ws-tree node kind it visits."""
+        w = WorldTable()
+        for index in range(18):
+            w.add_variable(index, {0: 0.5, 1: 0.5})
+        # Two variable-disjoint chains, each too long for the closed form at
+        # its root: an ⊗-node over two ⊕-subtrees that end in closed forms.
+        chains = [range(8), range(9, 17)]
+        s = WSSet([{i: 0, i + 1: 0} for chain in chains for i in chain])
+        result = probability_with_stats(s, w)
+        assert result.probability == pytest.approx(brute_force_probability(s, w))
         assert result.stats.independent_nodes >= 1
         assert result.stats.variable_nodes >= 2
-        assert result.stats.leaf_nodes >= 1
+        assert result.stats.closed_form_nodes >= 1
 
     def test_interned_stats_report_closed_form_nodes(
         self, figure3_wsset, figure3_world_table
@@ -142,8 +184,7 @@ class TestConfigurations:
         )
         assert result.probability == pytest.approx(brute_force_probability(s, w))
 
-    @pytest.mark.parametrize("engine", ["interned", "legacy"])
-    def test_budget_max_calls(self, engine):
+    def test_budget_max_calls(self):
         rng = random.Random(7)
         world_table = random_world_table(rng, num_variables=8, max_domain_size=3)
         ws_set = random_wsset(rng, world_table, num_descriptors=12, max_length=3)
@@ -151,7 +192,7 @@ class TestConfigurations:
             probability(
                 ws_set,
                 world_table,
-                ExactConfig.indve("minlog", max_calls=2, engine=engine),
+                ExactConfig.indve("minlog", max_calls=2),
             )
 
 

@@ -17,6 +17,7 @@ from repro.cluster.__main__ import build_cluster_database
 from repro.core.engine import EngineStats
 from repro.core.wsset import WSSet
 from repro.db.session import ConfidenceRequest, ConfidenceResult, Session
+from repro.errors import UnknownVariableError
 
 BACKENDS = ("local", "server", "cluster")
 
@@ -113,6 +114,15 @@ class TestConformance:
         assert api_session.what_if("HARD", variable, points) == reference.what_if(
             "HARD", variable, points
         )
+
+    @pytest.mark.parametrize("method", ["exact", "karp_luby", "montecarlo", "hybrid"])
+    def test_unknown_variable_raises_for_every_method(
+        self, api_session, conformance_db, method
+    ):
+        known = next(iter(conformance_db.relation("HARD").descriptors()))
+        target = WSSet([known, {"no-such-variable": 1}])
+        with pytest.raises(UnknownVariableError):
+            api_session.confidence(target, method, seed=1)
 
     def test_statistics_reports_engine_work(self, api_session):
         api_session.confidence("HARD")

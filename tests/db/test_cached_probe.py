@@ -15,7 +15,6 @@ from dataclasses import asdict
 import pytest
 
 from repro.core.interned import _PROBE_LIMIT
-from repro.core.probability import ExactConfig
 from repro.core.wsset import WSSet
 from repro.db.session import AsyncSession, ConfidenceRequest, Session
 from repro.errors import UnknownVariableError
@@ -175,15 +174,12 @@ def test_declines_what_only_the_worker_route_answers(warm, request_of):
     assert session.statistics() == before
 
 
-def test_declines_for_a_tracing_session_and_a_legacy_engine(hard_database):
+def test_declines_for_a_tracing_session(hard_database):
     database, descriptors = hard_database()
     hot = WSSet(descriptors[:24])
-    for session in (
-        Session(database, trace=True),
-        Session(database, ExactConfig(engine="legacy")),
-    ):
-        session.confidence(hot)
-        declines_then_answers(session, ConfidenceRequest(hot))
+    session = Session(database, trace=True)
+    session.confidence(hot)
+    declines_then_answers(session, ConfidenceRequest(hot))
 
 
 def test_declines_a_wsset_the_engine_cannot_intern(warm):

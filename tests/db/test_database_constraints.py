@@ -14,7 +14,6 @@ import pytest
 from repro.core.probability import ExactConfig
 from repro.core.wsset import WSSet
 from repro.db.algebra import project, select
-from repro.db.confidence import certain_tuples, confidence_of_relation, possible_tuples
 from repro.db.constraints import (
     DenialConstraint,
     EqualityGeneratingDependency,
@@ -79,9 +78,10 @@ class TestConfidenceQueries:
         assert rows[7] == pytest.approx(0.7)
 
     def test_relation_confidence(self, ssn_database):
-        assert confidence_of_relation(
-            ssn_database.relation("R"), ssn_database.world_table
-        ) == pytest.approx(1.0)
+        session = ssn_database.session()
+        assert session.confidence(ssn_database.relation("R")).value == pytest.approx(
+            1.0
+        )
 
     def test_confidence_accepts_many_targets(self, ssn_database):
         ws = WSSet([{"j": 1}])
@@ -92,11 +92,12 @@ class TestConfidenceQueries:
             ssn_database.confidence(42)
 
     def test_possible_and_certain_tuples(self, ssn_database):
+        session = ssn_database.session()
         names = project(ssn_database.relation("R"), ["NAME"])
-        certain = certain_tuples(names, ssn_database.world_table)
+        certain = session.certain_tuples(names)
         assert sorted(certain) == [("Bill",), ("John",)]
-        possible = possible_tuples(
-            project(ssn_database.relation("R"), ["SSN"]), ssn_database.world_table
+        possible = session.possible_tuples(
+            project(ssn_database.relation("R"), ["SSN"])
         )
         assert {row.values[0] for row in possible} == {1, 4, 7}
 
@@ -206,7 +207,7 @@ class TestConditioningEndToEnd:
         add_fred(ssn_database)
         ssn_database.assert_condition(FunctionalDependency("R", ["SSN"], ["NAME"]))
         ssns = project(ssn_database.relation("R"), ["SSN"])
-        assert sorted(certain_tuples(ssns, ssn_database.world_table)) == [
+        assert sorted(ssn_database.session().certain_tuples(ssns)) == [
             (1,),
             (4,),
             (7,),

@@ -9,7 +9,7 @@ Covers the acceptance criteria of the session API redesign:
   instance under a tiny budget, returning an (ε, δ) error bound;
 * :class:`AsyncSession` returns results identical to :class:`Session`;
 * the bounded memo cache evicts without changing exact results;
-* the free-function shims and the SQL executor route through sessions.
+* the SQL executor routes through sessions.
 """
 
 from __future__ import annotations
@@ -23,11 +23,6 @@ import repro
 from repro.core.decompose import BoundedMemo
 from repro.core.probability import ExactConfig, probability
 from repro.core.wsset import WSSet
-from repro.db.confidence import (
-    certain_tuples,
-    confidence_by_tuple,
-    possible_tuples,
-)
 from repro.db.database import ProbabilisticDatabase
 from repro.db.session import (
     AsyncSession,
@@ -100,9 +95,7 @@ def test_session_batch_matches_per_call_on_attribute_level_database():
     database = random_attribute_level_database(rng, num_entities=4)
     session = database.session()
     batched = session.confidence_batch("R")
-    standalone = confidence_by_tuple(
-        database.relation("R"), database.world_table, ExactConfig()
-    )
+    standalone = database.tuple_confidences("R", ExactConfig())
     assert {r.values: r.confidence for r in batched} == pytest.approx(
         {r.values: r.confidence for r in standalone}, abs=1e-12
     )
@@ -400,38 +393,6 @@ def test_session_with_shared_handle_rejects_conflicting_config():
     assert shared.config is primary.config
     with pytest.raises(QueryError, match="not both"):
         Session(instance.world_table, ExactConfig(), handle=primary.handle)
-
-
-# ----------------------------------------------------------------------
-# Free-function shims and shared batches
-# ----------------------------------------------------------------------
-def test_session_shims_match_session_batches(ssn_database):
-    relation = ssn_database.relation("R")
-    world_table = ssn_database.world_table
-    session = ssn_database.session()
-
-    shim_rows = confidence_by_tuple(relation, world_table)
-    session_rows = session.confidence_batch(relation)
-    assert {r.values: r.confidence for r in shim_rows} == pytest.approx(
-        {r.values: r.confidence for r in session_rows}, abs=1e-12
-    )
-
-    assert certain_tuples(relation, world_table) == session.certain_tuples(relation)
-    assert [r.values for r in possible_tuples(relation, world_table)] == [
-        r.values for r in session.possible_tuples(relation)
-    ]
-
-    # Passing a session routes the shims through the shared engine.
-    computations_before = session.statistics().computations
-    confidence_by_tuple(relation, world_table, session=session)
-    assert session.statistics().computations > computations_before
-
-
-def test_session_shims_reject_session_over_different_world_table(ssn_database):
-    relation = ssn_database.relation("R")
-    foreign = Session(hard_instance(num_descriptors=8).world_table)
-    with pytest.raises(QueryError, match="different world table"):
-        confidence_by_tuple(relation, ssn_database.world_table, session=foreign)
 
 
 def test_session_wall_time_covers_approximate_methods():

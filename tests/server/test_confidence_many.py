@@ -1,11 +1,11 @@
-"""Tests of the batched ``confidence_many`` operation and the v2 protocol.
+"""Tests of the batched ``confidence_many`` operation and the version check.
 
 ``confidence_many`` replaces the historical client-side loop with one frame:
 the server fans the batch across its session pool and answers in request
-order, with values equal to looped ``confidence`` calls.  The protocol
-version bump must keep v1 clients working (v1 frames are answered, v2-only
-operations degrade to ``unknown-op`` under v1, responses echo the request's
-version), and the process-executor server must agree with local sessions.
+order, with values equal to looped ``confidence`` calls.  The server speaks
+one protocol version (a frame carrying any other is answered with
+``unsupported-version``), and the process-executor server must agree with
+local sessions.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.core.wsset import WSSet
 from repro.db.session import ConfidenceRequest, Session
 from repro.errors import ProtocolError, UnknownRelationError
 from repro.server import connect
-from repro.server.protocol import HEADER, OPS_SINCE_VERSION, PROTOCOL_VERSION
+from repro.server.protocol import HEADER, PROTOCOL_VERSION
 from repro.workloads.hard import HardCaseParameters, generate_hard_instance
 
 
@@ -166,70 +166,28 @@ class TestProtocolVersioning:
             with connect(server.host, server.port) as session:
                 assert session.ping()["protocol"] == PROTOCOL_VERSION == 4
 
-    def test_v1_frames_still_answered_and_echo_v1(
-        self, running_server, ssn_database
+    @pytest.mark.parametrize("version", [1, 3, 99, None, "4"])
+    def test_any_other_version_is_rejected(
+        self, running_server, ssn_database, version
     ):
         with running_server(ssn_database) as server:
             with socket.create_connection((server.host, server.port)) as sock:
-                response = raw_roundtrip(sock, {"v": 1, "id": 1, "op": "ping"})
-                assert response["ok"] is True and response["v"] == 1
-                response = raw_roundtrip(
-                    sock,
-                    {
-                        "v": 1,
-                        "id": 2,
-                        "op": "confidence",
-                        "args": {"target": {"kind": "relation", "name": "R"}},
-                    },
-                )
-                assert response["ok"] is True and response["v"] == 1
-                assert 0.0 < response["result"]["value"] <= 1.0
-
-    def test_v2_only_ops_are_unknown_under_v1(self, running_server, ssn_database):
-        assert OPS_SINCE_VERSION["confidence_many"] == 2
-        with running_server(ssn_database) as server:
-            with socket.create_connection((server.host, server.port)) as sock:
-                response = raw_roundtrip(
-                    sock,
-                    {
-                        "v": 1,
-                        "id": 3,
-                        "op": "confidence_many",
-                        "args": {"requests": []},
-                    },
-                )
-                assert response["ok"] is False
-                assert response["error"]["code"] == "unknown-op"
-                assert "confidence_many" not in response["error"]["message"].split(
-                    "known: "
-                )[-1]
-                # The very same op succeeds on the same connection under v2.
-                response = raw_roundtrip(
-                    sock,
-                    {
-                        "v": 2,
-                        "id": 4,
-                        "op": "confidence_many",
-                        "args": {"requests": []},
-                    },
-                )
-                assert response["ok"] is True and response["result"] == {
-                    "results": []
-                }
-
-    def test_unsupported_version_lists_supported_range(
-        self, running_server, ssn_database
-    ):
-        with running_server(ssn_database) as server:
-            with socket.create_connection((server.host, server.port)) as sock:
-                response = raw_roundtrip(sock, {"v": 99, "id": 5, "op": "ping"})
+                response = raw_roundtrip(sock, {"v": version, "id": 5, "op": "ping"})
+                assert response["ok"] is False and response["id"] == 5
+                assert response["v"] == PROTOCOL_VERSION
                 assert response["error"]["code"] == "unsupported-version"
-                assert "1, 2, 3" in response["error"]["message"]
+                assert f"version {PROTOCOL_VERSION}" in response["error"]["message"]
+                # The connection survives and answers the real version.
+                response = raw_roundtrip(
+                    sock, {"v": PROTOCOL_VERSION, "id": 6, "op": "ping"}
+                )
+                assert response["ok"] is True and response["id"] == 6
 
     def test_client_surfaces_unknown_op_against_old_server(self):
-        # Simulate an old (v1) server: it answers confidence_many with
-        # unknown-op; the client must raise a ProtocolError carrying that
-        # code rather than something about response ids.
+        # Simulate a server that does not know the operation: it answers
+        # confidence_many with unknown-op; the client must raise a
+        # ProtocolError carrying that code rather than something about
+        # response ids.
         import threading
 
         from repro.server import protocol
@@ -244,7 +202,7 @@ class TestProtocolVersioning:
                 protocol.send_frame(
                     connection,
                     protocol.error_frame(
-                        frame["id"], "unknown-op", "unknown operation", version=1
+                        frame["id"], "unknown-op", "unknown operation"
                     ),
                 )
 

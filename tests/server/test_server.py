@@ -37,7 +37,7 @@ from repro.errors import (
     UnknownRelationError,
 )
 from repro.server import connect
-from repro.server.protocol import HEADER
+from repro.server.protocol import HEADER, PROTOCOL_VERSION
 from repro.workloads.hard import HardCaseParameters, generate_hard_instance
 
 
@@ -343,7 +343,7 @@ class TestProtocolRobustness:
                 assert response["error"]["code"] == "malformed-frame"
 
                 # 3. Oversized frame: drained and answered, not fatal.
-                blob = b'{"v":1,"id":9,"op":"ping","pad":"' + b"x" * 8000 + b'"}'
+                blob = b'{"v":4,"id":9,"op":"ping","pad":"' + b"x" * 8000 + b'"}'
                 response = self._raw_roundtrip(sock, HEADER.pack(len(blob)) + blob)
                 assert response["error"]["code"] == "frame-too-large"
 
@@ -354,18 +354,22 @@ class TestProtocolRobustness:
                 assert response["id"] == 4
 
                 # 5. Unknown operation.
-                blob = json.dumps({"v": 1, "id": 5, "op": "teleport"}).encode()
+                blob = json.dumps(
+                    {"v": PROTOCOL_VERSION, "id": 5, "op": "teleport"}
+                ).encode()
                 response = self._raw_roundtrip(sock, HEADER.pack(len(blob)) + blob)
                 assert response["error"]["code"] == "unknown-op"
 
                 # 6. Bad args shape for a known op.
-                blob = json.dumps({"v": 1, "id": 6, "op": "confidence",
+                blob = json.dumps({"v": PROTOCOL_VERSION, "id": 6, "op": "confidence",
                                    "args": {"target": "oops"}}).encode()
                 response = self._raw_roundtrip(sock, HEADER.pack(len(blob)) + blob)
                 assert response["error"]["code"] == "malformed-frame"
 
                 # After all that abuse the same connection still answers.
-                blob = json.dumps({"v": 1, "id": 7, "op": "ping"}).encode()
+                blob = json.dumps(
+                    {"v": PROTOCOL_VERSION, "id": 7, "op": "ping"}
+                ).encode()
                 response = self._raw_roundtrip(sock, HEADER.pack(len(blob)) + blob)
                 assert response["ok"] is True and response["id"] == 7
 

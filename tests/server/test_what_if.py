@@ -80,30 +80,8 @@ class TestWhatIfOp:
                 with pytest.raises(QueryError):
                     session._call("what_if", {"target": target, "ps": [0.5]})
 
-    def test_v2_frame_gets_unknown_op(self, running_server):
-        import socket
-
-        with running_server(build_database()) as server:
-            with socket.create_connection((server.host, server.port)) as sock:
-                frame = protocol.request_frame(
-                    "what_if",
-                    {
-                        "target": {"kind": "relation", "name": "R"},
-                        "variable": "x",
-                        "ps": [0.5],
-                    },
-                    id=1,
-                )
-                frame["v"] = 2
-                protocol.send_frame(sock, frame)
-                response = protocol.recv_frame(sock)
-        assert response["ok"] is False
-        assert response["error"]["code"] == "unknown-op"
-        assert response["v"] == 2
-
     def test_what_if_is_idempotent_on_the_wire(self):
         assert "what_if" in protocol.IDEMPOTENT_OPS
-        assert protocol.OPS_SINCE_VERSION["what_if"] == 3
 
     def test_client_raises_protocol_error_when_disconnected(self):
         import socket
