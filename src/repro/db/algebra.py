@@ -34,13 +34,9 @@ def select(
     relation: URelation, predicate: Predicate, name: str | None = None
 ) -> URelation:
     """``σ_predicate(relation)``: keep the rows whose values satisfy the predicate."""
-    result = URelation(name or f"select({relation.name})", relation.attributes)
-    attributes = relation.attributes
-    for row in relation:
-        values = dict(zip(attributes, row.values))
-        if predicate.evaluate(values):
-            result.add_tuple(row)
-    return result
+    test = predicate.bind(relation.attributes)
+    rows = [row for row in relation if test(row.values)]
+    return URelation(name or f"select({relation.name})", relation.attributes, rows)
 
 
 def project(
@@ -120,46 +116,23 @@ def join(
 ) -> URelation:
     """Theta-join ``left ⋈_condition right`` on U-relations.
 
-    The join condition is evaluated over the combined row (attribute names
-    must be disambiguated, e.g. with ``left_prefix`` / ``right_prefix`` for
-    self-joins); two rows only combine when their descriptors are consistent,
-    and the output descriptor is the union of their assignments.
+    The paper's translation, literally: ``σ_condition`` over the
+    descriptor-consistent :func:`product`, so the condition is bound to
+    ``left.attributes + right.attributes`` and tests each combined value
+    tuple.  Attribute names must be disjoint — ``left_prefix`` /
+    ``right_prefix`` disambiguate self-joins — and the output descriptor of
+    a pair is the union of the two rows' assignments.  :func:`equijoin` is
+    the hashed form for attribute equalities.
     """
     if left_prefix:
         left = left.prefixed(left_prefix)
     if right_prefix:
         right = right.prefixed(right_prefix)
-    condition = condition or TruePredicate()
-
-    overlap = set(left.attributes) & set(right.attributes)
-    if overlap:
-        raise SchemaError(
-            f"join of {left.name!r} and {right.name!r} has overlapping attributes "
-            f"{sorted(overlap)}; use left_prefix/right_prefix"
-        )
-
-    result = URelation(
+    return select(
+        product(left, right),
+        condition or TruePredicate(),
         name or f"join({left.name},{right.name})",
-        left.attributes + right.attributes,
     )
-    left_attributes = left.attributes
-    right_attributes = right.attributes
-
-    # Simple hash-join style optimisation for pure equality conditions would be
-    # possible, but the benchmark joins are small after the selections; keep
-    # the straightforward nested loop with an early descriptor-consistency test.
-    right_rows = list(right)
-    for left_row in left:
-        left_values = dict(zip(left_attributes, left_row.values))
-        for right_row in right_rows:
-            combined = left_row.descriptor.intersect(right_row.descriptor)
-            if combined is None:
-                continue
-            row_values = dict(left_values)
-            row_values.update(zip(right_attributes, right_row.values))
-            if condition.evaluate(row_values):
-                result.add_tuple(UTuple(combined, left_row.values + right_row.values))
-    return result
 
 
 def equijoin(

@@ -188,42 +188,38 @@ class DenialConstraint(Constraint):
     allow_same_tuple: bool = field(default=False)
 
     def violation_wsset(self, database: "ProbabilisticDatabase") -> WSSet:
-        relation_objects = [database.relation(name) for name in self.relations]
+        relations = [database.relation(name) for name in self.relations]
+        test = self.predicate.bind(
+            [
+                f"{position + 1}.{attribute}"
+                for position, relation in enumerate(relations)
+                for attribute in relation.attributes
+            ]
+        )
         violations = []
-        self._search(relation_objects, 0, {}, None, [], violations)
-        return WSSet(violations)
 
-    def _search(self, relations, position, row_values, descriptor, chosen, out) -> None:
-        if position == len(relations):
-            if self.predicate.evaluate(row_values):
-                out.append(descriptor)
-            return
-        relation = relations[position]
-        prefix = f"{position + 1}."
-        for index, row in enumerate(relation):
-            if not self.allow_same_tuple and self._duplicates(chosen, relation, index):
-                continue
-            if descriptor is None:
-                combined = row.descriptor
-            else:
-                combined = descriptor.intersect(row.descriptor)
-                if combined is None:
+        # Depth-first over one tuple per relation, pruned on inconsistent
+        # descriptors; ``values`` is the combined row in the bound layout.
+        def search(position, values, descriptor, chosen) -> None:
+            if position == len(relations):
+                if test(values):
+                    violations.append(descriptor)
+                return
+            relation = relations[position]
+            for index, row in enumerate(relation):
+                if not self.allow_same_tuple and (relation.name, index) in chosen:
                     continue
-            extended = dict(row_values)
-            for attribute, value in zip(relation.attributes, row.values):
-                extended[prefix + attribute] = value
-            self._search(
-                relations,
-                position + 1,
-                extended,
-                combined,
-                chosen + [(relation.name, index)],
-                out,
-            )
+                combined = (
+                    row.descriptor
+                    if descriptor is None
+                    else descriptor.intersect(row.descriptor)
+                )
+                if combined is not None:
+                    picked = chosen + [(relation.name, index)]
+                    search(position + 1, values + row.values, combined, picked)
 
-    @staticmethod
-    def _duplicates(chosen, relation, index) -> bool:
-        return (relation.name, index) in chosen
+        search(0, (), None, [])
+        return WSSet(violations)
 
     def describe(self) -> str:
         return f"deny over ({', '.join(self.relations)})"

@@ -1,9 +1,11 @@
 """Predicates over U-relation rows, used by selections and join conditions.
 
-Predicates are evaluated against an ``attribute -> value`` mapping, so the
-same predicate objects work for selections, theta-joins and constraint
-definitions.  A small expression-builder (:func:`attr`) lets callers write the
-conditions of the paper's queries naturally::
+A predicate is *bound* to a schema once (:meth:`Predicate.bind`): attribute
+names are resolved to tuple positions up front, and the result is a plain
+test of value tuples, so a selection, theta-join or constraint check scans
+rows by position without building a mapping per row.  A small
+expression-builder (:func:`attr`) lets callers write the conditions of the
+paper's queries naturally::
 
     attr("mktsegment") == "BUILDING"
     attr("c_custkey") == attr("o_custkey")
@@ -12,30 +14,42 @@ conditions of the paper's queries naturally::
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+import operator
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import QueryError, UnknownAttributeError
 
 Row = Mapping[str, object]
+#: A bound predicate: a test of one value tuple in the bound schema's order.
+Test = Callable[[tuple], bool]
 
 _OPERATORS: dict[str, Callable[[object, object], bool]] = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 
 class Predicate:
     """Base class of all row predicates."""
 
-    def evaluate(self, row: Row) -> bool:
-        """True iff the predicate holds on ``row``."""
+    def bind(self, attributes: Sequence[str]) -> Test:
+        """A test of value tuples laid out as ``attributes``.
+
+        Names are resolved to positions here, once; an attribute missing
+        from ``attributes`` raises :class:`UnknownAttributeError` at bind
+        time, whether or not any row is ever tested.
+        """
         raise NotImplementedError
+
+    def evaluate(self, row: Row) -> bool:
+        """True iff the predicate holds on an ``attribute -> value`` mapping."""
+        return self.bind(tuple(row))(tuple(row.values()))
 
     def attributes(self) -> frozenset[str]:
         """All attribute names referenced by the predicate."""
@@ -51,16 +65,13 @@ class Predicate:
     def __invert__(self) -> "Predicate":
         return Not(self)
 
-    def __call__(self, row: Row) -> bool:
-        return self.evaluate(row)
-
 
 @dataclass(frozen=True)
 class TruePredicate(Predicate):
     """The always-true predicate (selection with it is the identity)."""
 
-    def evaluate(self, row: Row) -> bool:
-        return True
+    def bind(self, attributes: Sequence[str]) -> Test:
+        return lambda values: True
 
     def attributes(self) -> frozenset[str]:
         return frozenset()
@@ -72,10 +83,12 @@ class AttributeReference:
 
     name: str
 
-    def resolve(self, row: Row) -> object:
-        if self.name not in row:
-            raise UnknownAttributeError(self.name, tuple(row))
-        return row[self.name]
+    def position(self, attributes: Sequence[str]) -> int:
+        """The index of this attribute in ``attributes``."""
+        try:
+            return attributes.index(self.name)
+        except ValueError:
+            raise UnknownAttributeError(self.name, tuple(attributes)) from None
 
     # Comparison operators build AttributeComparison predicates.
     def __eq__(self, other: object):  # type: ignore[override]
@@ -117,15 +130,18 @@ class Constant:
 
     value: object
 
-    def resolve(self, row: Row) -> object:
-        return self.value
-
 
 def _as_operand(value: object):
     """Coerce the right-hand side of a comparison into an operand object."""
     if isinstance(value, (AttributeReference, Constant)):
         return value
     return Constant(value)
+
+
+def _mismatch(left: object, symbol: str, right: object) -> QueryError:
+    return QueryError(
+        f"cannot compare {type(left).__name__} {symbol} {type(right).__name__}"
+    )
 
 
 @dataclass(frozen=True)
@@ -140,10 +156,42 @@ class AttributeComparison(Predicate):
         if self.operator not in _OPERATORS:
             raise QueryError(f"unsupported comparison operator {self.operator!r}")
 
-    def evaluate(self, row: Row) -> bool:
-        return _OPERATORS[self.operator](
-            self.left.resolve(row), self.right.resolve(row)
+    def bind(self, attributes: Sequence[str]) -> Test:
+        # Each side becomes a tuple position or stays a Constant.  Operands
+        # of incomparable types raise QueryError, chained from the TypeError;
+        # the try blocks cost nothing while no row raises.
+        symbol, compare = self.operator, _OPERATORS[self.operator]
+        left, right = (
+            side.position(attributes) if isinstance(side, AttributeReference) else side
+            for side in (self.left, self.right)
         )
+        if isinstance(left, int) and isinstance(right, Constant):
+            constant = right.value
+
+            def test(values: tuple) -> bool:
+                try:
+                    return compare(values[left], constant)
+                except TypeError as error:
+                    raise _mismatch(values[left], symbol, constant) from error
+
+        elif isinstance(left, int):
+            def test(values: tuple) -> bool:
+                try:
+                    return compare(values[left], values[right])
+                except TypeError as error:
+                    raise _mismatch(values[left], symbol, values[right]) from error
+
+        else:  # a constant on the left
+            constant = left.value
+
+            def test(values: tuple) -> bool:
+                other = right.value if isinstance(right, Constant) else values[right]
+                try:
+                    return compare(constant, other)
+                except TypeError as error:
+                    raise _mismatch(constant, symbol, other) from error
+
+        return test
 
     def attributes(self) -> frozenset[str]:
         names = set()
@@ -159,8 +207,12 @@ class And(Predicate):
 
     operands: tuple[Predicate, ...]
 
-    def evaluate(self, row: Row) -> bool:
-        return all(operand.evaluate(row) for operand in self.operands)
+    def bind(self, attributes: Sequence[str]) -> Test:
+        tests = [operand.bind(attributes) for operand in self.operands]
+        if len(tests) == 2:
+            first, second = tests
+            return lambda values: first(values) and second(values)
+        return lambda values: all(test(values) for test in tests)
 
     def attributes(self) -> frozenset[str]:
         result: frozenset[str] = frozenset()
@@ -175,8 +227,9 @@ class Or(Predicate):
 
     operands: tuple[Predicate, ...]
 
-    def evaluate(self, row: Row) -> bool:
-        return any(operand.evaluate(row) for operand in self.operands)
+    def bind(self, attributes: Sequence[str]) -> Test:
+        tests = [operand.bind(attributes) for operand in self.operands]
+        return lambda values: any(test(values) for test in tests)
 
     def attributes(self) -> frozenset[str]:
         result: frozenset[str] = frozenset()
@@ -191,8 +244,9 @@ class Not(Predicate):
 
     operand: Predicate
 
-    def evaluate(self, row: Row) -> bool:
-        return not self.operand.evaluate(row)
+    def bind(self, attributes: Sequence[str]) -> Test:
+        test = self.operand.bind(attributes)
+        return lambda values: not test(values)
 
     def attributes(self) -> frozenset[str]:
         return self.operand.attributes()

@@ -198,19 +198,6 @@ class URelation:
         """All rows of the relation, in insertion order."""
         return tuple(self._rows)
 
-    def value(self, row: UTuple, attribute: str) -> object:
-        """The value of ``attribute`` in ``row``."""
-        return row.values[self.attribute_index(attribute)]
-
-    def row_as_dict(self, row: UTuple) -> dict[str, object]:
-        """``attribute -> value`` mapping for one row."""
-        return dict(zip(self._attributes, row.values))
-
-    def iter_dicts(self) -> Iterator[tuple[WSDescriptor, dict[str, object]]]:
-        """Iterate over ``(descriptor, attribute -> value)`` pairs."""
-        for row in self._rows:
-            yield row.descriptor, dict(zip(self._attributes, row.values))
-
     # ------------------------------------------------------------------
     # Derived data
     # ------------------------------------------------------------------

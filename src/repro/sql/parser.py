@@ -38,8 +38,6 @@ from repro.sql.ast_nodes import (
 )
 from repro.sql.lexer import Token, TokenType, tokenize
 
-_COMPARISON_SYMBOLS = ("=", "!=", "<", "<=", ">", ">=")
-
 
 def parse(text: str) -> ParsedStatement:
     """Parse one SQL statement (SELECT or ASSERT)."""
@@ -235,6 +233,3 @@ class _Parser:
             second = self.expect_identifier()
             return ColumnRef(name=second, qualifier=first)
         return ColumnRef(name=first)
-
-
-_COMPARISONS = frozenset(_COMPARISON_SYMBOLS)

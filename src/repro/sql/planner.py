@@ -300,8 +300,8 @@ def _operand(node, scope: _Scope):
 class _FalsePredicate(Predicate):
     """The always-false predicate (``where false``)."""
 
-    def evaluate(self, row) -> bool:
-        return False
+    def bind(self, attributes):
+        return lambda values: False
 
     def attributes(self) -> frozenset[str]:
         return frozenset()

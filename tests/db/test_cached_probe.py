@@ -282,9 +282,34 @@ def test_probing_beside_computing_workers_loses_no_update(hard_database):
         expected = [reference.confidence(target).value for target in targets]
     primary = Session(database)
     workers = [Session(database, handle=primary.handle) for _ in range(4)]
-    stop = time.monotonic() + 1.5
     worked = [0] * len(workers)
     wrong = []
+
+    # Both probe outcomes, made certain before the stress loop: a target a
+    # worker has answered is a hit, and any probe while another thread
+    # holds the handle lock is declined.
+    assert workers[0].confidence(targets[0]).value == expected[0]
+    worked[0] += 1
+    hit = primary.cached(ConfidenceRequest(targets[0]))
+    assert hit is not None and hit.value == expected[0]
+    held, release = threading.Event(), threading.Event()
+
+    def hold() -> None:
+        with primary.handle._lock:
+            held.set()
+            release.wait(10)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert held.wait(10)
+        assert primary.cached(ConfidenceRequest(targets[0])) is None
+    finally:
+        release.set()
+        holder.join(10)
+    probed = declined = 1
+
+    stop = time.monotonic() + 1.5
 
     def work(slot: int) -> None:
         index = slot
@@ -302,7 +327,6 @@ def test_probing_beside_computing_workers_loses_no_update(hard_database):
     try:
         for thread in threads:
             thread.start()
-        probed = declined = 0
         while time.monotonic() < stop:
             for index, target in enumerate(targets):
                 result = primary.cached(ConfidenceRequest(target))

@@ -17,6 +17,8 @@ from repro.core.descriptors import EMPTY_DESCRIPTOR, WSDescriptor
 from repro.db import algebra
 from repro.db.predicates import (
     And,
+    AttributeComparison,
+    Constant,
     Not,
     Or,
     TruePredicate,
@@ -138,13 +140,45 @@ class TestPredicates:
     def test_or_short_circuit_semantics(self):
         assert isinstance((attr("A") == 1) | (attr("A") == 2), Or)
 
+    def test_bind_resolves_names_to_positions(self):
+        predicate = (attr("B") == "x") & (attr("A") < attr("C"))
+        test = predicate.bind(("C", "A", "B"))
+        assert test((9, 5, "x"))
+        assert not test((9, 5, "y"))
+        assert not test((1, 5, "x"))
+        with pytest.raises(UnknownAttributeError):
+            predicate.bind(("A", "B"))
+
+    @pytest.mark.parametrize(
+        "predicate, message",
+        [
+            (attr("A") < "x", "int < str"),
+            (attr("A") >= attr("B"), "int >= str"),
+            (AttributeComparison(Constant("x"), "<", attr("A")), "str < int"),
+            (AttributeComparison(Constant(1), ">", Constant("x")), "int > str"),
+        ],
+        ids=["attr-constant", "attr-attr", "constant-attr", "constant-constant"],
+    )
+    def test_type_mismatch_is_a_query_error(self, predicate, message):
+        with pytest.raises(QueryError, match=f"cannot compare {message}") as info:
+            predicate.evaluate({"A": 5, "B": "x"})
+        assert isinstance(info.value.__cause__, TypeError)
+
 
 class TestAlgebra:
     def test_select(self, ssn_relation):
         bills = algebra.select(ssn_relation, attr("NAME") == "Bill")
         assert len(bills) == 2
-        assert all(values[1] == "Bill" for _, values in bills.iter_dicts() for values in []) or True
+        assert all(row.values[1] == "Bill" for row in bills)
         assert {row.values[0] for row in bills} == {4, 7}
+
+    def test_select_binds_before_scanning(self):
+        # The one declared behaviour change of binding: an unknown attribute
+        # raises even when there is no row to test it on.
+        empty = URelation("E", ("A",))
+        with pytest.raises(UnknownAttributeError):
+            algebra.select(empty, attr("missing") == 1)
+        assert len(algebra.select(empty, attr("A") == 1)) == 0
 
     def test_project_keeps_descriptors(self, ssn_relation):
         ssns = algebra.project(ssn_relation, ["SSN"])

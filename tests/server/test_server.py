@@ -231,6 +231,25 @@ class TestClientMirrorsSession:
                 # The connection survives every error above.
                 assert session.ping()["pong"] is True
 
+    def test_type_mismatched_comparison_is_a_query_error(
+        self, running_server, ssn_database
+    ):
+        # A well-formed frame whose SQL compares int with str: the typed
+        # ``query`` code, never ``malformed-frame``.
+        from repro.errors import QueryError
+
+        sql = "select true from R where SSN < 'x'"
+        with pytest.raises(QueryError, match="cannot compare int < str"):
+            ssn_database.session().execute(sql)
+        with running_server(ssn_database) as server:
+            with connect(server.host, server.port) as session:
+                with pytest.raises(QueryError, match="cannot compare int < str"):
+                    session.execute(sql)
+                counters = session.metrics()["counters"]
+                assert session.ping()["pong"] is True
+        assert counters['repro_server_errors_total{code="query"}'] == 1
+        assert 'repro_server_errors_total{code="malformed-frame"}' not in counters
+
 
 # ----------------------------------------------------------------------
 # Memo sharing across connections
