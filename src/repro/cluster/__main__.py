@@ -138,11 +138,8 @@ def parse_arguments(argv: list[str] | None = None) -> argparse.Namespace:
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="parallel ⊗-component workers inside each shard's engine",
-    )
-    parser.add_argument(
-        "--executor", choices=("serial", "thread", "process"), default=None,
-        help="execution backend of each shard's engine",
+        help="worker processes for parallel ⊗-components inside each "
+             "shard's engine (default: compute in-line)",
     )
     parser.add_argument(
         "--workload", default="hardmix:groups=6,n=8,w=12,seed=0", metavar="SPEC",
@@ -194,7 +191,6 @@ async def _serve(arguments: argparse.Namespace) -> None:
                 port=0 if arguments.port == 0 else arguments.port + index,
                 pool_size=arguments.pool,
                 workers=arguments.workers,
-                executor=arguments.executor,
                 max_frame_bytes=arguments.max_frame_bytes,
                 shard_info={
                     "index": index,

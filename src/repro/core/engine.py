@@ -21,22 +21,18 @@ queries a real workload issues against one world table.  An
 * **aggregate statistics** — frames (recursive calls), memo hits, memo size,
   evictions and accumulated wall time across the handle's whole lifetime,
   snapshotted as :class:`EngineStats`;
-* **opt-in parallel ⊗-components** — with ``workers=N`` the handle owns a
-  worker pool and dispatches the top-level independent components of a
-  ws-set to per-worker engines (each with its own memo and its own budget),
-  merging ``P = 1 − Π_i (1 − P_i)`` in deterministic component order.  The
-  per-component evaluations are exactly the computations the single-threaded
-  engine would run below its top-level ⊗-node, so the merged probability is
-  bit-identical to the serial result.  The pool flavour follows
-  ``ExactConfig.executor``: ``"thread"`` (the default whenever only
-  ``workers=N`` is given — cheap dispatch, but the GIL serialises the
-  actual computation) or ``"process"`` (a persistent
-  :class:`~repro.core.procpool.ProcessPoolBackend` of engine-owning worker
-  processes — true multi-core evaluation, and the handle's lock is released
-  while workers compute, so distinct cold queries from different sessions
-  overlap too).  The interned id space and the shared memo stay in the
-  parent: the process path consults the memo before dispatching and stores
-  worker results back into it;
+* **opt-in parallel ⊗-components** — with ``workers=N`` (N ≥ 1) the handle
+  owns a persistent :class:`~repro.core.procpool.ProcessPoolBackend` of N
+  engine-owning worker processes and dispatches the top-level independent
+  components of a ws-set to them (each with its own budget), merging
+  ``P = 1 − Π_i (1 − P_i)`` in deterministic component order.  The
+  per-component evaluations are exactly the computations the serial engine
+  would run below its top-level ⊗-node, so the merged probability is
+  bit-identical to the serial result.  The handle's lock is released while
+  workers compute, so distinct cold queries from different sessions overlap
+  too.  The interned id space and the shared memo stay in the parent: the
+  memo is consulted before dispatching and worker results are stored back
+  into it;
 * **sharing across threads** — computations and rebinding are serialised on
   an internal lock, so several sessions (e.g. the members of a
   :class:`repro.db.session.SessionPool` behind the confidence server) can
@@ -53,10 +49,8 @@ execution, the exact leg of the hybrid method — through it.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
@@ -84,27 +78,6 @@ if TYPE_CHECKING:  # pragma: no cover
 _MIN_PARALLEL_DESCRIPTORS = 8
 
 
-def _resolve_executor(executor: str, workers: int | None) -> tuple[str, int]:
-    """Map the ``(config.executor, workers)`` pair onto ``(backend, pool size)``.
-
-    ``workers=N`` with the default ``executor="serial"`` keeps its historical
-    meaning — the thread backend — so existing ``Session(workers=N)`` callers
-    are unchanged.  An explicit ``"thread"`` or ``"process"`` executor without
-    a worker count sizes the pool from ``os.cpu_count()``.  The thread
-    backend needs at least two workers to be worth engaging; the process
-    backend accepts one (a single worker process still takes computations off
-    the handle lock, which is what lets a server overlap distinct queries).
-    """
-    count = workers if workers and workers > 0 else 0
-    if executor == "serial":
-        return ("thread", count) if count > 1 else ("serial", 0)
-    if not count:
-        count = os.cpu_count() or 1
-    if executor == "thread" and count < 2:
-        return ("serial", 0)
-    return (executor, count)
-
-
 @dataclass(frozen=True)
 class EngineStats:
     """Aggregate statistics of an :class:`EngineHandle` over its lifetime.
@@ -112,15 +85,15 @@ class EngineStats:
     ``frames`` counts engine recursion frames (decomposition nodes expanded),
     ``memo_hits`` sub-ws-sets answered from the component cache, and
     ``wall_time`` the summed wall-clock seconds of all computations; all three
-    include the contributions of engines retired by a rebuild and of the
-    worker engines of the parallel path.  ``memo_size`` and
+    include the contributions of engines retired by a rebuild (worker
+    processes' frames stay in the workers).  ``memo_size`` and
     ``memo_evictions`` describe the *current* main engine's cache.
     ``engine_rebuilds`` counts engines discarded (an in-place world-table
     mutation, ``clear_cache``, an unrelated table), ``engine_extensions``
     table replacements the live engine survived with its memo because the
     new interned space was a successor of its own (an executed ``assert``).
 
-    ``executor`` names the configured backend (``"serial"``, ``"thread"`` or
+    ``executor`` names the configured backend (``"serial"`` or
     ``"process"``), ``workers`` is the configured pool size (0 when
     parallelism is off), ``parallel_computations`` / ``parallel_components``
     count the computations routed through the pool and the components they
@@ -252,12 +225,18 @@ class EngineHandle:
         *,
         workers: int | None = None,
     ) -> None:
+        if workers is None:
+            workers = 0
+        if isinstance(workers, bool) or not isinstance(workers, int) or workers < 0:
+            raise ValueError(
+                f"workers must be None or a non-negative integer, got {workers!r}"
+            )
         self.config = config or ExactConfig()
         self._world_table = world_table
         # Serialises computations, rebinding and snapshots so the handle can
         # be shared by several sessions across threads (the session-pool /
-        # server seam).  Re-entrant: probability() holds it while the
-        # parallel path calls back into engine().
+        # server seam).  Re-entrant: what_if() holds it while calling
+        # compile().
         self._lock = threading.RLock()
         self._engine: InternedEngine | None = None
         self._engine_version: int | None = None
@@ -268,15 +247,10 @@ class EngineHandle:
         # Frames / hits of engines discarded by rebuilds, folded into stats.
         self._retired_frames = 0
         self._retired_hits = 0
-        # Parallel ⊗-component machinery (dormant unless a backend resolves).
-        self._executor_name, self._workers = _resolve_executor(
-            self.config.executor, workers
-        )
+        # Process-pool ⊗-component dispatch (dormant while workers == 0).
+        self._workers = workers
         self._closed = False
-        self._executor: ThreadPoolExecutor | None = None
         self._backend: ProcessPoolBackend | None = None
-        self._worker_engines: list = []
-        self._worker_lock = threading.Lock()
         self._parallel_computations = 0
         self._parallel_components = 0
         self._parallel_busy_time = 0.0
@@ -311,13 +285,13 @@ class EngineHandle:
 
     @property
     def workers(self) -> int:
-        """Size of the ⊗-component worker pool (0 = parallelism off)."""
+        """Size of the ⊗-component process pool (0 = parallelism off)."""
         return self._workers
 
     @property
     def executor(self) -> str:
-        """The resolved execution backend: ``serial``, ``thread`` or ``process``."""
-        return self._executor_name
+        """The execution backend: ``serial`` or ``process`` (``workers`` ≥ 1)."""
+        return "process" if self._workers else "serial"
 
     def rebind(self, world_table: "WorldTable") -> None:
         """Point the handle at a (possibly) different world table.
@@ -325,8 +299,8 @@ class EngineHandle:
         Conditioning replaces a database's world table wholesale; sessions
         call this before every computation.  Rebinding to the same object is
         free.  When the new table's interned space is a successor of the
-        engine's (the table an executed ``assert`` produced), the live engines
-        are re-pointed at it and keep their memo: conditioning never
+        engine's (the table an executed ``assert`` produced), the live engine
+        is re-pointed at it and keeps its memo: conditioning never
         re-weights an existing id, it only appends new ones and orphans
         dropped ones, so every memo entry still denotes the same ws-set
         (``engine_extensions`` counts these).  Any other table retires the
@@ -340,10 +314,8 @@ class EngineHandle:
             if space is None or not space.shares_ids_with(self._engine.space):
                 self._retire()
                 return
-            with self._worker_lock:
-                for engine in (self._engine, *self._worker_engines):
-                    engine.world_table = world_table
-                    engine.space = space
+            self._engine.world_table = world_table
+            self._engine.space = space
             self._engine_version = world_table.version
             self._extensions += 1
 
@@ -374,22 +346,19 @@ class EngineHandle:
         """
         with self._lock:
             self._closed = True
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
-                self._executor = None
             backend, self._backend = self._backend, None
         if backend is not None:
             backend.close()
 
     def warm_up(self) -> None:
-        """Pre-spawn the process pool's workers (no-op for other executors).
+        """Pre-spawn the process pool's workers (no-op without workers).
 
         Spawned workers are otherwise started lazily on the first parallel
         computation; servers call this before accepting connections so the
         first client never pays the spawn latency.
         """
         with self._lock:
-            if self._executor_name != "process" or self._closed:
+            if not self._workers or self._closed:
                 return
             backend = self._ensure_backend()
         backend.warm_up()
@@ -400,11 +369,6 @@ class EngineHandle:
             self._retired_hits += self._engine.cache_hits
             self._engine = None
             self._rebuilds += 1
-        with self._worker_lock:
-            for engine in self._worker_engines:
-                self._retired_frames += engine.stats.recursive_calls
-                self._retired_hits += engine.cache_hits
-            self._worker_engines.clear()
         if self._backend is not None:
             # Worker processes drop their engines (and memos) too, so
             # clear_cache()/invalidate() means cold everywhere, not just in
@@ -469,28 +433,13 @@ class EngineHandle:
         apply per computation, not to the handle's lifetime.  Raises
         :class:`~repro.errors.BudgetExceededError` like the one-shot API.
 
-        With the thread backend (``workers=N``, N > 1) a ws-set that splits
-        into several top-level independent components is evaluated by the
-        worker pool, one fresh budget per component ("per-worker budget
-        accounting") and a deterministic in-order merge; ws-sets with a
-        single component run serially as usual.  With
-        ``ExactConfig(executor="process")`` components are shipped to the
-        persistent process pool instead — and the handle's lock is released
-        while workers compute, so concurrent computations from other
-        sessions sharing this handle proceed in parallel.  Every backend
-        returns bit-identical values.
+        With ``workers=N`` the top-level ⊗-components are evaluated by the
+        process pool (:meth:`_pooled`), one fresh budget per component and a
+        deterministic in-order merge — bit-identical to the serial value.
         """
-        config = self.config
-        parallel_capable = (
-            self._workers
-            and not self._closed
-            and config.use_independent_partitioning
-        )
-        if parallel_capable and self._executor_name == "process":
-            return self._process_probability(ws_set, max_calls, time_limit)
+        if self._pool_engaged():
+            return self._pooled([ws_set], max_calls, time_limit)[0]
         with self._lock:
-            if parallel_capable and self._executor_name == "thread":
-                return self._parallel_probability(ws_set, max_calls, time_limit)
             return self._timed(
                 lambda engine: engine.compute_wsset(ws_set), max_calls, time_limit
             )
@@ -586,127 +535,21 @@ class EngineHandle:
     ) -> list[float]:
         """Exact probabilities of several ws-sets, fanned out when possible.
 
-        On the process executor the whole batch becomes **one** pool
-        dispatch: every group is interned and memo-checked under the lock,
-        the union of uncached components across *all* groups ships to the
-        worker pool in a single :meth:`ProcessPoolBackend.compute` call (lock
-        released), and each group merges its component values in
-        deterministic order — bit-identical to evaluating the groups one by
-        one, but with cross-group parallelism instead of per-group dispatch
-        latency.  Other executors fall back to a serial loop over
+        With ``workers=N`` the whole batch is **one** pool dispatch
+        (:meth:`_pooled`): the union of uncached components across *all*
+        ws-sets ships to the workers in a single call, and each ws-set merges
+        its own component values — bit-identical to evaluating them one by
+        one, with cross-ws-set parallelism instead of per-ws-set dispatch
+        latency.  Without workers this is a serial loop over
         :meth:`probability`.
         """
         targets = list(ws_sets)
-        if not targets:
-            return []
-        config = self.config
-        pooled = (
-            self._workers
-            and not self._closed
-            and self._executor_name == "process"
-            and config.use_independent_partitioning
-        )
-        if not pooled:
-            return [
-                self.probability(target, max_calls=max_calls, time_limit=time_limit)
-                for target in targets
-            ]
-        # Workers re-arm plain Budgets from what they receive, so config-level
-        # limits must be folded in here (as in _process_probability).
-        if max_calls is None:
-            max_calls = config.max_calls
-        if time_limit is None:
-            time_limit = config.time_limit
-        started = time.perf_counter()
-        with self._lock:
-            if self._closed:
-                return [
-                    self._timed(
-                        lambda engine, t=target: engine.compute_wsset(t),
-                        max_calls,
-                        time_limit,
-                    )
-                    for target in targets
-                ]
-            engine = self.engine()
-            space = engine.space
-            cache = engine.cache if engine.memoize else None
-            groups: list[list[float]] = []
-            jobs: list[tuple[int, int, tuple | None, list]] = []
-            for group_index, target in enumerate(targets):
-                interned = engine.simplified(target)
-                if not interned:
-                    groups.append([0.0])
-                    continue
-                if () in interned:
-                    groups.append([1.0])
-                    continue
-                if len(interned) < _MIN_PARALLEL_DESCRIPTORS:
-                    # Tiny groups never pay the IPC round trip — and, like
-                    # `_process_probability`, stay on the engine's own entry
-                    # path (closed form before component split), keeping the
-                    # batch bit-identical to a per-group serial loop.
-                    engine.reset_budget(self._budget(max_calls, time_limit))
-                    groups.append([engine.run(list(interned))])
-                    continue
-                components = engine.components_of(interned)
-                slots = [0.0] * len(components)
-                for index, component in enumerate(components):
-                    key = tuple(sorted(component)) if cache is not None else None
-                    if key is not None:
-                        hit = cache.get(key)
-                        if hit is not None:
-                            engine.cache_hits += 1
-                            slots[index] = hit
-                            continue
-                    jobs.append((group_index, index, key, component))
-                groups.append(slots)
-            backend = self._ensure_backend() if jobs else None
-        busy = 0.0
-        computed: list[tuple[float, float]] = []
-        tracer = _trace.current_tracer()
-        span_sink: list[dict] | None = [] if tracer is not None else None
-        try:
-            if backend is not None:
-                with _trace.span("dispatch", jobs=len(jobs), groups=len(targets)):
-                    computed = backend.compute(
-                        space,
-                        config,
-                        [component for _, _, _, component in jobs],
-                        max_calls,
-                        time_limit,
-                        metrics=self.metrics,
-                        spans=span_sink,
-                    )
-                    if tracer is not None and span_sink:
-                        tracer.attach_remote(span_sink)
-                busy = sum(seconds for _, seconds in computed)
-        finally:
-            elapsed = time.perf_counter() - started
-            with self._lock:
-                self._wall_time += elapsed
-                self._parallel_wall_time += elapsed
-                self._parallel_busy_time += busy
-                self._computations += len(targets)
-                self._parallel_computations += 1
-                self._parallel_components += len(jobs)
-        with self._lock:
-            for (group_index, index, key, _component), (value, _seconds) in zip(
-                jobs, computed
-            ):
-                groups[group_index][index] = value
-                if key is not None:
-                    cache[key] = value
-        results = []
-        for slots in groups:
-            if len(slots) == 1:
-                results.append(slots[0])
-                continue
-            complement = 1.0
-            for value in slots:
-                complement *= 1.0 - value
-            results.append(1.0 - complement)
-        return results
+        if targets and self._pool_engaged():
+            return self._pooled(targets, max_calls, time_limit)
+        return [
+            self.probability(target, max_calls=max_calls, time_limit=time_limit)
+            for target in targets
+        ]
 
     # ------------------------------------------------------------------
     # Compiled circuits (compile-once / evaluate-many)
@@ -793,238 +636,151 @@ class EngineHandle:
                 self._circuit_evals += 1
 
     # ------------------------------------------------------------------
-    # Parallel ⊗-components
-    # ------------------------------------------------------------------
-    def _parallel_probability(
-        self, ws_set: "WSSet", max_calls: int | None, time_limit: float | None
-    ) -> float:
-        """Evaluate top-level ⊗-components on the pool (serially if only one).
-
-        Mirrors the interned engine's own entry simplifications (dedup +
-        subsumption removal) before the component split, so each dispatched
-        component is exactly a child the serial top-level ⊗-node would have.
-        When the split yields nothing to parallelise — too few descriptors
-        or a single component — the already-simplified ws-set is evaluated
-        serially via ``engine.run`` rather than redoing the whole pipeline.
-        """
-        engine = self.engine()
-        interned = engine.simplified(ws_set)
-        if len(interned) < _MIN_PARALLEL_DESCRIPTORS:
-            components = [interned]
-        else:
-            components = engine.components_of(interned)
-        if len(components) < 2:
-            return self._timed(
-                lambda engine: engine.run(interned), max_calls, time_limit
-            )
-
-        executor = self._ensure_executor()
-        started = time.perf_counter()
-        futures = [
-            executor.submit(
-                self._component_probability, component, max_calls, time_limit
-            )
-            for component in components
-        ]
-        try:
-            with _trace.span("dispatch", jobs=len(components)) as sp:
-                complement = 1.0
-                error = None
-                values = []
-                for future in futures:
-                    try:
-                        values.append(future.result())
-                    except Exception as exc:  # noqa: BLE001 - re-raised below
-                        values.append(None)
-                        if error is None:
-                            error = exc
-                if error is not None:
-                    raise error
-                if sp.enabled:
-                    # Thread-pool components overlap in time, so they are
-                    # summarised on the dispatch span instead of attached as
-                    # (would-be overlapping) child spans.
-                    sp.set(
-                        busy_seconds=sum(entry[1] for entry in values),
-                    )
-            for value, _seconds in values:
-                complement *= 1.0 - value
-            return 1.0 - complement
-        finally:
-            elapsed = time.perf_counter() - started
-            self.metrics.histogram("repro_engine_compute_seconds").record(elapsed)
-            self._wall_time += elapsed
-            self._parallel_wall_time += elapsed
-            self._parallel_busy_time += sum(
-                entry[1] for entry in values if entry is not None
-            )
-            self._computations += 1
-            self._parallel_computations += 1
-            self._parallel_components += len(components)
-
-    def _component_probability(
-        self, component, max_calls: int | None, time_limit: float | None
-    ):
-        """Worker task: evaluate one component on a checked-out engine."""
-        engine = self._checkout_engine()
-        engine.reset_budget(self._budget(max_calls, time_limit))
-        started = time.perf_counter()
-        try:
-            value = engine.run(component)
-        finally:
-            seconds = time.perf_counter() - started
-            self._checkin_engine(engine)
-        return value, seconds
-
-    def _checkout_engine(self) -> InternedEngine:
-        with self._worker_lock:
-            if self._worker_engines:
-                return self._worker_engines.pop()
-        return InternedEngine(
-            self._world_table, self.config, record_elimination_order=False
-        )
-
-    def _checkin_engine(self, engine: InternedEngine) -> None:
-        with self._worker_lock:
-            self._worker_engines.append(engine)
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self._workers, thread_name_prefix="repro-oxcomponent"
-            )
-        return self._executor
-
-    # ------------------------------------------------------------------
     # Process-pool ⊗-components
     # ------------------------------------------------------------------
+    def _pool_engaged(self) -> bool:
+        """Whether exact computations go through the process pool."""
+        return (
+            bool(self._workers)
+            and not self._closed
+            and self.config.use_independent_partitioning
+        )
+
     def _ensure_backend(self) -> ProcessPoolBackend:
         if self._backend is None:
             self._backend = ProcessPoolBackend(self._workers)
         return self._backend
 
-    def _process_probability(
-        self, ws_set: "WSSet", max_calls: int | None, time_limit: float | None
-    ) -> float:
-        """Evaluate a ws-set on the process pool, memoising in the parent.
+    def _pooled(
+        self,
+        targets: "Sequence[WSSet]",
+        max_calls: int | None,
+        time_limit: float | None,
+    ) -> list[float]:
+        """Exact probabilities of ``targets`` on the process pool.
 
         Interning, simplification, the component split and all memo traffic
         happen under the handle lock; the expensive part — evaluating the
-        uncached components — runs with the lock *released*, dispatched to
-        the process pool.  Several sessions sharing this handle therefore
-        overlap their cold computations across worker processes while still
-        sharing one component-level memo: cached components are answered in
-        the parent, fresh results are stored back for every later query.
+        uncached components of *every* target — ships to the pool in one
+        :meth:`ProcessPoolBackend.compute` call with the lock *released*.
+        Several sessions sharing this handle therefore overlap their cold
+        computations across worker processes while still sharing one
+        component-level memo: cached components are answered in the parent,
+        fresh results are stored back for every later query, and each target
+        merges its component values in component order.
 
-        Tiny ws-sets (fewer than the parallel dispatch floor) never pay the
-        IPC round trip and run serially under the lock, like the thread
-        backend.  Single-component ws-sets still dispatch — that is what
-        lets a server's distinct single-component queries use distinct
-        cores.
+        A target with fewer descriptors than the dispatch floor never pays
+        the IPC round trip: it runs on the parent's engine under the lock,
+        through the engine's own entry path (closed form before the component
+        split), so it stays bit-identical to the serial engine.
+        Single-component targets still dispatch — that is what lets a
+        server's distinct single-component queries use distinct cores.
         """
         config = self.config
-        # Resolve per-call overrides against the config *here*: workers re-arm
-        # plain Budgets from what they receive, so config-level limits must
-        # already be folded in (the serial path does this inside _budget()).
+        # Workers re-arm plain Budgets from what they receive, so config-level
+        # limits must be folded in here (the serial path does it in _budget()).
         if max_calls is None:
             max_calls = config.max_calls
         if time_limit is None:
             time_limit = config.time_limit
         started = time.perf_counter()
-        with self._lock:
-            if self._closed:
-                # close() raced us between the dispatch decision and here;
-                # fall back to the serial path rather than resurrecting the
-                # worker pool behind the caller's back.
-                return self._timed(
-                    lambda engine: engine.compute_wsset(ws_set),
-                    max_calls,
-                    time_limit,
-                )
-            engine = self.engine()
-            space = engine.space
-            with _trace.span("decompose") as sp:
-                interned = engine.simplified(ws_set)
-                components = (
-                    engine.components_of(interned)
-                    if len(interned) >= _MIN_PARALLEL_DESCRIPTORS
-                    else None
-                )
-                if sp.enabled:
-                    sp.set(
-                        descriptors=len(interned),
-                        components=1 if components is None else len(components),
-                    )
-            if components is None:
-                return self._timed(
-                    lambda engine: engine.run(interned), max_calls, time_limit
-                )
-            cache = engine.cache if engine.memoize else None
-            # Slots are either filled from the memo here or overwritten from
-            # the workers' results below; every index is covered.
-            values: list[float] = [0.0] * len(components)
-            jobs: list[tuple[int, tuple | None, list]] = []
-            with _trace.span("memo_lookup") as sp:
-                for index, component in enumerate(components):
-                    key = tuple(sorted(component)) if cache is not None else None
-                    if key is not None:
-                        hit = cache.get(key)
-                        if hit is not None:
-                            engine.cache_hits += 1
-                            values[index] = hit
-                            continue
-                    jobs.append((index, key, component))
-                if sp.enabled:
-                    sp.set(
-                        components=len(components),
-                        hits=len(components) - len(jobs),
-                    )
-            backend = self._ensure_backend()
+        # One slot list per target: memo hits and in-parent values are filled
+        # in under the lock, worker results after the dispatch.
+        groups: list[list[float]] = []
+        jobs: list[tuple[list[float], int, tuple | None, list]] = []
+        computed: list[tuple[float, float]] = []
+        split = False
         busy = 0.0
-        tracer = _trace.current_tracer()
-        span_sink: list[dict] | None = [] if tracer is not None else None
         try:
-            with _trace.span("dispatch", jobs=len(jobs)):
-                computed = (
-                    backend.compute(
+            with self._lock:
+                # A close() racing the dispatch decision splits nothing: every
+                # target then runs here rather than resurrecting the pool.
+                open_pool = not self._closed
+                engine = self.engine()
+                space = engine.space
+                cache = engine.cache if engine.memoize else None
+                for target in targets:
+                    with _trace.span("decompose") as sp:
+                        interned = engine.simplified(target)
+                        components = None
+                        if open_pool and len(interned) >= _MIN_PARALLEL_DESCRIPTORS:
+                            components = engine.components_of(interned)
+                        if sp.enabled:
+                            sp.set(
+                                descriptors=len(interned),
+                                components=1 if components is None
+                                else len(components),
+                            )
+                    if components is None:
+                        engine.reset_budget(self._budget(max_calls, time_limit))
+                        groups.append([engine.run(interned)])
+                        continue
+                    split = True
+                    slots = [0.0] * len(components)
+                    queued = len(jobs)
+                    with _trace.span("memo_lookup") as sp:
+                        for index, component in enumerate(components):
+                            key = None
+                            if cache is not None:
+                                key = tuple(sorted(component))
+                                hit = cache.get(key)
+                                if hit is not None:
+                                    engine.cache_hits += 1
+                                    slots[index] = hit
+                                    continue
+                            jobs.append((slots, index, key, component))
+                        if sp.enabled:
+                            sp.set(
+                                components=len(components),
+                                hits=len(components) - (len(jobs) - queued),
+                            )
+                    groups.append(slots)
+                backend = self._ensure_backend() if split else None
+            if backend is not None:
+                tracer = _trace.current_tracer()
+                span_sink: list[dict] | None = [] if tracer is not None else None
+                with _trace.span("dispatch", jobs=len(jobs)):
+                    computed = backend.compute(
                         space,
                         config,
-                        [component for _, _, component in jobs],
+                        [component for _, _, _, component in jobs],
                         max_calls,
                         time_limit,
                         metrics=self.metrics,
                         spans=span_sink,
                     )
-                    if jobs
-                    else []
-                )
-                if tracer is not None and span_sink:
-                    tracer.attach_remote(span_sink)
-            busy = sum(seconds for _, seconds in computed)
+                    if tracer is not None and span_sink:
+                        tracer.attach_remote(span_sink)
+                busy = sum(seconds for _, seconds in computed)
         finally:
             elapsed = time.perf_counter() - started
             self.metrics.histogram("repro_engine_compute_seconds").record(elapsed)
             with self._lock:
                 self._wall_time += elapsed
-                self._parallel_wall_time += elapsed
-                self._parallel_busy_time += busy
-                self._computations += 1
-                self._parallel_computations += 1
-                self._parallel_components += len(jobs)
-        with self._lock:
-            with _trace.span("merge", jobs=len(jobs)):
-                for (index, key, _component), (value, _seconds) in zip(
+                self._computations += len(targets)
+                if split:
+                    self._parallel_wall_time += elapsed
+                    self._parallel_busy_time += busy
+                    self._parallel_computations += 1
+                    self._parallel_components += len(jobs)
+        if split:
+            with self._lock, _trace.span("merge", jobs=len(jobs)):
+                for (slots, index, key, _component), (value, _seconds) in zip(
                     jobs, computed
                 ):
-                    values[index] = value
+                    slots[index] = value
                     if key is not None:
                         cache[key] = value
-        if len(values) == 1:
-            return values[0]
-        complement = 1.0
-        for value in values:
-            complement *= 1.0 - value
-        return 1.0 - complement
+        results = []
+        for slots in groups:
+            if len(slots) == 1:
+                results.append(slots[0])
+                continue
+            complement = 1.0
+            for value in slots:
+                complement *= 1.0 - value
+            results.append(1.0 - complement)
+        return results
 
     # ------------------------------------------------------------------
     # Statistics
@@ -1048,10 +804,6 @@ class EngineHandle:
             hits += engine.cache_hits
             memo_size = len(engine.cache)
             evictions = getattr(engine.cache, "evictions", 0)
-        with self._worker_lock:
-            for worker_engine in self._worker_engines:
-                frames += worker_engine.stats.recursive_calls
-                hits += worker_engine.cache_hits
         utilisation = 0.0
         if self._workers and self._parallel_wall_time > 0.0:
             utilisation = self._parallel_busy_time / (
@@ -1068,7 +820,7 @@ class EngineHandle:
             wall_time=self._wall_time,
             engine_rebuilds=self._rebuilds,
             engine_extensions=self._extensions,
-            executor=self._executor_name,
+            executor=self.executor,
             workers=self._workers,
             parallel_computations=self._parallel_computations,
             parallel_components=self._parallel_components,

@@ -39,9 +39,6 @@ from repro.core.wsset import WSSet
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db.world_table import WorldTable
 
-#: Names accepted by :attr:`ExactConfig.executor`.
-EXECUTORS = ("serial", "thread", "process")
-
 
 @dataclass(frozen=True)
 class ExactConfig:
@@ -88,16 +85,6 @@ class ExactConfig:
         :data:`~repro.core.engine.DEFAULT_CONDITION_MEMO_LIMIT`).
     max_calls, time_limit:
         Optional budget limits forwarded to :class:`~repro.core.decompose.Budget`.
-    executor:
-        Execution backend used by :class:`~repro.core.engine.EngineHandle`
-        for top-level ⊗-components: ``"serial"`` (default) evaluates
-        in-process, ``"thread"`` dispatches components to a thread pool
-        (threads interleave under the GIL — useful mainly as an ablation),
-        and ``"process"`` fans components out to a persistent process pool
-        (:mod:`repro.core.procpool`) for true multi-core evaluation.  The
-        merge is deterministic, so every executor returns bit-identical
-        results.  Only honoured through an engine handle; the one-shot
-        functions always run serially.
     numpy_threshold:
         Size at which the engine switches its fold-heavy helpers
         (the minlog cost estimate over candidate variables, the ⊕-branch
@@ -119,14 +106,8 @@ class ExactConfig:
     max_calls: int | None = None
     time_limit: float | None = None
     numpy_threshold: int | None = 32
-    executor: str = "serial"
 
     def __post_init__(self) -> None:
-        if self.executor not in EXECUTORS:
-            known = ", ".join(EXECUTORS)
-            raise ValueError(
-                f"unknown executor {self.executor!r}; known executors: {known}"
-            )
         if self.memo_limit is not None and self.memo_limit < 2:
             raise ValueError("memo_limit must be at least 2")
         if self.condition_memo_limit is not None and self.condition_memo_limit < 2:

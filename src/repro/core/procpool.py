@@ -1,11 +1,11 @@
 """Process-pool execution backend: interned components evaluated off the GIL.
 
-Threads only interleave exact confidence computation — the decomposition core
-is pure Python, so ``Session(workers=N)`` thread pools buy pipelining but not
-parallel CPU time.  This module is the process-based backend behind
-``ExactConfig(executor="process")``: top-level ⊗-components (and, through the
-confidence server, whole cold queries) are shipped to a persistent pool of
-worker *processes*, each owning a long-lived :class:`InternedEngine`.
+The decomposition core is pure Python, so threads would only interleave exact
+confidence computation under the GIL.  This module is the backend behind
+``Session(workers=N)`` / ``EngineHandle(workers=N)``: top-level ⊗-components
+(and, through the confidence server, whole cold queries) are shipped to a
+persistent pool of N worker *processes*, each owning a long-lived
+:class:`InternedEngine`.
 
 Everything that travels is cheap and picklable by construction:
 
@@ -24,9 +24,9 @@ Everything that travels is cheap and picklable by construction:
   their original :mod:`repro.errors` types.
 
 Workers re-arm a fresh :class:`~repro.core.decompose.Budget` per component
-(the same per-worker budget accounting as the thread path) and keep their
-memo caches across tasks, so repeated components within a worker stay warm.
-The parent-side memo and the interned space never leave the parent process —
+(per-worker budget accounting) and keep their memo caches across tasks, so
+repeated components within a worker stay warm.  The parent-side memo and
+the interned space never leave the parent process —
 :class:`~repro.core.engine.EngineHandle` consults its shared memo before
 dispatching and stores worker results back into it.
 
@@ -202,8 +202,7 @@ def _compute_chunk(
     to adopt.  The per-worker engine persists across tasks of the same
     generation, so its memo cache warms up across the many components of
     one computation and across computations.  Each component re-arms a
-    fresh budget — per-worker budget accounting, matching the thread
-    backend.
+    fresh budget — per-worker budget accounting.
 
     ``fault`` is the chaos-testing hook (the ``procpool.worker`` fault
     point): armed in the parent, shipped with the chunk, and executed here
@@ -253,7 +252,16 @@ def _compute_chunk(
 
 
 def _warm_up_worker(seconds: float) -> bool:
-    """Keep one worker busy long enough for the pool to spawn its siblings."""
+    """Load the engine modules, then hold this worker while its siblings spawn.
+
+    :func:`_compute_chunk` imports the engine lazily and the engine
+    constructor pulls in the numpy kernels of :mod:`repro.core.vector`; a
+    warm-up that skipped them would leave that import cost to the first cold
+    query on every worker.
+    """
+    import repro.core.interned  # noqa: F401
+    import repro.core.vector  # noqa: F401
+
     time.sleep(seconds)
     return True
 
@@ -329,8 +337,9 @@ class ProcessPoolBackend:
         """Spawn all workers now instead of on the first computation.
 
         Submits one short sleeper per worker; because each sleeper occupies
-        a worker, the pool is forced to start its full complement.  Servers
-        call this at startup so the first client never pays spawn latency.
+        a worker, the pool is forced to start its full complement, and each
+        worker imports the engine modules on the way.  Servers call this at
+        startup so the first client pays neither spawn nor import latency.
         """
         executor = self._ensure_executor()
         futures = [
@@ -410,8 +419,7 @@ class ProcessPoolBackend:
         merged result bit-identical to serial evaluation.  A multi-chunk
         dispatch overlaps with other threads' concurrent ``compute`` calls.
         Worker-raised Python exceptions re-raise here with their own types
-        (first failing chunk in dispatch order wins, like the thread
-        backend).
+        (the first failing chunk in dispatch order wins).
 
         A pool broken mid-computation (worker killed, segfault) does *not*
         fail the computation outright: the broken pool is discarded, a fresh

@@ -168,7 +168,7 @@ def connect(target, **options) -> ConfidenceAPI:
     * a :class:`~repro.db.database.ProbabilisticDatabase` (or bare
       :class:`~repro.db.world_table.WorldTable`) returns an in-process
       :class:`~repro.db.session.Session` (options: ``config``, ``epsilon``,
-      ``executor``, … — everything the ``Session`` constructor takes);
+      ``workers``, … — everything the ``Session`` constructor takes);
     * a ``"host:port"`` string or one ``(host, port)`` pair returns a
       :class:`~repro.server.client.ServerSession` over TCP (options:
       ``timeout``, ``request_timeout``, ``retry``, …);

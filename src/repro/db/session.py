@@ -319,7 +319,6 @@ class Session:
         hybrid_time_limit: float | None = None,
         hybrid_scale: float = 1.0,
         workers: int | None = None,
-        executor: str | None = None,
         handle: EngineHandle | None = None,
         trace: bool = False,
     ) -> None:
@@ -327,24 +326,14 @@ class Session:
             # Session-pool hook: share an existing engine handle (and thus its
             # interned space, memo cache and config) instead of building one.
             # The handle's internal lock makes cross-thread sharing safe.
-            if (
-                config is not None
-                or memo_limit is not None
-                or workers is not None
-                or executor is not None
-            ):
+            if config is not None or memo_limit is not None or workers is not None:
                 raise QueryError(
-                    "pass either handle= or config/memo_limit/workers/executor, "
-                    "not both (the handle already carries its config and "
-                    "worker pool)"
+                    "pass either handle= or config/memo_limit/workers, not both "
+                    "(the handle already carries its config and worker pool)"
                 )
             config = handle.config
         else:
             config = config or ExactConfig()
-            if executor is not None:
-                # Shorthand for ExactConfig(executor=...): "serial", "thread"
-                # or "process"; combined with workers=N it sizes the pool.
-                config = replace(config, executor=executor)
             if memo_limit is not None:
                 config = replace(config, memo_limit=memo_limit)
             elif config.memo_limit is None and config.memoize:
@@ -369,10 +358,10 @@ class Session:
         else:
             self._database = source
             world_table = source.world_table
-        # workers=N (N > 1) opts into parallel evaluation of independent
-        # ⊗-components: the session's engine handle owns the worker pool and
-        # merges component probabilities deterministically, so results are
-        # bit-identical to workers=None.
+        # workers=N (N >= 1) opts into parallel evaluation of independent
+        # ⊗-components: the session's engine handle owns a process pool of N
+        # workers and merges component probabilities deterministically, so
+        # results are bit-identical to workers=None.
         if handle is not None:
             self._handle = handle
         else:
@@ -425,12 +414,12 @@ class Session:
 
     @property
     def workers(self) -> int:
-        """Size of the parallel ⊗-component worker pool (0 = serial)."""
+        """Size of the ⊗-component process pool (0 = serial)."""
         return self._handle.workers
 
     @property
     def executor(self) -> str:
-        """The resolved execution backend (``serial``, ``thread``, ``process``)."""
+        """The execution backend, ``serial`` or ``process`` (read-only)."""
         return self._handle.executor
 
     def close(self) -> None:
@@ -629,7 +618,7 @@ class Session:
         if (
             method == "exact"
             and targets
-            and self._handle.executor == "process"
+            and self._handle.workers
             and options.get("deadline_ms") is None
         ):
             # Route the whole batch through the process pool in one dispatch:

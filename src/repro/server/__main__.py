@@ -160,15 +160,9 @@ def parse_arguments(argv: list[str] | None = None) -> argparse.Namespace:
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="opt-in parallel ⊗-component workers inside the engine",
-    )
-    parser.add_argument(
-        "--executor", choices=("serial", "thread", "process"), default=None,
-        help="execution backend for exact computations: 'process' fans cold "
-             "queries and large ⊗-components out across worker processes "
-             "(true multi-core; the memo stays shared in this process), "
-             "'thread' interleaves under the GIL, 'serial' (default) "
-             "computes in-line",
+        help="fan cold queries and large ⊗-components out across N worker "
+             "processes (true multi-core; the memo stays shared in this "
+             "process); default: compute in-line",
     )
     parser.add_argument(
         "--workload", default="empty", metavar="SPEC",
@@ -230,7 +224,6 @@ async def _serve(arguments: argparse.Namespace) -> None:
         pool_size=arguments.pool,
         memo_limit=arguments.memo_limit,
         workers=arguments.workers,
-        executor=arguments.executor,
         max_frame_bytes=arguments.max_frame_bytes,
         max_inflight=arguments.max_inflight,
         max_queue=arguments.max_queue,

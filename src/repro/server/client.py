@@ -23,7 +23,7 @@ Both clients are strictly request/response per connection; open several
 connections for overlapping requests (that is exactly what the server's
 session pool is for) — or batch them: ``confidence_many`` ships all its
 targets in one frame and the *server* fans them out across its pool, which
-both removes the per-request round trip and, with a process-executor server,
+both removes the per-request round trip and, with a process-pool server,
 runs the batch across cores.
 
 The blocking client is fault-tolerant (protocol v3):
@@ -451,7 +451,7 @@ class ServerSession(_SessionCalls):
         """All targets in *one* ``confidence_many`` frame (one round trip).
 
         The server fans the batch out across its session pool (with a
-        process executor the requests genuinely overlap across cores) and
+        process pool the requests genuinely overlap across cores) and
         answers in target order.
         """
         targets = list(targets)

@@ -255,7 +255,6 @@ class ConfidenceServer:
         config: "ExactConfig | None" = None,
         memo_limit: int | None = None,
         workers: int | None = None,
-        executor: str | None = None,
         epsilon: float = 0.1,
         delta: float = 0.01,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
@@ -281,12 +280,10 @@ class ConfidenceServer:
         #: error counters, pressure gauges).  The ``metrics`` op and the HTTP
         #: exposition endpoint merge this with the engine handle's registry.
         self.metrics = MetricsRegistry()
+        # workers=N is the scale-out mode: cold exact computations from every
+        # connection fan out across a shared process pool while the memo and
+        # the interned space stay in this (parent) process.
         options = {"epsilon": epsilon, "delta": delta, "workers": workers}
-        if executor is not None:
-            # "process" is the scale-out mode: cold exact computations from
-            # every connection fan out across a shared process pool while the
-            # memo and the interned space stay in this (parent) process.
-            options["executor"] = executor
         if memo_limit is not None:
             options["memo_limit"] = memo_limit
         self._pool = SessionPool(database, config, size=pool_size, **options)
@@ -318,7 +315,7 @@ class ConfidenceServer:
     async def start(self) -> tuple[str, int]:
         """Bind and start accepting connections; returns ``(host, port)``.
 
-        With a process executor the worker pool is warmed up first (in a
+        With ``workers=N`` the process pool is warmed up first (in a
         thread, so the loop stays responsive), sparing the first client the
         process-spawn latency.
         """
@@ -855,7 +852,7 @@ class ConfidenceServer:
         Requests the warm engine answers in one frame are answered right
         here (:meth:`_cached`); each of the others goes to its own pool
         member, so the batch pipelines up to ``pool_size`` requests; with
-        ``executor="process"`` the engine handle releases its lock during
+        ``workers=N`` the engine handle releases its lock during
         worker computation, making the fan-out genuinely parallel across
         cores.  Results keep request order, and the whole batch shares the
         one gate acquisition of its frame.  A failing request fails the

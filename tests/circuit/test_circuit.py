@@ -292,7 +292,7 @@ class TestProbabilityMany:
         serial = EngineHandle(instance.world_table, ExactConfig())
         expected = [serial.probability(group) for group in groups]
         pooled = EngineHandle(
-            instance.world_table, ExactConfig(executor="process"), workers=2
+            instance.world_table, ExactConfig(), workers=2
         )
         try:
             values = pooled.probability_many(groups)
@@ -310,9 +310,21 @@ class TestProbabilityMany:
         relation.add({"x": 1}, ("a",))
         relation.add({"y": 1}, ("a",))
         relation.add({"x": 2, "y": 2}, ("b",))
+        # Tuple "c": eight descriptors in two variable-disjoint groups of
+        # four, large enough to leave the parent (tiny groups never do).
+        for index in range(8):
+            table.add_variable(f"z{index}", {1: 0.5, 2: 0.5})
+        for index in range(8):
+            base = index // 4 * 4
+            relation.add(
+                {f"z{base + index % 4}": 1, f"z{base + (index + 1) % 4}": 2},
+                ("c",),
+            )
         serial_rows = database.session().confidence_batch("R")
-        with Session(database, executor="process", workers=2) as pooled:
+        with Session(database, workers=2) as pooled:
             pooled_rows = pooled.confidence_batch("R")
             stats = pooled.statistics()
         assert pooled_rows == serial_rows
-        assert stats.parallel_computations >= 1
+        # One dispatch for the whole batch, carrying both components of "c".
+        assert stats.parallel_computations == 1
+        assert stats.parallel_components == 2

@@ -140,7 +140,7 @@ def test_circuit_under_process_executor():
     ]
     serial = Session(world_table)
     expected = [serial.confidence(target).value for target in targets]
-    with Session(world_table, executor="process", workers=2) as session:
+    with Session(world_table, workers=2) as session:
         for target, reference in zip(targets, expected):
             circuit = session.compile(target)
             assert circuit.evaluate() == reference

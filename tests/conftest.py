@@ -101,3 +101,24 @@ def hard_database():
         return database, list(instance.ws_set)
 
     return build
+
+
+@pytest.fixture(scope="module")
+def process_session_factory():
+    """Process-pool sessions (``workers=2``) that share one module lifetime.
+
+    Spawned worker processes are the expensive part of the pooled tests;
+    sessions are closed at module teardown rather than per test.
+    """
+    from repro.db.session import Session
+
+    sessions = []
+
+    def factory(source, config=None, **options):
+        session = Session(source, config, workers=2, **options)
+        sessions.append(session)
+        return session
+
+    yield factory
+    for session in sessions:
+        session.close()

@@ -4,7 +4,7 @@ The central guarantee: memoised conditioning is **bit-identical** to the
 unmemoised recursion — same confidence, same rewritten descriptors, same new
 variables with the same float weights — within one run (sibling-branch hits),
 across calls through a shared :class:`ConditioningMemo`, under tiny memo
-limits that force evictions, and across executors.  On top of that: the
+limits that force evictions, and across configurations.  On top of that: the
 memoised path still agrees with brute force,
 the handle-level cache invalidates selectively on re-weighting, and an
 interleaved assert/confidence/what_if session never serves stale posteriors.
@@ -39,15 +39,14 @@ from repro.workloads.random_instances import (
 
 MEMO_OFF = ExactConfig(condition_memoize=False)
 
-#: ≥5 configurations spanning executors × memo limits (the ISSUE matrix).
-#: The executor knob does not reroute the conditioning recursion itself, but
-#: it must not perturb it either — and the options key must keep entries from
-#: crossing between structurally different recursions (subsumption, heuristic).
+#: ≥5 configurations spanning memo limits, subsumption and heuristics.  The
+#: conditioning recursion always runs in-process ("serial" in the test ids);
+#: the options key must keep entries from crossing between structurally
+#: different recursions (subsumption, heuristic).
 CONFIGS = [
     ExactConfig(),
     ExactConfig(condition_memo_limit=2),
-    ExactConfig(executor="thread", condition_memo_limit=64),
-    ExactConfig(executor="process", condition_memo_limit=2),
+    ExactConfig(condition_memo_limit=64),
     ExactConfig(subsumption_every_step=True),
     ExactConfig(heuristic="minmax", condition_memo_limit=8),
 ]
@@ -106,7 +105,7 @@ def sibling_heavy_case(fanout=4, parts=3):
 
 class TestBitIdentity:
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: (
-        f"{c.executor}-limit{c.condition_memo_limit}"
+        f"serial-limit{c.condition_memo_limit}"
         f"{'-subs' if c.subsumption_every_step else ''}"
         f"{'-' + c.heuristic if c.heuristic != 'minlog' else ''}"
     ))
@@ -114,7 +113,6 @@ class TestBitIdentity:
     def test_memoised_equals_unmemoised_across_configs(self, seed, config):
         world_table, condition, tuples = random_case(61000 + seed)
         off_config = ExactConfig(
-            executor=config.executor,
             subsumption_every_step=config.subsumption_every_step,
             heuristic=config.heuristic,
             condition_memoize=False,

@@ -195,6 +195,21 @@ class TestBackend:
         _, engine, _ = interned_instance(10)
         assert backend.compute(engine.space, engine.config, [], None, None) == []
 
+    def test_warm_up_loads_the_engine_modules(self):
+        # A fresh one-worker pool, so the probe lands on the warmed worker and
+        # nothing but warm_up() can have imported the engine there.
+        backend = ProcessPoolBackend(1)
+        try:
+            backend.warm_up()
+            probe = backend._ensure_executor().submit(
+                eval,
+                "[name in __import__('sys').modules "
+                "for name in ('repro.core.interned', 'repro.core.vector')]",
+            )
+            assert probe.result(timeout=30) == [True, True]
+        finally:
+            backend.close()
+
 
 class _BrokenExecutor:
     """Stand-in for a pool whose workers were all killed: submit() raises."""

@@ -213,8 +213,8 @@ def test_declines_while_another_thread_holds_the_handle_lock(warm):
 
 @pytest.mark.parametrize(
     "options",
-    [{}, {"executor": "thread", "workers": 2}, {"executor": "process", "workers": 2}],
-    ids=["serial", "thread", "process"],
+    [{}, {"workers": 2}],
+    ids=["serial", "process"],
 )
 def test_every_executor_probes_bit_identically_or_misses(hard_database, options):
     database, descriptors = hard_database()

@@ -1,6 +1,6 @@
-"""Cross-executor property tests: serial, thread and process agree to the bit.
+"""Cross-executor property tests: serial and process agree to the bit.
 
-Every execution backend evaluates exactly the computations the serial engine
+Both execution backends evaluate exactly the computations the serial engine
 would run below its top-level ⊗-node and merges them in deterministic order,
 so the results must be *equal*, not approximately equal — on the Figure 11a
 workload, on multi-component instances, and across conditioning.  Seeded
@@ -12,9 +12,11 @@ its type on the way back.
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 
 import pytest
 
+from repro.core.engine import EngineHandle
 from repro.core.probability import ExactConfig, probability
 from repro.core.wsset import WSSet
 from repro.db.database import ProbabilisticDatabase
@@ -23,7 +25,11 @@ from repro.errors import BudgetExceededError, QueryError
 from repro.workloads.hard import HardCaseParameters, generate_hard_instance
 from repro.workloads.random_instances import random_world_table
 
-EXECUTOR_MATRIX = ("serial", "thread", "process")
+EXECUTOR_MATRIX = ("serial", "process")
+
+#: ``workers`` values no pool size can mean (``None`` and ``0`` mean serial).
+INVALID_WORKERS = (-1, 1.5, "2", True)
+INVALID_WORKER_IDS = ("negative", "float", "string", "bool")
 
 
 def multi_component_instance(seed, *, groups=5, group_size=4, per_group=5):
@@ -56,48 +62,23 @@ def figure11a_instance(seed=0, num_descriptors=48):
     )
 
 
-@pytest.fixture(scope="module")
-def process_session_factory():
-    """Process-executor sessions that share one module lifetime.
-
-    Spawned worker processes are the expensive part of these tests; sessions
-    are closed at module teardown rather than per test.
-    """
-    sessions = []
-
-    def factory(source, **options):
-        session = Session(source, executor="process", workers=2, **options)
-        sessions.append(session)
-        return session
-
-    yield factory
-    for session in sessions:
-        session.close()
-
-
 class TestBitIdenticalAcrossExecutors:
     @pytest.mark.parametrize("seed", range(4))
     def test_multi_component_instances(self, seed, process_session_factory):
         world_table, ws_set = multi_component_instance(300 + seed)
         serial = probability(ws_set, world_table)
-        with Session(world_table, workers=2) as threaded:
-            thread_value = threaded.confidence(ws_set).value
         process_value = process_session_factory(world_table).confidence(ws_set).value
-        assert thread_value == serial
         assert process_value == serial
 
     @pytest.mark.parametrize("seed", range(3))
     def test_figure11a_instances(self, seed, process_session_factory):
         instance = figure11a_instance(seed)
         serial = probability(instance.ws_set, instance.world_table)
-        with Session(instance.world_table, workers=2) as threaded:
-            thread_value = threaded.confidence(instance.ws_set).value
         process_value = (
             process_session_factory(instance.world_table)
             .confidence(instance.ws_set)
             .value
         )
-        assert thread_value == serial
         assert process_value == serial
 
     def test_figure11a_slices_repeat_from_the_parent_memo(
@@ -131,16 +112,13 @@ class TestBitIdenticalAcrossExecutors:
             if executor == "process":
                 session = process_session_factory(database)
             else:
-                session = Session(
-                    database, workers=2 if executor == "thread" else None
-                )
+                session = Session(database)
             session.execute(
                 "assert select true from R r1, R r2 where r1.NAME = 'John' "
                 "and r2.NAME = 'Bill' and r1.SSN != r2.SSN"
             )
             result = session.execute("select SSN, conf() from R where NAME = 'Bill'")
             values[executor] = sorted(result.rows)
-        assert values["thread"] == values["serial"]
         assert values["process"] == values["serial"]
 
     def test_conditioned_database_recomputes_identically(
@@ -205,7 +183,7 @@ class TestPoolRobustness:
         instance = figure11a_instance(4, num_descriptors=64)
         session = Session(
             instance.world_table,
-            ExactConfig(max_calls=5, executor="process"),
+            ExactConfig(max_calls=5),
             workers=2,
         )
         try:
@@ -216,32 +194,46 @@ class TestPoolRobustness:
 
     def test_close_disables_process_parallelism(self):
         world_table, ws_set = multi_component_instance(330)
-        session = Session(world_table, executor="process", workers=2)
+        session = Session(world_table, workers=2)
         first = session.confidence(ws_set).value
         session.close()
         second = session.confidence(ws_set).value
         assert first == second
         assert session.stats.parallel_computations == 1
 
-    def test_executor_resolution_surface(self):
+    def test_workers_is_the_only_parallelism_switch(self):
         world_table, _ = multi_component_instance(331)
+        assert "executor" not in {field.name for field in fields(ExactConfig)}
+        with pytest.raises(TypeError):
+            ExactConfig(executor="process")
+        with pytest.raises(TypeError):
+            Session(world_table, executor="process")
         assert Session(world_table).executor == "serial"
-        with Session(world_table, workers=3) as threaded:
-            assert threaded.executor == "thread"
-            assert threaded.workers == 3
-        session = Session(world_table, executor="process", workers=2)
+        assert Session(world_table, workers=0).executor == "serial"
+        with Session(world_table, workers=1) as single:
+            assert single.executor == "process"  # one worker is still a pool
+        session = Session(world_table, workers=2)
         try:
             assert session.executor == "process"
             assert session.workers == 2
+            assert session.stats.executor == "process"
         finally:
             session.close()
 
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            ExactConfig(executor="quantum")
+    @pytest.mark.parametrize("workers", INVALID_WORKERS, ids=INVALID_WORKER_IDS)
+    def test_engine_handle_rejects_invalid_workers(self, workers):
+        world_table, _ = multi_component_instance(333)
+        with pytest.raises(ValueError, match="workers must be"):
+            EngineHandle(world_table, workers=workers)
 
-    def test_handle_sharing_rejects_executor_override(self):
+    @pytest.mark.parametrize("workers", INVALID_WORKERS, ids=INVALID_WORKER_IDS)
+    def test_session_rejects_invalid_workers(self, workers):
+        world_table, _ = multi_component_instance(333)
+        with pytest.raises(ValueError, match="workers must be"):
+            Session(world_table, workers=workers)
+
+    def test_handle_sharing_rejects_workers_override(self):
         world_table, _ = multi_component_instance(332)
         primary = Session(world_table)
         with pytest.raises(QueryError):
-            Session(world_table, handle=primary.handle, executor="process")
+            Session(world_table, handle=primary.handle, workers=2)

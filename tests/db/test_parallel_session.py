@@ -1,8 +1,8 @@
-"""Tests for parallel ⊗-component sessions and per-request seeds.
+"""Tests for process-pool ⊗-component sessions and per-request seeds.
 
 Parallel evaluation must be *bit-identical* to the serial engine (the merge
 is deterministic and each component evaluation is exactly the computation the
-serial top-level ⊗-node would run), budgets apply per worker, and the new
+serial top-level ⊗-node would run), budgets apply per worker, and the
 observability fields (memo hit rate, worker utilisation) must be populated.
 """
 
@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.core.engine import EngineHandle, EngineStats
+from repro.core.engine import _MIN_PARALLEL_DESCRIPTORS, EngineHandle, EngineStats
 from repro.core.probability import ExactConfig, probability
 from repro.core.wsset import WSSet
 from repro.db.session import ConfidenceRequest, Session
@@ -41,37 +41,42 @@ def multi_component_instance(seed, *, groups=5, group_size=4, per_group=5):
 
 class TestParallelComponents:
     @pytest.mark.parametrize("seed", range(8))
-    def test_parallel_is_bit_identical_to_serial(self, seed):
+    def test_parallel_is_bit_identical_to_serial(self, seed, process_session_factory):
         world_table, ws_set = multi_component_instance(800 + seed)
         serial = probability(ws_set, world_table)
-        with Session(world_table, workers=3) as session:
-            parallel = session.confidence(ws_set).value
-            stats = session.stats
+        session = process_session_factory(world_table)
+        parallel = session.confidence(ws_set).value
+        stats = session.stats
         assert parallel == serial  # exact equality, not approx
         assert stats.parallel_computations == 1
         assert stats.parallel_components >= 2
 
-    def test_single_component_falls_back_to_serial_path(self):
+    def test_single_component_falls_back_to_serial_path(self, process_session_factory):
         world_table = WorldTable()
         for index in range(12):
             world_table.add_variable(f"x{index}", {0: 0.5, 1: 0.5})
-        # All descriptors share x0: one component, nothing to parallelise.
-        ws_set = WSSet(
-            [{"x0": 0, f"x{i}": 0} for i in range(1, 12)]
+        # All descriptors share x0: one component.  Below the dispatch floor
+        # it never leaves the parent; at the floor it ships whole.
+        small = WSSet(
+            [{"x0": 0, f"x{i}": 0} for i in range(1, _MIN_PARALLEL_DESCRIPTORS)]
         )
-        with Session(world_table, workers=3) as session:
-            value = session.confidence(ws_set).value
-            stats = session.stats
-        assert value == pytest.approx(probability(ws_set, world_table))
+        large = WSSet([{"x0": 0, f"x{i}": 0} for i in range(1, 12)])
+        session = process_session_factory(world_table)
+        assert session.confidence(small).value == probability(small, world_table)
+        stats = session.stats
+        assert stats.computations == 1
         assert stats.parallel_computations == 0
+        assert session.handle._backend is None  # no pool was ever needed
+        assert session.confidence(large).value == probability(large, world_table)
+        stats = session.stats
+        assert stats.parallel_computations == 1
+        assert stats.parallel_components == 1
 
-    def test_budget_exceeded_propagates_from_workers(self):
+    def test_budget_exceeded_propagates_from_workers(self, process_session_factory):
         world_table, ws_set = multi_component_instance(900, groups=4, per_group=8)
-        with Session(
-            world_table, ExactConfig(max_calls=3), workers=2
-        ) as session:
-            with pytest.raises(BudgetExceededError):
-                session.confidence(ws_set)
+        session = process_session_factory(world_table, ExactConfig(max_calls=3))
+        with pytest.raises(BudgetExceededError):
+            session.confidence(ws_set)
 
     def test_handle_workers_off_by_default(self):
         world_table, ws_set = multi_component_instance(901)
@@ -87,9 +92,10 @@ class TestParallelComponents:
         first = session.confidence(ws_set).value
         session.close()
         # Still answers correctly, but serially: no new pool is spawned.
+        session.clear_cache()
         second = session.confidence(ws_set).value
         assert first == second
-        assert session._handle._executor is None
+        assert session._handle._backend is None
         assert session.stats.parallel_computations == 1
 
     def test_async_close_releases_only_owned_component_pools(self):
@@ -101,23 +107,23 @@ class TestParallelComponents:
         owned = AsyncSession(Session(world_table, workers=2), owns_session=True)
         asyncio.run(owned.confidence(ws_set))
         owned.close()
-        assert owned.session._handle._executor is None
+        assert owned.session._handle._backend is None
 
         borrowed_session = Session(world_table, workers=2)
         facade = borrowed_session.as_async()
         asyncio.run(facade.confidence(ws_set))
         facade.close()
         # The borrowed session keeps its pool and stays parallel-capable.
-        assert borrowed_session._handle._executor is not None
+        assert borrowed_session._handle._backend is not None
         assert borrowed_session.confidence(ws_set).value is not None
         borrowed_session.close()
 
-    def test_worker_engines_survive_across_computations(self):
+    def test_worker_engines_survive_across_computations(self, process_session_factory):
         world_table, ws_set = multi_component_instance(902)
-        with Session(world_table, workers=2) as session:
-            first = session.confidence(ws_set).value
-            second = session.confidence(ws_set).value
-            stats = session.stats
+        session = process_session_factory(world_table)
+        first = session.confidence(ws_set).value
+        second = session.confidence(ws_set).value
+        stats = session.stats
         assert first == second
         assert stats.parallel_computations == 2
         assert stats.workers == 2
@@ -136,11 +142,13 @@ class TestObservability:
         assert stats.workers == 0
         assert stats.worker_utilisation == 0.0
 
-    def test_worker_utilisation_populated_in_parallel_runs(self):
+    def test_worker_utilisation_populated_in_parallel_runs(
+        self, process_session_factory
+    ):
         world_table, ws_set = multi_component_instance(904)
-        with Session(world_table, workers=2) as session:
-            session.confidence(ws_set)
-            stats = session.stats
+        session = process_session_factory(world_table)
+        session.confidence(ws_set)
+        stats = session.stats
         assert stats.workers == 2
         assert stats.parallel_components >= 2
         assert stats.worker_utilisation > 0.0

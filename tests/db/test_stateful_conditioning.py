@@ -167,10 +167,9 @@ class ConditioningMachine(RuleBasedStateMachine):
     "options, examples",
     [
         ({}, 20),
-        ({"executor": "thread", "workers": 2}, 8),
-        ({"executor": "process", "workers": 2}, 3),
+        ({"workers": 2}, 3),
     ],
-    ids=["serial", "thread", "process"],
+    ids=["serial", "process"],
 )
 def test_long_lived_session_matches_fresh_sessions_and_enumeration(options, examples):
     machine = type("Machine", (ConditioningMachine,), {"options": options})

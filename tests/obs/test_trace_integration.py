@@ -144,7 +144,7 @@ class TestProcessPoolTracing:
     def test_worker_spans_merge_back_and_self_times_sum(self):
         database, ws_set = component_rich_database()
         serial = database.session().confidence(ws_set)
-        session = database.session(executor="process", workers=1)
+        session = database.session(workers=1)
         try:
             result = session.confidence(ws_set, trace=True)
             assert result.value == serial.value  # bit-identical across the pool
@@ -165,5 +165,26 @@ class TestProcessPoolTracing:
             assert histograms["repro_worker_component_seconds"]["count"] == len(
                 remote
             )
+        finally:
+            session.close()
+
+    def test_pooled_request_records_its_phase_spans(self):
+        database, ws_set = component_rich_database()
+        session = database.session(workers=1)
+        try:
+            result = session.confidence(ws_set, trace=True)
+            spans = {
+                node["name"]: node["attrs"]
+                for node in iter_spans(result.trace)
+                if not node.get("remote")
+            }
+            assert {"decompose", "memo_lookup", "dispatch", "merge"} <= set(spans)
+            components = spans["decompose"]["components"]
+            assert components == spans["memo_lookup"]["components"] >= 2
+            hits = spans["memo_lookup"]["hits"]
+            assert spans["dispatch"]["jobs"] == components - hits
+            assert spans["merge"]["jobs"] == spans["dispatch"]["jobs"]
+            histograms = session.handle.metrics.snapshot()["histograms"]
+            assert histograms["repro_engine_compute_seconds"]["count"] == 1
         finally:
             session.close()

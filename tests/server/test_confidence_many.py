@@ -148,7 +148,7 @@ class TestConfidenceMany:
         local = Session(database.world_table)
         expected = [local.confidence(query).value for query in queries]
         with running_server(
-            database, executor="process", workers=2, pool_size=4
+            database, workers=2, pool_size=4
         ) as server:
             with connect(server.host, server.port) as session:
                 results = session.confidence_many(queries)

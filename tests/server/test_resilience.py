@@ -253,7 +253,7 @@ class TestChaos:
     ):
         database, instance = hard_database(num_descriptors=48)
         serial = Session(database).confidence(instance.ws_set).value
-        with running_server(database, executor="process", workers=2) as server:
+        with running_server(database, workers=2) as server:
             faults.arm("procpool.worker", Fault("kill", times=1))
             with connect(server.host, server.port) as session:
                 value = session.confidence(instance.ws_set).value
@@ -288,7 +288,7 @@ class TestChaos:
         local = Session(database)
         targets = ["HARD", instance.ws_set]
         expected = [result.value for result in local.confidence_many(targets)]
-        with running_server(database, executor="process", workers=2) as server:
+        with running_server(database, workers=2) as server:
             faults.arm("procpool.worker", Fault("kill", times=1))
             with connect(server.host, server.port) as session:
                 results = session.confidence_many(targets)

@@ -504,6 +504,22 @@ def test_cli_serves_workload_and_stops_on_sigterm(tmp_path):
     assert "server stopped" in stdout
 
 
+@pytest.mark.parametrize("module", ["repro.server", "repro.cluster"])
+def test_cli_rejects_negative_workers(module):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(_repo_root() / "src"), env.get("PYTHONPATH")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-m", module, "--port", "0", "--workers", "-1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert completed.returncode == 2, completed.stderr
+    assert completed.stderr.startswith("error: "), completed.stderr
+    assert "workers" in completed.stderr
+    assert "listening" not in completed.stdout
+
+
 def _repo_root():
     from pathlib import Path
 

@@ -148,7 +148,7 @@ class ServedMachine(RuleBasedStateMachine):
 
 @pytest.mark.parametrize(
     "options, examples",
-    [({}, 10), ({"executor": "process", "workers": 2}, 2)],
+    [({}, 10), ({"workers": 2}, 2)],
     ids=["serial", "process"],
 )
 def test_served_answers_match_fresh_sessions_across_asserts(
