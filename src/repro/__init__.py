@@ -67,7 +67,6 @@ from repro.db.constraints import (
 from repro.db.session import (
     Session,
     AsyncSession,
-    SessionPool,
     ConfidenceRequest,
     ConfidenceResult,
     adaptive_hybrid_budget,
@@ -131,7 +130,6 @@ __all__ = [
     "DenialConstraint",
     "Session",
     "AsyncSession",
-    "SessionPool",
     "ConfidenceRequest",
     "ConfidenceResult",
     "adaptive_hybrid_budget",

@@ -134,7 +134,7 @@ def parse_arguments(argv: list[str] | None = None) -> argparse.Namespace:
     )
     parser.add_argument(
         "--pool", type=int, default=4, metavar="N",
-        help="session-pool size per shard (default 4)",
+        help="threads answering uncached requests, per shard (default 4)",
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",

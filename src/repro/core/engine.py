@@ -29,18 +29,17 @@ queries a real workload issues against one world table.  An
   per-component evaluations are exactly the computations the serial engine
   would run below its top-level ⊗-node, so the merged probability is
   bit-identical to the serial result.  The handle's lock is released while
-  workers compute, so distinct cold queries from different sessions overlap
+  workers compute, so distinct cold queries from different threads overlap
   too.  The interned id space and the shared memo stay in the parent: the
   memo is consulted before dispatching and worker results are stored back
   into it;
 * **sharing across threads** — computations and rebinding are serialised on
-  an internal lock, so several sessions (e.g. the members of a
-  :class:`repro.db.session.SessionPool` behind the confidence server) can
-  route through *one* handle — one interned space, one memo cache — from
-  different threads.  Exact computations serialise (they share the engine's
-  budget and memo); the lock is uncontended in single-threaded use, and
-  statistics snapshots bypass it so monitoring never stalls behind a long
-  computation.
+  an internal lock, so many threads (e.g. the confidence server's pool
+  threads, all driving its one :class:`repro.db.session.Session`) can route
+  through *one* handle — one interned space, one memo cache.  Exact
+  computations serialise (they share the engine's budget and memo); the lock
+  is uncontended in single-threaded use, and statistics snapshots bypass it
+  so monitoring never stalls behind a long computation.
 
 :class:`repro.db.session.Session` builds exactly one handle and routes every
 exact computation — single queries, batched per-tuple confidences, SQL
@@ -234,9 +233,8 @@ class EngineHandle:
         self.config = config or ExactConfig()
         self._world_table = world_table
         # Serialises computations, rebinding and snapshots so the handle can
-        # be shared by several sessions across threads (the session-pool /
-        # server seam).  Re-entrant: what_if() holds it while calling
-        # compile().
+        # be shared across threads (the confidence server's pool threads).
+        # Re-entrant: what_if() holds it while calling compile().
         self._lock = threading.RLock()
         self._engine: InternedEngine | None = None
         self._engine_version: int | None = None
@@ -790,7 +788,7 @@ class EngineHandle:
 
         Deliberately does *not* take the computation lock: statistics must
         stay readable (server ``stats`` frames, per-result snapshots from
-        other pool members) while a long computation holds the lock on a
+        other pool threads) while a long computation holds the lock on a
         shared handle.  Counters read mid-computation are a best-effort
         snapshot; each individual read is atomic under the GIL.
         """

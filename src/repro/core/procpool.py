@@ -275,7 +275,7 @@ class ProcessPoolBackend:
     One backend belongs to one :class:`~repro.core.engine.EngineHandle`; the
     handle serialises snapshot re-arms through :meth:`compute`, but
     :meth:`compute` itself may be called from several threads at once (the
-    confidence server's session pool) — ``ProcessPoolExecutor`` is
+    confidence server's pool threads) — ``ProcessPoolExecutor`` is
     thread-safe, which is exactly what lets distinct cold queries overlap
     across worker processes.
     """

@@ -28,24 +28,19 @@ thread behind a non-blocking cache probe, :meth:`Session.cached`) plus a
 :func:`repro.sql.executor.execute` with a bare config keeps working as a thin
 wrapper that opens a transient session per call.
 
-Two session features exist for the confidence server (:mod:`repro.server`):
-
-* :class:`SessionPool` — N :class:`AsyncSession` members whose sessions all
-  share *one* :class:`~repro.core.engine.EngineHandle` (one interned space,
-  one memo cache), so concurrent connections pipeline requests without
-  losing memo sharing; the handle's internal lock serialises exact
-  computations while sampling-based methods interleave freely;
-* wire codecs — :meth:`ConfidenceRequest.to_payload` /
-  :meth:`ConfidenceRequest.from_payload` and the matching pair on
-  :class:`ConfidenceResult` turn requests and results into JSON-safe
-  dictionaries (ws-set targets become sorted assignment-pair lists).
+The confidence server (:mod:`repro.server`) drives one :class:`Session`
+from a pool of threads: exact computations serialise on the engine handle's
+internal lock (one interned space, one memo cache for every connection),
+while the sampling methods interleave freely.  The wire codecs —
+:meth:`ConfidenceRequest.to_payload` / :meth:`ConfidenceRequest.from_payload`
+and the matching pair on :class:`ConfidenceResult` — turn requests and
+results into JSON-safe dictionaries (ws-set targets become sorted
+assignment-pair lists).
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
-import threading
 import time
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -319,27 +314,15 @@ class Session:
         hybrid_time_limit: float | None = None,
         hybrid_scale: float = 1.0,
         workers: int | None = None,
-        handle: EngineHandle | None = None,
         trace: bool = False,
     ) -> None:
-        if handle is not None:
-            # Session-pool hook: share an existing engine handle (and thus its
-            # interned space, memo cache and config) instead of building one.
-            # The handle's internal lock makes cross-thread sharing safe.
-            if config is not None or memo_limit is not None or workers is not None:
-                raise QueryError(
-                    "pass either handle= or config/memo_limit/workers, not both "
-                    "(the handle already carries its config and worker pool)"
-                )
-            config = handle.config
-        else:
-            config = config or ExactConfig()
-            if memo_limit is not None:
-                config = replace(config, memo_limit=memo_limit)
-            elif config.memo_limit is None and config.memoize:
-                # Bound the shared memo sanely: a session's cache must not grow
-                # without bound over thousands of queries.
-                config = replace(config, memo_limit=DEFAULT_MEMO_LIMIT)
+        config = config or ExactConfig()
+        if memo_limit is not None:
+            config = replace(config, memo_limit=memo_limit)
+        elif config.memo_limit is None and config.memoize:
+            # Bound the shared memo sanely: a session's cache must not grow
+            # without bound over thousands of queries.
+            config = replace(config, memo_limit=DEFAULT_MEMO_LIMIT)
         self.config = config
         self.epsilon = epsilon
         self.delta = delta
@@ -362,10 +345,7 @@ class Session:
         # ⊗-components: the session's engine handle owns a process pool of N
         # workers and merges component probabilities deterministically, so
         # results are bit-identical to workers=None.
-        if handle is not None:
-            self._handle = handle
-        else:
-            self._handle = EngineHandle(world_table, config, workers=workers)
+        self._handle = EngineHandle(world_table, config, workers=workers)
 
     # ------------------------------------------------------------------
     # Binding
@@ -701,19 +681,12 @@ class Session:
         previous = _trace.activate(tracer) if tracing else None
         started = time.perf_counter()
         try:
-            if request.deadline_ms is not None and request.method in (
-                "exact",
-                "hybrid",
-            ):
-                result = self._deadline_bounded(ws_set, request)
-            elif request.method == "exact":
+            if request.method in ("karp_luby", "montecarlo"):
+                result = self._sample(ws_set, request, request.method)
+            elif request.method == "exact" and request.deadline_ms is None:
                 result = self._exact(ws_set, request)
-            elif request.method == "karp_luby":
-                result = self._karp_luby(ws_set, request)
-            elif request.method == "montecarlo":
-                result = self._montecarlo(ws_set, request)
             else:
-                result = self._hybrid(ws_set, request)
+                result = self._bounded_exact(ws_set, request)
         finally:
             if tracing:
                 _trace.deactivate(previous)
@@ -739,101 +712,56 @@ class Session:
         )
         return ConfidenceResult(value, "exact", request.method)
 
-    def _karp_luby(self, ws_set: WSSet, request: ConfidenceRequest) -> ConfidenceResult:
-        from repro.approx.karp_luby import karp_luby_confidence
-
-        epsilon = request.epsilon if request.epsilon is not None else self.epsilon
-        delta = request.delta if request.delta is not None else self.delta
-        seed = request.seed if request.seed is not None else self.seed
-        approximation = karp_luby_confidence(
-            ws_set, self.world_table, epsilon, delta, seed=seed
-        )
-        return ConfidenceResult(
-            approximation.estimate,
-            "karp_luby",
-            request.method,
-            epsilon=epsilon,
-            delta=delta,
-            iterations=approximation.iterations,
-        )
-
-    def _montecarlo(
-        self, ws_set: WSSet, request: ConfidenceRequest
+    def _sample(
+        self, ws_set: WSSet, request: ConfidenceRequest, method: str
     ) -> ConfidenceResult:
+        """An (ε, δ) estimate by ``method`` (``karp_luby`` or ``montecarlo``)."""
+        from repro.approx.karp_luby import karp_luby_confidence
         from repro.approx.montecarlo import naive_monte_carlo_confidence
 
+        sampler = (
+            karp_luby_confidence
+            if method == "karp_luby"
+            else naive_monte_carlo_confidence
+        )
         epsilon = request.epsilon if request.epsilon is not None else self.epsilon
         delta = request.delta if request.delta is not None else self.delta
         seed = request.seed if request.seed is not None else self.seed
-        approximation = naive_monte_carlo_confidence(
+        approximation = sampler(
             ws_set, self.world_table, epsilon=epsilon, delta=delta, seed=seed
         )
         return ConfidenceResult(
             approximation.estimate,
-            "montecarlo",
+            method,
             request.method,
             epsilon=epsilon,
             delta=delta,
             iterations=approximation.iterations,
         )
 
-    def _hybrid(self, ws_set: WSSet, request: ConfidenceRequest) -> ConfidenceResult:
-        max_calls = (
-            request.max_calls
-            if request.max_calls is not None
-            else self.hybrid_max_calls
-        )
-        time_limit = (
-            request.time_limit
-            if request.time_limit is not None
-            else self.hybrid_time_limit
-        )
-        if max_calls is None and time_limit is None:
-            # An unbounded exact leg would never fall back; derive a budget
-            # from the instance size so "hybrid" always means "bounded exact"
-            # and the bound matches the difficulty of the query.
-            scale = (
-                request.hybrid_scale
-                if request.hybrid_scale is not None
-                else self.hybrid_scale
-            )
-            max_calls = adaptive_hybrid_budget(
-                len(ws_set), len(ws_set.variables()), scale
-            )
-        try:
-            exact_request = replace(
-                request, max_calls=max_calls, time_limit=time_limit
-            )
-            result = self._exact(ws_set, exact_request)
-            result.requested_method = request.method
-            return result
-        except BudgetExceededError as exceeded:
-            fallback = self._karp_luby(ws_set, request)
-            fallback.fell_back = True
-            fallback.fallback_reason = str(exceeded)
-            return fallback
-
-    def _deadline_bounded(
+    def _exact_budget(
         self, ws_set: WSSet, request: ConfidenceRequest
-    ) -> ConfidenceResult:
-        """``exact`` / ``hybrid`` under a deadline: bounded exact, then degrade.
+    ) -> tuple[int | None, float | None]:
+        """The exact leg's ``(max_calls, time_limit)`` for a bounded request.
 
-        The exact leg runs under a wall-clock limit of
-        :data:`DEADLINE_EXACT_FRACTION` × the deadline (tightened further by
-        an explicit ``time_limit``), so when it blows the budget there is
-        still deadline left for the Karp-Luby fallback to produce an (ε, δ)
-        answer in time.  A ``hybrid`` request additionally keeps its adaptive
-        call budget, so whichever bound trips first triggers the same
-        fallback.
+        ``hybrid`` fills unset request bounds from the session's
+        ``hybrid_max_calls`` / ``hybrid_time_limit``; when no call budget
+        results and no time limit was set, or a deadline is set, it derives
+        one from the instance size (:func:`adaptive_hybrid_budget`), so
+        "hybrid" always means "bounded exact" and whichever bound trips first
+        triggers the fallback.  A deadline then grants the exact leg
+        :data:`DEADLINE_EXACT_FRACTION` of itself as a wall-clock limit —
+        only ever tightening a limit already set — which leaves deadline for
+        the Karp-Luby fallback to answer in time.
         """
-        exact_limit = (request.deadline_ms / 1000.0) * DEADLINE_EXACT_FRACTION
-        if request.time_limit is not None:
-            exact_limit = min(exact_limit, request.time_limit)
-        max_calls = request.max_calls
+        max_calls, time_limit = request.max_calls, request.time_limit
+        deadline_ms = request.deadline_ms
         if request.method == "hybrid":
             if max_calls is None:
                 max_calls = self.hybrid_max_calls
-            if max_calls is None:
+            if time_limit is None:
+                time_limit = self.hybrid_time_limit
+            if max_calls is None and (time_limit is None or deadline_ms is not None):
                 scale = (
                     request.hybrid_scale
                     if request.hybrid_scale is not None
@@ -842,18 +770,33 @@ class Session:
                 max_calls = adaptive_hybrid_budget(
                     len(ws_set), len(ws_set.variables()), scale
                 )
+        if deadline_ms is not None:
+            share = (deadline_ms / 1000.0) * DEADLINE_EXACT_FRACTION
+            time_limit = share if time_limit is None else min(time_limit, share)
+        return max_calls, time_limit
+
+    def _bounded_exact(
+        self, ws_set: WSSet, request: ConfidenceRequest
+    ) -> ConfidenceResult:
+        """Exact under :meth:`_exact_budget`, degrading to Karp-Luby when it trips.
+
+        Serves ``hybrid`` requests and ``exact`` requests with a deadline: the
+        caller asked for an answer (by a time), not for a particular
+        algorithm, so a blown budget answers with an (ε, δ) estimate instead
+        of raising.
+        """
+        max_calls, time_limit = self._exact_budget(ws_set, request)
         try:
-            exact_request = replace(
-                request, max_calls=max_calls, time_limit=exact_limit
+            return self._exact(
+                ws_set, replace(request, max_calls=max_calls, time_limit=time_limit)
             )
-            result = self._exact(ws_set, exact_request)
-            result.requested_method = request.method
-            return result
         except BudgetExceededError as exceeded:
-            fallback = self._karp_luby(ws_set, request)
+            fallback = self._sample(ws_set, request, "karp_luby")
             fallback.fell_back = True
             fallback.fallback_reason = (
-                f"deadline of {request.deadline_ms:g} ms bounded the exact "
+                str(exceeded)
+                if request.deadline_ms is None
+                else f"deadline of {request.deadline_ms:g} ms bounded the exact "
                 f"computation ({exceeded})"
             )
             return fallback
@@ -924,29 +867,18 @@ class AsyncSession:
             self._executor, lambda: function(*args, **kwargs)
         )
 
-    def close(self, *, wait: bool = True) -> None:
-        """Shut down the worker thread; when this facade owns its session,
-        also release its ⊗-component pool.
-
-        With ``wait=True`` (default) queued calls still complete and the
-        worker is joined; ``wait=False`` drops queued calls and returns
-        without joining — an in-flight computation keeps its thread running
-        until it finishes (used by server shutdown, which must not block on
-        an unbounded client computation).
-        """
-        self._executor.shutdown(wait=wait, cancel_futures=not wait)
+    def close(self) -> None:
+        """Let queued calls complete and join the worker thread; when this
+        facade owns its session, also release its ⊗-component pool."""
+        self._executor.shutdown()
         if self._owns_session:
             self.session.close()
 
     async def query(self, request: ConfidenceRequest) -> ConfidenceResult:
         result = self.session.cached(request)
         if result is None:
-            result = await self.compute(request)
+            result = await self._run(self.session.query, request)
         return result
-
-    async def compute(self, request: ConfidenceRequest) -> ConfidenceResult:
-        """:meth:`query` minus the cache probe, for callers that probed already."""
-        return await self._run(self.session.query, request)
 
     async def confidence(
         self, target: "WSSet | URelation | str", method: str = "exact", **options
@@ -1018,100 +950,3 @@ class AsyncSession:
     def __repr__(self) -> str:
         return f"AsyncSession({self.session!r})"
 
-
-class SessionPool:
-    """A fixed pool of :class:`AsyncSession` members sharing *one* engine.
-
-    This is the concurrency seam of the confidence server: every member
-    serialises its own worker-thread calls (cached answers skip the thread,
-    see :class:`AsyncSession`) and wraps its own
-    :class:`Session`, but all those sessions share the primary session's
-    :class:`~repro.core.engine.EngineHandle` (the ``handle=`` hook) — one
-    interned id space, one memo cache, one set of aggregate statistics, for
-    every connection.  Exact computations from different members serialise
-    on the handle's internal lock (repeated and overlapping queries are
-    answered from the warm memo); the sampling-based methods (``karp_luby``,
-    ``montecarlo`` and the fallback leg of ``hybrid``) do not go through the
-    handle and interleave freely across members.
-
-    ``acquire()`` hands out members round-robin; with up to ``size`` requests
-    in flight the pool pipelines I/O-bound work while keeping the engine
-    state consistent.  Mutating the *database* itself (SQL ``assert``
-    conditioning) is not serialised here — callers running conditioning
-    concurrently with reads must gate it themselves, the way
-    :class:`repro.server.server.ConfidenceServer` holds its write gate.
-    """
-
-    #: Session options that also apply to the handle-sharing secondary
-    #: members (everything engine-related lives in the shared handle).
-    _MEMBER_OPTIONS = (
-        "epsilon", "delta", "seed",
-        "hybrid_max_calls", "hybrid_time_limit", "hybrid_scale", "trace",
-    )
-
-    def __init__(
-        self,
-        source: "ProbabilisticDatabase | WorldTable",
-        config: ExactConfig | None = None,
-        *,
-        size: int = 4,
-        **session_options,
-    ) -> None:
-        if size < 1:
-            raise ValueError(f"pool size must be at least 1, got {size}")
-        self.session = Session(source, config, **session_options)
-        member_options = {
-            name: value
-            for name, value in session_options.items()
-            if name in self._MEMBER_OPTIONS
-        }
-        self._sessions = [self.session] + [
-            Session(source, handle=self.session.handle, **member_options)
-            for _ in range(size - 1)
-        ]
-        self._members = [AsyncSession(session) for session in self._sessions]
-        self._round_robin = itertools.cycle(range(size))
-        self._lock = threading.Lock()
-        self._closed = False
-
-    @property
-    def size(self) -> int:
-        """Number of pool members (concurrent in-flight requests supported)."""
-        return len(self._members)
-
-    def acquire(self) -> AsyncSession:
-        """The next member, round-robin (members are never checked out)."""
-        if self._closed:
-            raise QueryError("the session pool is closed")
-        with self._lock:
-            return self._members[next(self._round_robin)]
-
-    def statistics(self) -> EngineStats:
-        """Aggregate engine statistics of the shared session."""
-        return self.session.statistics()
-
-    @property
-    def stats(self) -> EngineStats:
-        """Alias of :meth:`statistics`."""
-        return self.session.statistics()
-
-    def close(self, *, wait: bool = True) -> None:
-        """Shut down every member's worker thread, then the shared engine.
-
-        ``wait=False`` skips joining the workers (see
-        :meth:`AsyncSession.close`): queued calls are dropped and a thread
-        still inside a computation finishes in the background.
-        """
-        self._closed = True
-        for member in self._members:
-            member.close(wait=wait)
-        self.session.close()  # all members share this session's handle
-
-    def __enter__(self) -> "SessionPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return f"SessionPool({self.size} members, {self.session!r})"

@@ -4,9 +4,9 @@ The server (:class:`~repro.server.server.ConfidenceServer`) exposes one
 shared :class:`~repro.db.database.ProbabilisticDatabase` — one long-lived
 engine, one interned id space, one memo cache — to many clients over a
 length-prefixed JSON TCP protocol (:mod:`repro.server.protocol`).  Concurrent
-connections pipeline their requests through a
-:class:`~repro.db.session.SessionPool`, so every client benefits from the
-sub-problems any other client has already solved.
+connections pipeline their requests through one
+:class:`~repro.db.session.Session` on a pool of threads, so every client
+benefits from the sub-problems any other client has already solved.
 
 The client library (:mod:`repro.server.client`) mirrors the local
 :class:`~repro.db.session.Session` API over a socket: code written against a

@@ -5,7 +5,7 @@ Examples::
     # A Figure 11a hard instance on the default port (2008):
     python -m repro.server --workload figure11a:n=16,r=2,s=4,w=64,seed=0
 
-    # A probabilistic TPC-H database on an ephemeral port, 8 pool members,
+    # A probabilistic TPC-H database on an ephemeral port, 8 pool threads,
     # conditioned by a bootstrap script before serving:
     python -m repro.server --port 0 --pool 8 \\
         --workload tpch:sf=0.0002,seed=0 --load bootstrap.sql
@@ -152,7 +152,7 @@ def parse_arguments(argv: list[str] | None = None) -> argparse.Namespace:
     )
     parser.add_argument(
         "--pool", type=int, default=4, metavar="N",
-        help="session-pool size: concurrent in-flight requests (default 4)",
+        help="threads answering uncached requests (default 4)",
     )
     parser.add_argument(
         "--memo-limit", type=int, default=None, metavar="ENTRIES",

@@ -21,7 +21,7 @@ raises :class:`~repro.errors.BudgetExceededError` here).
 
 Both clients are strictly request/response per connection; open several
 connections for overlapping requests (that is exactly what the server's
-session pool is for) — or batch them: ``confidence_many`` ships all its
+pool threads are for) — or batch them: ``confidence_many`` ships all its
 targets in one frame and the *server* fans them out across its pool, which
 both removes the per-request round trip and, with a process-pool server,
 runs the batch across cores.
@@ -450,7 +450,7 @@ class ServerSession(_SessionCalls):
     ) -> list[ConfidenceResult]:
         """All targets in *one* ``confidence_many`` frame (one round trip).
 
-        The server fans the batch out across its session pool (with a
+        The server fans the batch out across its pool threads (with a
         process pool the requests genuinely overlap across cores) and
         answers in target order.
         """

@@ -38,7 +38,7 @@ Operations (see ``docs/protocol.md`` for the full schemas):
     :class:`~repro.db.session.ConfidenceResult` payload.
 ``confidence_many``
     A batch of confidence requests answered in one round trip; the server
-    fans the batch out across its session pool, so with a process pool
+    fans the batch out across its pool threads, so with a process pool
     the requests genuinely overlap.  Results come back in request order.
 ``confidence_batch``
     Per-tuple ``conf()`` of a named relation through

@@ -1,13 +1,14 @@
 """The asyncio TCP confidence server.
 
 A :class:`ConfidenceServer` owns one
-:class:`~repro.db.database.ProbabilisticDatabase` and a
-:class:`~repro.db.session.SessionPool` over it, and serves the wire protocol
-of :mod:`repro.server.protocol` to any number of concurrent connections.
-Because every pool member wraps the same session, all connections share one
-engine handle — one interned id space and one memo cache — so a sub-problem
-solved for one client is a memo hit for every other client (the whole point
-of server mode over per-process sessions).
+:class:`~repro.db.database.ProbabilisticDatabase`, one
+:class:`~repro.db.session.Session` over it and ``pool_size`` threads that run
+the session's uncached computations, and serves the wire protocol of
+:mod:`repro.server.protocol` to any number of concurrent connections.  All
+connections share the session's engine handle — one interned id space and
+one memo cache — so a sub-problem solved for one client is a memo hit for
+every other client (the whole point of server mode over per-process
+sessions).
 
 Request handling is deliberately forgiving: malformed JSON, oversized frames,
 unsupported protocol versions and unknown operations are answered with error
@@ -51,14 +52,16 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import json
 import logging
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.db.api import target_from_payload
-from repro.db.session import ConfidenceRequest, SessionPool
+from repro.db.session import ConfidenceRequest, Session
 from repro.obs.metrics import MetricsRegistry, merge_snapshots, render_prometheus
 from repro.errors import (
     DeadlineExceededError,
@@ -89,7 +92,7 @@ slow_query_logger = logging.getLogger("repro.server.slowquery")
 #: ConfidenceRequest option names accepted in ``confidence_batch`` frames.
 _BATCH_OPTIONS = ("epsilon", "delta", "seed", "max_calls", "time_limit", "hybrid_scale")
 
-#: Operations that pass admission control (they occupy a pool member and
+#: Operations that pass admission control (they occupy a pool thread and
 #: burn CPU).  ``ping`` / ``health`` / ``stats`` bypass it by design: a
 #: saturated or draining server must stay observable.
 _ADMITTED_OPS = frozenset(
@@ -280,17 +283,26 @@ class ConfidenceServer:
         #: error counters, pressure gauges).  The ``metrics`` op and the HTTP
         #: exposition endpoint merge this with the engine handle's registry.
         self.metrics = MetricsRegistry()
+        # pool_size threads run the session's uncached computations.
+        self._pool_size = pool_size
+        self._threads = ThreadPoolExecutor(
+            max_workers=pool_size, thread_name_prefix="repro-server"
+        )
         # workers=N is the scale-out mode: cold exact computations from every
         # connection fan out across a shared process pool while the memo and
         # the interned space stay in this (parent) process.
-        options = {"epsilon": epsilon, "delta": delta, "workers": workers}
-        if memo_limit is not None:
-            options["memo_limit"] = memo_limit
-        self._pool = SessionPool(database, config, size=pool_size, **options)
+        self._session = Session(
+            database,
+            config,
+            epsilon=epsilon,
+            delta=delta,
+            memo_limit=memo_limit,
+            workers=workers,
+        )
         self._gate = _ReadWriteGate()
         # Admission defaults follow the pool: more in-flight computations
-        # than pool members would only queue inside the members' worker
-        # threads, invisible to shedding and deadlines.
+        # than pool threads would only queue inside the executor, invisible
+        # to shedding and deadlines.
         self._admission = _AdmissionQueue(
             max_inflight if max_inflight is not None else pool_size,
             max_queue if max_queue is not None else 4 * pool_size,
@@ -321,7 +333,7 @@ class ConfidenceServer:
         """
         if self._server is not None:
             raise RuntimeError("server already started")
-        await asyncio.to_thread(self._pool.session.handle.warm_up)
+        await asyncio.to_thread(self._session.handle.warm_up)
         self._server = await asyncio.start_server(
             self._handle_connection, self._host, self._port
         )
@@ -350,9 +362,16 @@ class ConfidenceServer:
         return host, port
 
     @property
-    def pool(self) -> SessionPool:
-        """The shared session pool (exposed for bootstrap scripts and tests)."""
-        return self._pool
+    def session(self) -> Session:
+        """The shared session (exposed for bootstrap scripts and tests)."""
+        return self._session
+
+    async def _run(self, function, /, *args, **kwargs):
+        """Run ``function`` on a pool thread, keeping the event loop free."""
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(
+            self._threads, functools.partial(function, *args, **kwargs)
+        )
 
     async def serve_forever(self) -> None:
         """Serve until cancelled (the CLI wraps this with signal handling)."""
@@ -371,8 +390,8 @@ class ConfidenceServer:
         stops immediately — the drain wait only happens when something is
         actually in flight.
 
-        Never blocks on client computations beyond the grace: the pool is
-        closed without joining its worker threads, so a still-running
+        Never blocks on client computations beyond the grace: the thread
+        pool is shut down without joining its threads, so a still-running
         unbounded exact computation cannot hold up shutdown — its connection
         is gone and its thread finishes in the background (interpreter exit
         still joins it; give server-facing requests budgets or deadlines to
@@ -398,7 +417,8 @@ class ConfidenceServer:
             except (ConnectionError, OSError):  # already torn down
                 pass
         self._writers.clear()
-        self._pool.close(wait=False)
+        self._threads.shutdown(wait=False, cancel_futures=True)
+        self._session.close()
 
     async def bootstrap(self, sql: str) -> None:
         """Run a ``;``-separated SQL script through the shared session.
@@ -407,9 +427,8 @@ class ConfidenceServer:
         client can observe the pre-bootstrap database: conditioning asserts
         shape the database, ``conf()`` queries pre-warm the memo cache.
         """
-        member = self._pool.acquire()
         async with self._gate.exclusive():
-            await member.execute_script(sql)
+            await self._run(self._session.execute_script, sql)
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -629,35 +648,16 @@ class ConfidenceServer:
             request = self._fold_deadline(
                 ConfidenceRequest.from_payload(args), remaining_ms
             )
-            started = time.monotonic()
-            forced_trace = False
             async with self._gate:
-                result = self._cached(op, request)
-                if result is None:
-                    # With a slow-query threshold armed, trace server-side
-                    # even when the client did not ask: a slow query's log
-                    # line should carry its span tree, and by the time we
-                    # know it was slow it is too late to trace it.  Forced
-                    # behind the cache only (traced requests are never
-                    # answered inline) and stripped again below.
-                    forced_trace = (
-                        self._slow_query_ms is not None and not request.trace
-                    )
-                    if forced_trace:
-                        request = replace(request, trace=True)
-                    result = await self._pool.acquire().compute(request)
-            payload = result.to_payload()
-            self._log_slow_query(op, started, payload)
-            if forced_trace:
-                payload.pop("trace", None)
-            return payload
+                (result,) = await self._confidence_many(op, [request])
+            return result.to_payload()
         if op == "confidence_many":
             requests = [
                 self._fold_deadline(request, remaining_ms)
                 for request in self._many_requests(args)
             ]
             async with self._gate:
-                results = await self._confidence_many(requests)
+                results = await self._confidence_many(op, requests)
             return {"results": [result.to_payload() for result in results]}
         if op == "confidence_batch":
             async with self._gate:
@@ -668,12 +668,12 @@ class ConfidenceServer:
         if op == "execute":
             sql = self._sql_of(args)
             async with self._exclusion_for(sql):
-                result = await self._pool.acquire().execute(sql)
+                result = await self._run(self._session.execute, sql)
             return protocol.query_result_to_payload(result)
         if op == "execute_script":
             sql = self._sql_of(args)
             async with self._exclusion_for(sql):
-                results = await self._pool.acquire().execute_script(sql)
+                results = await self._run(self._session.execute_script, sql)
             return [protocol.query_result_to_payload(result) for result in results]
         raise AssertionError(f"unreachable op {op!r}")  # pragma: no cover
 
@@ -711,10 +711,12 @@ class ConfidenceServer:
             }
         return payload
 
-    def _log_slow_query(self, op: str, started: float, payload: dict) -> None:
+    def _log_slow_query(
+        self, op: str, started: float, result: "ConfidenceResult"
+    ) -> None:
         """Emit one structured JSON line when a request overran the threshold.
 
-        The line carries the request's span tree (``payload["trace"]``, forced
+        The line carries the request's span tree (``result.trace``, forced
         server-side when a threshold is armed), so a slow query is diagnosable
         from the log alone: which phase — decompose, dispatch, worker
         components, merge — ate the time.
@@ -729,8 +731,8 @@ class ConfidenceServer:
             "op": op,
             "ms": round(elapsed_ms, 3),
             "threshold_ms": self._slow_query_ms,
-            "method": payload.get("method"),
-            "trace": payload.get("trace"),
+            "method": result.method,
+            "trace": result.trace,
         }
         slow_query_logger.warning(json.dumps(record, sort_keys=True))
 
@@ -759,7 +761,7 @@ class ConfidenceServer:
             self._connections_total
         )
         snapshot = merge_snapshots(
-            registry.snapshot(), self._pool.session.handle.metrics.snapshot()
+            registry.snapshot(), self._session.handle.metrics.snapshot()
         )
         return {"metrics": snapshot}
 
@@ -834,39 +836,39 @@ class ConfidenceServer:
     ) -> "ConfidenceResult | None":
         """Answer from the warm engine on this (the loop) thread, and count it.
 
-        ``None`` means the pool-member route.  All members share the primary
-        session's handle, so its non-blocking ``cached`` speaks for them; it
-        runs where the hop would: inside the shared gate, after admission.
+        ``None`` means the thread-pool route.  It runs where the hop would:
+        inside the shared gate, after admission.
         """
-        result = self._pool.session.cached(request)
+        result = self._session.cached(request)
         if result is not None:
             self._inline_answers_total += 1
             self.metrics.counter("repro_server_inline_answers_total", op=op).inc()
         return result
 
     async def _confidence_many(
-        self, requests: list[ConfidenceRequest]
+        self, op: str, requests: list[ConfidenceRequest]
     ) -> list["ConfidenceResult"]:
         """Answer a batch: cached requests inline, the rest across the pool.
 
-        Requests the warm engine answers in one frame are answered right
-        here (:meth:`_cached`); each of the others goes to its own pool
-        member, so the batch pipelines up to ``pool_size`` requests; with
-        ``workers=N`` the engine handle releases its lock during
-        worker computation, making the fan-out genuinely parallel across
-        cores.  Results keep request order, and the whole batch shares the
-        one gate acquisition of its frame.  A failing request fails the
+        ``confidence`` frames arrive here as one-request batches.  Requests
+        the warm engine answers in one frame are answered right here
+        (:meth:`_cached`); each of the others runs on its own pool thread
+        (:meth:`_compute`), so the batch pipelines up to ``pool_size``
+        requests; with ``workers=N`` the engine handle releases its lock
+        during worker computation, making the fan-out genuinely parallel
+        across cores.  Results keep request order, and the whole batch shares
+        the one gate acquisition of its frame.  A failing request fails the
         batch with its typed error — batches are all-or-nothing, like every
         other frame.  The error is only sent once *every* request of the
         batch has finished (the first failure in request order wins):
         answering early would leave the still-running requests occupying
-        pool members invisibly, stalling the client's own retries behind
+        pool threads invisibly, stalling the client's own retries behind
         zombie computations.
         """
-        results = [self._cached("confidence_many", request) for request in requests]
+        results = [self._cached(op, request) for request in requests]
         misses = [index for index, result in enumerate(results) if result is None]
         answers = await asyncio.gather(
-            *(self._pool.acquire().compute(requests[index]) for index in misses),
+            *(self._compute(op, requests[index]) for index in misses),
             return_exceptions=True,
         )
         for index, answer in zip(misses, answers):
@@ -874,6 +876,26 @@ class ConfidenceServer:
                 raise answer
             results[index] = answer
         return results
+
+    async def _compute(
+        self, op: str, request: ConfidenceRequest
+    ) -> "ConfidenceResult":
+        """Answer one uncached request on a pool thread, logged when slow.
+
+        With a slow-query threshold armed the request is traced server-side
+        even when the client did not ask: a slow query's log line should
+        carry its span tree, and by the time we know it was slow it is too
+        late to trace it.  The forced trace is stripped from the reply.
+        """
+        forced_trace = self._slow_query_ms is not None and not request.trace
+        if forced_trace:
+            request = replace(request, trace=True)
+        started = time.monotonic()
+        result = await self._run(self._session.query, request)
+        self._log_slow_query(op, started, result)
+        if forced_trace:
+            result.trace = None
+        return result
 
     async def _confidence_batch(self, args: dict) -> dict:
         relation = args.get("relation")
@@ -891,8 +913,11 @@ class ConfidenceServer:
             for name in _BATCH_OPTIONS
             if args.get(name) is not None
         }
-        rows = await self._pool.acquire().confidence_batch(
-            relation, args.get("method", "exact"), **options
+        rows = await self._run(
+            self._session.confidence_batch,
+            relation,
+            args.get("method", "exact"),
+            **options,
         )
         return {
             "rows": [
@@ -926,18 +951,17 @@ class ConfidenceServer:
                 f"what_if needs a non-empty list of probability points, got {ps!r}"
             )
         target = target_from_payload(args["target"])
-        member = self._pool.acquire()
-        values = await member.what_if(
-            target, args["variable"], ps, value=args.get("value")
+        values = await self._run(
+            self._session.what_if, target, args["variable"], ps, value=args.get("value")
         )
         return {"values": values, "points": len(values)}
 
     def _stats(self) -> dict:
         return {
-            "engine": self._pool.statistics().as_dict(),
+            "engine": self._session.statistics().as_dict(),
             "server": {
                 "protocol": PROTOCOL_VERSION,
-                "pool_size": self._pool.size,
+                "pool_size": self._pool_size,
                 "connections_total": self._connections_total,
                 "connections_open": len(self._writers),
                 "requests_total": self._requests_total,
@@ -966,7 +990,7 @@ class ConfidenceServer:
 
     def __repr__(self) -> str:
         state = "stopped" if self._server is None else "%s:%s" % self.address
-        return f"ConfidenceServer({state}, pool={self._pool.size})"
+        return f"ConfidenceServer({state}, pool={self._pool_size})"
 
 
 def _mutates(sql: str) -> bool:

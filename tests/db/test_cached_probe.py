@@ -269,10 +269,10 @@ def test_async_session_answers_hits_without_its_worker_thread(warm):
 
 
 def test_probing_beside_computing_workers_loses_no_update(hard_database):
-    """Four workers compute through one shared handle while this thread
-    probes it: every probed value is the right one, and the handle's
-    computation count — bumped under its lock on both routes — comes out
-    exact, which a probe running beside a computation would break."""
+    """Four threads compute through one session while this thread probes
+    it: every probed value is the right one, and the handle's computation
+    count — bumped under its lock on both routes — comes out exact, which a
+    probe running beside a computation would break."""
     import sys
     import time
 
@@ -281,14 +281,13 @@ def test_probing_beside_computing_workers_loses_no_update(hard_database):
     with Session(database.copy()) as reference:
         expected = [reference.confidence(target).value for target in targets]
     primary = Session(database)
-    workers = [Session(database, handle=primary.handle) for _ in range(4)]
-    worked = [0] * len(workers)
+    worked = [0] * 4
     wrong = []
 
     # Both probe outcomes, made certain before the stress loop: a target a
-    # worker has answered is a hit, and any probe while another thread
+    # computation has answered is a hit, and any probe while another thread
     # holds the handle lock is declined.
-    assert workers[0].confidence(targets[0]).value == expected[0]
+    assert primary.confidence(targets[0]).value == expected[0]
     worked[0] += 1
     hit = primary.cached(ConfidenceRequest(targets[0]))
     assert hit is not None and hit.value == expected[0]
@@ -316,8 +315,8 @@ def test_probing_beside_computing_workers_loses_no_update(hard_database):
         while time.monotonic() < stop:
             index = (index + 5) % len(targets)
             if index == slot:
-                workers[slot].clear_cache()  # keep some requests cold
-            if workers[slot].confidence(targets[index]).value != expected[index]:
+                primary.clear_cache()  # keep some requests cold
+            if primary.confidence(targets[index]).value != expected[index]:
                 wrong.append(index)
             worked[slot] += 1
 

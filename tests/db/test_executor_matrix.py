@@ -21,7 +21,7 @@ from repro.core.probability import ExactConfig, probability
 from repro.core.wsset import WSSet
 from repro.db.database import ProbabilisticDatabase
 from repro.db.session import ConfidenceRequest, Session
-from repro.errors import BudgetExceededError, QueryError
+from repro.errors import BudgetExceededError
 from repro.workloads.hard import HardCaseParameters, generate_hard_instance
 from repro.workloads.random_instances import random_world_table
 
@@ -231,9 +231,3 @@ class TestPoolRobustness:
         world_table, _ = multi_component_instance(333)
         with pytest.raises(ValueError, match="workers must be"):
             Session(world_table, workers=workers)
-
-    def test_handle_sharing_rejects_workers_override(self):
-        world_table, _ = multi_component_instance(332)
-        primary = Session(world_table)
-        with pytest.raises(QueryError):
-            Session(world_table, handle=primary.handle, workers=2)

@@ -359,40 +359,46 @@ def test_bounded_memo_session_cache_clears_oldest_half():
         BoundedMemo(1)
 
 
-# ----------------------------------------------------------------------
-# Session pools and shared engine handles
-# ----------------------------------------------------------------------
-def test_session_pool_members_share_one_engine_handle():
-    from repro.db.session import SessionPool
+@pytest.mark.parametrize("session_limit", [None, 3.0])
+@pytest.mark.parametrize("deadline_ms", [None, 60_000.0])
+@pytest.mark.parametrize("method", ["exact", "hybrid"])
+def test_exact_leg_bounds(monkeypatch, method, deadline_ms, session_limit):
+    """The ``max_calls`` / ``time_limit`` the exact leg runs under.
 
-    instance = hard_instance(num_descriptors=48)
-    with SessionPool(instance.world_table, size=3, seed=5) as pool:
-        assert pool.size == 3
-        members = {pool.acquire() for _ in range(6)}
-        assert len(members) == 3  # round-robin over exactly `size` members
-        sessions = {member.session for member in members}
-        assert len(sessions) == 3  # ... each wrapping its own Session
-        handles = {session.handle for session in sessions}
-        assert handles == {pool.session.handle}  # ... over ONE shared handle
+    ``exact`` ignores the session's hybrid limits; ``hybrid`` fills unset
+    bounds from them and falls back to the adaptive call budget when no
+    time limit bounds it; a deadline grants half of itself and may only
+    tighten a limit already set, never widen it.
+    """
+    from repro.core.engine import EngineHandle
+    from repro.db.session import DEADLINE_EXACT_FRACTION, adaptive_hybrid_budget
 
-        # A query through one member warms the memo for every other member.
-        first = asyncio.run(pool.acquire().confidence(instance.ws_set))
-        hits_before = pool.statistics().memo_hits
-        second = asyncio.run(pool.acquire().confidence(instance.ws_set))
-        assert second.value == first.value
-        assert pool.statistics().memo_hits > hits_before
+    calls = []
 
-    with pytest.raises(ValueError, match="at least 1"):
-        SessionPool(instance.world_table, size=0)
+    def probability(self, ws_set, *, max_calls=None, time_limit=None):
+        calls.append((max_calls, time_limit))
+        return 0.5
 
-
-def test_session_with_shared_handle_rejects_conflicting_config():
+    monkeypatch.setattr(EngineHandle, "probability", probability)
     instance = hard_instance(num_descriptors=8)
-    primary = Session(instance.world_table)
-    shared = Session(instance.world_table, handle=primary.handle)
-    assert shared.config is primary.config
-    with pytest.raises(QueryError, match="not both"):
-        Session(instance.world_table, ExactConfig(), handle=primary.handle)
+    ws_set = instance.ws_set
+    session = Session(instance.world_table, hybrid_time_limit=session_limit)
+    result = session.confidence(ws_set, method, deadline_ms=deadline_ms)
+    assert result.value == 0.5 and result.method == "exact"
+
+    adaptive = adaptive_hybrid_budget(len(ws_set), len(ws_set.variables()))
+    share = None
+    if deadline_ms is not None:
+        share = deadline_ms / 1000.0 * DEADLINE_EXACT_FRACTION
+    if method == "exact":
+        expected = (None, share)
+    else:
+        limits = [limit for limit in (session_limit, share) if limit is not None]
+        time_limit = min(limits) if limits else None
+        bounded_by_time = session_limit is not None and deadline_ms is None
+        max_calls = None if bounded_by_time else adaptive
+        expected = (max_calls, time_limit)
+    assert calls == [expected]
 
 
 def test_session_wall_time_covers_approximate_methods():

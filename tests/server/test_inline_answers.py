@@ -114,7 +114,7 @@ def test_hot_requests_count_inline_per_op_and_the_rest_do_not(running_server, se
             assert inline(session) == 7
             # After clear_cache() there is nothing to hit until a worker
             # has rebuilt and refilled the engine.
-            server.server.pool.session.clear_cache()
+            server.server.session.clear_cache()
             assert session.confidence(queries[0]).value == expected[0]
             assert inline(session) == 7
             assert session.confidence(queries[0]).value == expected[0]
@@ -157,7 +157,7 @@ def test_the_loop_never_waits_for_a_held_engine_lock(running_server, served):
             server.host, server.port
         ) as observer:
             expected = session.confidence(queries[0]).value
-            handle = server.server.pool.session.handle
+            handle = server.server.session.handle
             answers = []
             caller = threading.Thread(
                 target=lambda: answers.append(session.confidence(queries[0]).value)

@@ -112,6 +112,25 @@ class TestSlowQueryLog:
         assert entry["ms"] >= 0.0
         assert entry["trace"]["name"] == "request"
 
+    def test_every_slow_batch_member_is_logged(
+        self, running_server, ssn_database, caplog
+    ):
+        # Relation-name targets never take the inline path, so all three
+        # members are computed — and each one overran the 0 ms threshold.
+        with caplog.at_level(logging.WARNING, logger="repro.server.slowquery"):
+            with running_server(ssn_database, slow_query_ms=0.0) as server:
+                with connect(server.host, server.port) as session:
+                    results = session.confidence_many(["R", "R", "R"])
+        assert [result.trace for result in results] == [None, None, None]
+        entries = [
+            json.loads(record.getMessage())
+            for record in caplog.records
+            if record.name == "repro.server.slowquery"
+        ]
+        assert len(entries) == 3
+        assert {entry["op"] for entry in entries} == {"confidence_many"}
+        assert all(entry["trace"]["name"] == "request" for entry in entries)
+
     def test_client_requested_trace_survives_slow_query_logging(
         self, running_server, ssn_database
     ):
@@ -221,4 +240,4 @@ class TestServerCtor:
             ssn_database, metrics_port=0, slow_query_ms=10.0
         )
         assert server.metrics_address is None  # not started yet
-        server.pool.close(wait=False)
+        server.session.close()
