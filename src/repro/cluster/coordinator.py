@@ -569,17 +569,16 @@ class ClusterCoordinator:
         started = time.monotonic()
         try:
             if isinstance(relation, URelation):
-                order = relation.distinct_values()
-                targets = [
-                    relation.descriptors_for_values(values) for values in order
-                ]
-                results = await self.confidence_many(targets, method, **options)
+                grouped = relation.descriptors_by_values()
+                results = await self.confidence_many(
+                    list(grouped.values()), method, **options
+                )
                 for result in results:
                     if isinstance(result, BaseException):
                         raise result
                 return [
-                    ConfidenceRow(tuple(values), result.value)
-                    for values, result in zip(order, results)
+                    ConfidenceRow(values, result.value)
+                    for values, result in zip(grouped, results)
                 ]
             if relation not in self.shard_map.relations:
                 raise UnknownRelationError(relation)

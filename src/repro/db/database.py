@@ -272,16 +272,15 @@ class ProbabilisticDatabase:
         # Simplification rule 1: keep only the variables that some U-relation
         # still references; rule 2/3 were already applied inside cond().
         used = posterior.variables_in_use()
-        delta = result.delta_world_table
-        posterior._world_table = self._world_table.merged_with(delta, used)
+        delta, table = result.delta_world_table, self._world_table
+        posterior._world_table = table.merged_with(delta, used)
 
         summary = ConditioningSummary(
             confidence=result.confidence,
             new_variables=tuple(delta.variables),
-            dropped_variables=tuple(
-                variable
-                for variable in (*self._world_table.variables, *delta.variables)
-                if variable not in used
+            dropped_variables=(
+                *table.ordered(set(table) - used),
+                *(variable for variable in delta.variables if variable not in used),
             ),
             rewritten_tuples=sum(len(v) for v in result.rewritten.values()),
             result=result,

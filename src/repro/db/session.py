@@ -556,11 +556,12 @@ class Session:
         Routes through the same handle-level memo as :meth:`conditioned`,
         then immediately rebinds the handle to the replaced (posterior)
         world table — the one invalidation choke-point — so no later
-        computation or memo access can see pre-assert state.  The cost is
-        that of the rows sharing a variable with the condition: every other
-        row is shared with the prior, and the engine keeps its memo (the
-        posterior's interned ids extend the prior's), so reads of anything
-        the assert did not reach stay warm.
+        computation or memo access can see pre-assert state.  Python-level
+        work is that of the rows sharing a variable with the condition:
+        every other row, index list and domain dict is shared with the
+        prior (only C-level dict copies grow with the database), and the
+        engine keeps its memo (the posterior's interned ids extend the
+        prior's), so reads of anything the assert did not reach stay warm.
         """
         database = self._require_database()
         self.refresh()
@@ -590,11 +591,8 @@ class Session:
         every further tuple — unlike the historical per-call API, which
         re-entered a cold engine per tuple.
         """
-        relation = self._as_relation(relation)
-        grouped: dict[tuple, list] = {}
-        for row in relation:
-            grouped.setdefault(row.values, []).append(row.descriptor)
-        targets = [WSSet(descriptors) for descriptors in grouped.values()]
+        grouped = self._as_relation(relation).descriptors_by_values()
+        targets = list(grouped.values())
         if (
             method == "exact"
             and targets
@@ -619,11 +617,10 @@ class Session:
                 ConfidenceRow(tuple_values, value)
                 for tuple_values, value in zip(grouped, values)
             ]
-        rows = []
-        for values, descriptors in grouped.items():
-            result = self.confidence(WSSet(descriptors), method, **options)
-            rows.append(ConfidenceRow(values, result.value))
-        return rows
+        return [
+            ConfidenceRow(values, self.confidence(target, method, **options).value)
+            for values, target in grouped.items()
+        ]
 
     def certain_tuples(
         self,

@@ -11,8 +11,11 @@ relational operations on them (see :mod:`repro.db.algebra`).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add
 from typing import TYPE_CHECKING
 
 from repro.core.descriptors import EMPTY_DESCRIPTOR, WSDescriptor, as_descriptor
@@ -42,11 +45,16 @@ class UTuple:
         return UTuple(self.descriptor, tuple(self.values[i] for i in indexes))
 
 
-def _index_rows(mentions: dict, rows: Iterable[UTuple]) -> None:
-    """Enter ``rows`` into a ``variable -> rows mentioning it`` index."""
+#: Rows per chunk of the chunk directory when rows are appended.
+CHUNK = 64
+
+
+def _index_rows(mentions: dict, chunk: int, rows: Iterable[UTuple]) -> None:
+    """Enter ``rows`` of ``chunk`` into a ``variable -> [(chunk, row)]`` index."""
     for row in rows:
+        entry = (chunk, row)
         for variable in row.descriptor:
-            mentions.setdefault(variable, []).append(row)
+            mentions.setdefault(variable, []).append(entry)
 
 
 class URelation:
@@ -63,7 +71,10 @@ class URelation:
     ('SSN', 'NAME')
     """
 
-    __slots__ = ("name", "_attributes", "_index", "_rows", "_mentions")
+    __slots__ = (
+        "name", "_attributes", "_index", "_rows", "_starts", "_mentions", "_equal",
+        "_shared",
+    )
 
     def __init__(
         self,
@@ -77,12 +88,27 @@ class URelation:
         self._attributes: tuple[str, ...] = tuple(attributes)
         self._index: dict[str, int] = {a: i for i, a in enumerate(self._attributes)}
         self._rows: list[UTuple] = []
-        # variable -> rows mentioning it (no empty entries); built on first
-        # use by rows_mentioning(), kept current by add_tuple() from then on.
-        self._mentions: dict[Variable, list[UTuple]] | None = None
+        # The first position of each chunk of _rows.  A splice resizes chunks
+        # in place, so chunk numbers never change and index entries name one.
+        self._starts: list[int] = [0]
+        # Built on first use (rows_mentioning() / rows_where()), kept current
+        # by add_tuple(): variable -> [(chunk, row)] of the rows mentioning
+        # it (no empty entries), and position -> {value -> rows, in order}.
+        self._mentions: dict[Variable, list[tuple[int, UTuple]]] | None = None
+        self._equal: dict[int, dict[Value, list[UTuple]]] = {}
+        # True while those lists may be shared with a splice.
+        self._shared = False
         if rows is not None:
             for row in rows:
                 self.add_tuple(row)
+
+    @classmethod
+    def _of(cls, name: str, attributes: Sequence[str], rows: list) -> "URelation":
+        """A relation over ``rows`` (a list it may keep; arity already checked)."""
+        relation = cls(name, attributes)
+        relation._rows = rows
+        relation._starts = list(range(0, len(rows), CHUNK)) or [0]
+        return relation
 
     # ------------------------------------------------------------------
     # Schema
@@ -134,57 +160,121 @@ class URelation:
                 f"row arity {len(row.values)} does not match schema arity "
                 f"{len(self._attributes)} of relation {self.name!r}"
             )
-        self._rows.append(row)
+        rows, starts = self._rows, self._starts
+        if len(rows) - starts[-1] >= CHUNK:
+            starts.append(len(rows))
+        rows.append(row)
+        if self._shared:  # own the index lists a splice may share first
+            if self._mentions is not None:
+                self._mentions = {v: list(f) for v, f in self._mentions.items()}
+            self._equal = {
+                p: {v: list(f) for v, f in index.items()}
+                for p, index in self._equal.items()
+            }
+            self._shared = False
         if self._mentions is not None:
-            _index_rows(self._mentions, (row,))
+            _index_rows(self._mentions, len(starts) - 1, (row,))
+        try:
+            for position, index in self._equal.items():
+                index.setdefault(row.values[position], []).append(row)
+        except TypeError:  # an unhashable value: rebuild (or scan) on demand
+            self._equal = {}
+
+    def _chunk(self, chunk: int) -> list[UTuple]:
+        """The rows of one chunk of the chunk directory."""
+        starts = self._starts
+        end = starts[chunk + 1] if chunk + 1 < len(starts) else len(self._rows)
+        return self._rows[starts[chunk]:end]
 
     def rows_mentioning(
         self, variables: Iterable[Variable]
     ) -> list[tuple[int, UTuple]]:
         """``(position, row)`` of every row whose descriptor uses one of ``variables``.
 
-        In row order.  Served from the ``variable -> rows`` index, so the
-        Python-level work is proportional to the rows found; the one pass
-        over the row list only compares identities.
+        In row order.  Served from the ``variable -> rows`` index, whose
+        entries name their row's chunk: only the chunks holding a found row
+        are scanned for positions, so the Python-level work is proportional
+        to the rows found, not to the relation.
         """
         mentions = self._mentions
         if mentions is None:
             mentions = self._mentions = {}
-            _index_rows(mentions, self._rows)
-        found = {id(row) for v in variables for row in mentions.get(v, ())}
-        if not found:
-            return []
-        return [pair for pair in enumerate(self._rows) if id(pair[1]) in found]
+            for chunk in range(len(self._starts)):
+                _index_rows(mentions, chunk, self._chunk(chunk))
+        hits = [entry for v in variables for entry in mentions.get(v, ())]
+        found = {id(row) for _, row in hits}
+        return [
+            pair
+            for chunk in sorted({chunk for chunk, _ in hits})
+            for pair in enumerate(self._chunk(chunk), self._starts[chunk])
+            if id(pair[1]) in found
+        ]
+
+    def rows_where(self, attribute: str, value: Value) -> list[UTuple] | None:
+        """The rows whose ``attribute`` equals ``value``, in row order.
+
+        Served from a ``value -> rows`` index on the attribute, built on its
+        first use.  ``None`` (scan instead) when ``value`` is unhashable or
+        not equal to itself, or the column holds an unhashable value.
+        """
+        position = self.attribute_index(attribute)
+        try:
+            index = self._equal.get(position)
+            if index is None:
+                index = {}
+                for row in self._rows:
+                    index.setdefault(row.values[position], []).append(row)
+                self._equal[position] = index
+            return list(index.get(value, ())) if value == value else None
+        except TypeError:
+            return None
 
     def spliced(self, replacements: Mapping[int, Sequence[UTuple]]) -> "URelation":
         """A copy with the row at each given position replaced by a run of rows.
 
-        Row order is kept, every other row is shared, and the variable index
-        is carried over (updated for the replaced rows only) rather than
-        rebuilt — the posterior relation of a conditioning step.
+        Row order is kept and every other row is shared — the posterior
+        relation of a conditioning step.  Runs stay in their row's chunk, and
+        the indexes are carried over, sharing each list no replaced row is in
+        (each side copies them before its next write); an equality index
+        whose column a run changes is dropped, to be rebuilt on demand.
         """
-        clone = URelation(self.name, self._attributes)
-        rows, out, start = self._rows, clone._rows, 0
+        rows, starts = self._rows, self._starts
+        out, grown, added, start = [], [0] * len(starts), {}, 0
         for position in sorted(replacements):
+            run = replacements[position]
             out += rows[start:position]
-            out += replacements[position]
+            out += run
             start = position + 1
+            chunk = bisect_right(starts, position) - 1
+            grown[chunk] += len(run) - 1
+            _index_rows(added, chunk, run)
         out += rows[start:]
+        clone = URelation._of(self.name, self._attributes, out)
+        clone._starts = list(map(add, starts, accumulate(grown, initial=0)))
+        self._shared = clone._shared = True
+        runs = {id(rows[position]): run for position, run in replacements.items()}
         if self._mentions is not None:
-            clone._mentions = mentions = {
-                variable: list(found) for variable, found in self._mentions.items()
-            }
-            gone = {id(rows[position]) for position in replacements}
+            clone._mentions = mentions = dict(self._mentions)
             touched = {v for p in replacements for v in rows[p].descriptor}
-            for variable in touched:
-                mentions[variable] = [
-                    row for row in mentions[variable] if id(row) not in gone
-                ]
-            for added in replacements.values():
-                _index_rows(mentions, added)
-            for variable in touched:
-                if not mentions[variable]:
+            for variable in touched | added.keys():
+                kept = [e for e in mentions.get(variable, ()) if id(e[1]) not in runs]
+                kept += added.get(variable, ())
+                if kept:
+                    mentions[variable] = kept
+                else:
                     del mentions[variable]
+        for position, index in self._equal.items():
+            if len(runs) < len(replacements) or any(
+                new.values[position] != rows[p].values[position]
+                for p, run in replacements.items()
+                for new in run
+            ):
+                continue  # a run changes the column, or a replaced row repeats
+            clone._equal[position] = index = dict(index)
+            for value in {rows[p].values[position] for p in replacements}:
+                index[value] = [
+                    new for row in index[value] for new in runs.get(id(row), (row,))
+                ]
         return clone
 
     def __len__(self) -> int:
@@ -209,6 +299,16 @@ class URelation:
         """The ws-set of descriptors of all rows equal to ``values``."""
         target = tuple(values)
         return WSSet(row.descriptor for row in self._rows if row.values == target)
+
+    def descriptors_by_values(self) -> dict[tuple, WSSet]:
+        """:meth:`descriptors_for_values` of every distinct value tuple, in one pass.
+
+        Keyed in first-appearance order, like :meth:`distinct_values`.
+        """
+        grouped: dict[tuple, list[WSDescriptor]] = {}
+        for row in self._rows:
+            grouped.setdefault(row.values, []).append(row.descriptor)
+        return {values: WSSet(found) for values, found in grouped.items()}
 
     def variables(self) -> frozenset[Variable]:
         """All world-table variables referenced by some row descriptor."""
@@ -244,34 +344,35 @@ class URelation:
     # ------------------------------------------------------------------
     def copy(self, name: str | None = None) -> "URelation":
         """A shallow copy (rows are immutable, so sharing them is safe)."""
-        clone = URelation(name or self.name, self._attributes)
-        clone._rows = list(self._rows)
-        return clone
+        return URelation._of(name or self.name, self._attributes, list(self._rows))
 
     def renamed_attributes(self, renaming: Mapping[str, str], name: str | None = None) -> "URelation":
         """A copy with attributes renamed according to ``renaming``."""
         new_attributes = tuple(renaming.get(a, a) for a in self._attributes)
-        clone = URelation(name or self.name, new_attributes)
-        clone._rows = list(self._rows)
-        return clone
+        return URelation._of(name or self.name, new_attributes, list(self._rows))
 
-    def prefixed(self, prefix: str, name: str | None = None) -> "URelation":
+    def prefixed(
+        self,
+        prefix: str,
+        name: str | None = None,
+        rows: Iterable[UTuple] | None = None,
+    ) -> "URelation":
         """A copy with every attribute renamed to ``prefix + attribute``.
 
         Used to disambiguate self-joins, mirroring the ``1.SSN`` / ``2.SSN``
-        notation of Example 2.3.
+        notation of Example 2.3.  ``rows``, some of this relation's rows,
+        replaces the default of all of them.
         """
-        return self.renamed_attributes(
-            {a: f"{prefix}{a}" for a in self._attributes}, name=name
+        attributes = tuple(f"{prefix}{a}" for a in self._attributes)
+        return URelation._of(
+            name or self.name, attributes, list(self._rows if rows is None else rows)
         )
 
     def map_descriptors(self, function) -> "URelation":
         """A copy with ``function`` applied to every row descriptor."""
-        clone = URelation(self.name, self._attributes)
-        clone._rows = [
+        return URelation._of(self.name, self._attributes, [
             row.with_descriptor(function(row.descriptor)) for row in self._rows
-        ]
-        return clone
+        ])
 
     def __repr__(self) -> str:
         return f"URelation({self.name!r}, {self._attributes!r}, {len(self._rows)} rows)"

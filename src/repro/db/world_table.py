@@ -57,7 +57,7 @@ class WorldTable:
     4
     """
 
-    __slots__ = ("_alternatives", "_version", "_interned")
+    __slots__ = ("_alternatives", "_version", "_interned", "_shared")
 
     def __init__(
         self,
@@ -68,6 +68,7 @@ class WorldTable:
         self._alternatives: dict[Variable, dict[Value, float]] = {}
         self._version = 0
         self._interned = None
+        self._shared = False  # domain dicts may be shared (merged_with())
         if rows is not None:
             for variable, value, probability in rows:
                 self.add_alternative(variable, value, probability)
@@ -138,6 +139,9 @@ class WorldTable:
             raise InvalidDistributionError(
                 f"negative probability {probability} for {variable!r} -> {value!r}"
             )
+        if self._shared:
+            self._alternatives = {v: dict(d) for v, d in self._alternatives.items()}
+            self._shared = False
         domain = self._alternatives.setdefault(variable, {})
         if value in domain:
             raise InvalidDistributionError(
@@ -252,6 +256,15 @@ class WorldTable:
     def variables(self) -> tuple[Variable, ...]:
         """All variables defined by this world table, in insertion order."""
         return tuple(self._alternatives)
+
+    def ordered(self, variables: Iterable[Variable]) -> list[Variable]:
+        """Some of this table's ``variables`` in table order: by interned id
+        (which follows it) when the space is current, without a table pass."""
+        space = self._interned
+        if space is not None and space.version == self._version:
+            return sorted(variables, key=space.variable_ids.__getitem__)
+        chosen = set(variables)
+        return [variable for variable in self._alternatives if variable in chosen]
 
     def domain(self, variable: Variable) -> tuple[Value, ...]:
         """The domain of ``variable``, in insertion order."""
@@ -382,33 +395,30 @@ class WorldTable:
         Variables present in both must have identical distributions; ``keep``
         restricts the result to the given variables (``restrict`` in the same
         pass).  This is how conditioning builds the table that replaces this
-        one, so a current interned space is carried over as its
-        :meth:`~repro.core.interned.InternedSpace.successor`: every surviving
-        variable keeps its id across the replacement.
+        one: it shares this table's domain dicts (each side copies them
+        before editing one in place), and a current interned space is carried
+        over as its :meth:`~repro.core.interned.InternedSpace.successor`:
+        every surviving variable keeps its id across the replacement.
         """
+        keep = None if keep is None else frozenset(keep)
         added = {}
         for variable, domain in other._alternatives.items():
             if self._alternatives.get(variable, domain) != domain:
                 raise InvalidDistributionError(
                     f"variable {variable!r} has conflicting distributions in merged tables"
                 )
-            if variable not in self._alternatives:
-                added[variable] = domain
-        keep = None if keep is None else set(keep)
+            if variable not in self._alternatives and (keep is None or variable in keep):
+                added[variable] = dict(domain)
         clone = WorldTable()
-        clone._alternatives = kept = {
-            variable: dict(domain)
-            for source in (self._alternatives, added)
-            for variable, domain in source.items()
-            if keep is None or variable in keep
-        }
+        clone._alternatives = kept = dict(self._alternatives)
+        dropped = set() if keep is None else kept.keys() - keep
+        for variable in dropped:
+            del kept[variable]
+        kept.update(added)
+        self._shared = clone._shared = True
         space = self._interned
         if space is not None and space.version == self._version:
-            clone._interned = space.successor(
-                clone,
-                self._alternatives.keys() - kept.keys(),
-                [variable for variable in added if variable in kept],
-            )
+            clone._interned = space.successor(clone, dropped, list(added))
         return clone
 
     # ------------------------------------------------------------------

@@ -6,17 +6,15 @@ column references (they must be unambiguous across the FROM list), translates
 the WHERE clause into a :class:`~repro.db.predicates.Predicate`, and builds the
 answer U-relation with consistency-aware products and selections.
 
-Multi-table FROM lists are joined with a hash-based equi-join when the WHERE
-clause supplies ``a.x = b.y`` conjuncts: the planner splits the translated
-predicate into top-level conjuncts, greedily joins tables connected by
-equality conjuncts via :func:`repro.db.algebra.equijoin` (consuming those
-conjuncts), and falls back to the naive cross product for tables no equality
-reaches.  Conjuncts not consumed by a join — inequalities, disjunctions,
-equalities only applicable once a third table arrived — are applied as one
-residual selection afterwards, so the answer relation is identical to the
-historical cross-join-then-select plan, only cheaper to build.  Setting
-:data:`HASH_EQUIJOIN` to ``False`` restores the naive plan (ablations,
-benchmarks).
+A binding named by a top-level ``attr = constant`` conjunct starts from the
+rows of the relation's equality index (``URelation.rows_where``), not from
+the whole relation.  Multi-table FROM lists are joined greedily along
+``a.x = b.y`` conjuncts via :func:`repro.db.algebra.equijoin` (consuming
+them), with the naive cross product for tables no equality reaches.
+Conjuncts not consumed by a join — ``attr = constant`` included — are applied
+as one residual selection afterwards, so the answer relation (rows and their
+order) is that of the paper's literal translation, selection over the cross
+product of all bindings, only cheaper to build.
 """
 
 from __future__ import annotations
@@ -52,10 +50,6 @@ from repro.sql.ast_nodes import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db.database import ProbabilisticDatabase
 
-#: Default for the hash-based equi-join path; ``False`` restores the naive
-#: cross-product plan (kept for ablations and the planner benchmark/test).
-HASH_EQUIJOIN = True
-
 
 @dataclass
 class Plan:
@@ -68,21 +62,14 @@ class Plan:
     is_boolean: bool
 
 
-def plan_select(
-    statement: SelectStatement,
-    database: "ProbabilisticDatabase",
-    *,
-    hash_join: bool | None = None,
-) -> Plan:
-    """Plan a SELECT statement against ``database``.
-
-    ``hash_join`` overrides :data:`HASH_EQUIJOIN` for this one plan.
-    """
+def plan_select(statement: SelectStatement, database: "ProbabilisticDatabase") -> Plan:
+    """Plan a SELECT statement against ``database``."""
     scope = _Scope(statement, database)
     predicate = translate_condition(statement.where, scope) if statement.where else None
-    use_hash = HASH_EQUIJOIN if hash_join is None else hash_join
-    if use_hash and len(scope.bindings) > 1 and predicate is not None:
-        relation, residual = _equijoin_plan(scope, predicate)
+    conjuncts = [] if predicate is None else _flatten_conjuncts(predicate)
+    scope.bind_rows(conjuncts)
+    if len(scope.bindings) > 1 and predicate is not None:
+        relation, residual = _equijoin_plan(scope, conjuncts)
     else:
         relation, residual = scope.joined_relation(), predicate
     if residual is not None:
@@ -104,13 +91,31 @@ class _Scope:
 
     def __init__(self, statement: SelectStatement, database: "ProbabilisticDatabase") -> None:
         self.statement = statement
-        self.database = database
+        self.bases: dict[str, URelation] = {}
+        # binding -> prefixed relation; schema only until bind_rows().
         self.bindings: dict[str, URelation] = {}
         for table in statement.tables:
             if table.binding in self.bindings:
                 raise QueryError(f"duplicate table binding {table.binding!r}")
-            base = database.relation(table.name)
-            self.bindings[table.binding] = base.prefixed(f"{table.binding}.")
+            base = self.bases[table.binding] = database.relation(table.name)
+            self.bindings[table.binding] = base.prefixed(f"{table.binding}.", rows=())
+
+    def bind_rows(self, conjuncts: list[Predicate]) -> None:
+        """Fill each binding with its base rows, narrowed by an equality index.
+
+        A binding's first ``attr = constant`` conjunct (either orientation)
+        that :meth:`URelation.rows_where` can serve selects its rows; the
+        conjunct stays in the residual.
+        """
+        for binding, base in self.bases.items():
+            rows = None
+            for conjunct in conjuncts:
+                name, value = _constant_equality(conjunct)
+                if self.bindings[binding].has_attribute(name):
+                    rows = base.rows_where(name[len(binding) + 1 :], value)
+                    if rows is not None:
+                        break
+            self.bindings[binding] = base.prefixed(f"{binding}.", rows=rows)
 
     def joined_relation(self) -> URelation:
         relations = list(self.bindings.values())
@@ -169,8 +174,17 @@ class _Scope:
         return tuple(resolved), tuple(labels)
 
 
+def _constant_equality(conjunct: Predicate) -> tuple[str | None, object]:
+    """``(attribute, value)`` if ``conjunct`` is ``attribute = value``, either way round."""
+    if isinstance(conjunct, AttributeComparison) and conjunct.operator == "=":
+        sides = {type(side): side for side in (conjunct.left, conjunct.right)}
+        if sides.keys() == {AttributeReference, Constant}:
+            return sides[AttributeReference].name, sides[Constant].value
+    return None, None
+
+
 def _equijoin_plan(
-    scope: _Scope, predicate: Predicate
+    scope: _Scope, conjuncts: list[Predicate]
 ) -> tuple[URelation, Predicate | None]:
     """Join the FROM list greedily along ``a.x = b.y`` conjuncts.
 
@@ -181,7 +195,6 @@ def _equijoin_plan(
     bindings could not be connected in time — stays in the residual, so the
     result is value- and descriptor-identical to cross-product-then-select.
     """
-    conjuncts = _flatten_conjuncts(predicate)
     owner = {
         attribute: binding
         for binding, relation in scope.bindings.items()

@@ -12,8 +12,11 @@ and the probabilistic TPC-H slice.
 
 from __future__ import annotations
 
+from repro.cluster.coordinator import ClusterCoordinator
 from repro.core.wsset import WSSet
+from repro.db.algebra import project
 from repro.db.session import ConfidenceRequest, Session
+from repro.db.urelation import URelation
 
 
 class TestHardmixBitIdentity:
@@ -107,6 +110,39 @@ class TestHardmixBitIdentity:
             assert [(r.values, r.confidence) for r in rows] == [
                 (r.values, r.confidence) for r in expected
             ]
+
+    def test_ad_hoc_urelation_batch_groups_rows_in_one_pass(
+        self, cluster, single, hardmix_db, monkeypatch
+    ):
+        # Six rows per value: one ws-set per distinct GROUP, built in one pass
+        # over the rows, not one descriptors_for_values scan per value.
+        relation = project(hardmix_db.relation("HARD"), ["GROUP"])
+        per_value = [
+            (values, list(relation.descriptors_for_values(values)))
+            for values in relation.distinct_values()
+        ]
+        sent, scans = [], []
+        confidence_many = ClusterCoordinator.confidence_many
+        descriptors_for_values = URelation.descriptors_for_values
+
+        async def recording(self, targets, *args, **kwargs):
+            sent.append([list(target) for target in targets])
+            return await confidence_many(self, targets, *args, **kwargs)
+
+        def counting(self, values):
+            scans.append(values)
+            return descriptors_for_values(self, values)
+
+        monkeypatch.setattr(ClusterCoordinator, "confidence_many", recording)
+        monkeypatch.setattr(URelation, "descriptors_for_values", counting)
+        with cluster.connect() as session:
+            rows = session.confidence_batch(relation)
+        assert scans == []
+        assert sent == [[descriptors for _, descriptors in per_value]]
+        assert [row.values for row in rows] == [values for values, _ in per_value]
+        assert [(r.values, r.confidence) for r in rows] == [
+            (r.values, r.confidence) for r in single.confidence_batch(relation)
+        ]
 
     def test_empty_and_certain_targets(self, cluster, single, hardmix_db):
         from repro.core.descriptors import EMPTY_DESCRIPTOR

@@ -1,8 +1,10 @@
 """Structural sharing across ``conditioned()``: isolation, staleness, fallbacks.
 
 The posterior of an assert shares every untouched row with the prior, its
-relations carry the prior's variable index over, and its world table's
-interned space extends the prior's.  None of that sharing may leak: prior and
+relations carry the prior's variable and equality indexes over (sharing the
+lists the assert did not touch), its world table shares the prior's domain
+dicts, and its interned space extends the prior's.  None of that sharing may
+leak: prior and
 posterior stay independently mutable, an index built before a row was added
 still finds it, and where ids cannot be kept (a grown packing shift, dead ids
 outnumbering live ones, an in-place re-weighting) the full rebuild answers
@@ -34,6 +36,22 @@ def answers(database):
         return [fresh.confidence(group(database, g)).value for g in range(3)]
 
 
+def sql_answers(database):
+    """Each group's SQL read, whose ws-set must be the algebra's, in order.
+
+    The read goes through the relation's ``GROUP`` equality index, which a
+    posterior shares with its prior.
+    """
+    with repro.connect(database) as session:
+        results = [
+            session.execute(f"select true from HARD where GROUP = {g}")
+            for g in range(3)
+        ]
+    for g, result in enumerate(results):
+        assert list(result.ws_set) == list(group(database, g))
+    return [result.confidence for result in results]
+
+
 def snapshot(database):
     return (
         database.world_table.rows(),
@@ -54,6 +72,7 @@ def mutate(database):
 def test_mutating_the_posterior_leaves_the_prior_alone_and_vice_versa():
     for mutate_posterior in (True, False):
         prior = build_cluster_database(SPEC)
+        sql_answers(prior)  # builds the equality index the posterior shares
         posterior, _ = prior.conditioned(condition(prior, 0))
         changed, kept = (posterior, prior) if mutate_posterior else (prior, posterior)
         before, rows = answers(kept), snapshot(kept)
@@ -62,6 +81,8 @@ def test_mutating_the_posterior_leaves_the_prior_alone_and_vice_versa():
         assert snapshot(kept) == rows
         assert answers(kept) == before
         assert answers(changed) != changed_before
+        assert sql_answers(kept) == before
+        assert sql_answers(changed) == answers(changed)
         # The carried-over variable index is private to each side as well: a
         # second assert finds exactly the rows a freshly indexed copy finds.
         for database in (kept, changed):

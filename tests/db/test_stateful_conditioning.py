@@ -1,9 +1,11 @@
 """Stateful differential test of a long-lived session across conditioning.
 
 One session lives through a random sequence of ``ASSERT`` / ``confidence`` /
-``what_if`` / ``set_distribution`` / ``clear_cache`` / ``relation.add(...)``
-on a small multi-group database.  After every step its exact answers must be
-``==`` those of a fresh session over ``database.copy()`` — which interns the
+SQL ``GROUP = g`` reads / ``what_if`` / ``set_distribution`` / ``clear_cache``
+/ ``relation.add(...)`` / a side ``conditioned()`` whose prior and posterior
+are then both written to, on a small multi-group database.  After every
+step its exact answers must be ``==`` those of a fresh session over
+``database.copy()`` — which interns the
 posterior world table from scratch (dense ids, cold memo), while the
 long-lived one keeps the ids and the memo it had before the asserts — and
 within 1e-9 of world enumeration.  Each ``ASSERT`` is additionally checked
@@ -45,6 +47,17 @@ def small_database(seed: int) -> repro.ProbabilisticDatabase:
             chosen = rng.sample(names, 2)
             relation.add({name: rng.randint(0, 1) for name in chosen}, (group, row))
     return database
+
+
+def state(database):
+    """World-table rows and relation rows, plus each group's SQL read."""
+    with repro.connect(database) as session:
+        reads = [
+            list(session.execute(f"select true from R where GROUP = {g}").ws_set)
+            for g in range(GROUPS)
+        ]
+    rows = [(row.descriptor, row.values) for row in database.relation("R")]
+    return database.world_table.rows(), rows, reads
 
 
 class ConditioningMachine(RuleBasedStateMachine):
@@ -103,6 +116,38 @@ class ConditioningMachine(RuleBasedStateMachine):
         target = self.group(group).descriptors()
         first = self.session.confidence(target).value
         assert self.session.confidence(target).value == first
+
+    @rule(group=choices)
+    def read_a_group_through_sql(self, group):
+        # The planner narrows GROUP = g through the equality index; the
+        # answer must be the algebra's selection, descriptor for descriptor.
+        target = self.group(group).descriptors()
+        result = self.session.execute(
+            f"select true from R where GROUP = {group % GROUPS}"
+        )
+        assert list(result.ws_set) == list(target)
+        assert result.confidence == self.session.confidence(target).value
+
+    @rule(group=choices, bound=st.integers(1, 3), choice=choices)
+    def condition_aside_then_mutate_both_sides(self, group, bound, choice):
+        # A non-mutating conditioned() shares index lists and domain dicts
+        # between prior and posterior; a write on either side must not be
+        # seen by the other.
+        condition = select(self.group(group), attr("ID") < bound).descriptors()
+        if condition.is_empty:
+            return
+        self.session.execute(f"select true from R where GROUP = {group % GROUPS}")
+        posterior, _ = self.session.conditioned(condition)
+        for changed, kept in ((posterior, self.database), (self.database, posterior)):
+            before = state(kept)
+            table = changed.world_table
+            variable = table.variables[choice % len(table)]
+            table.add_alternative(variable, ("extra", self.next_id), 0.0)
+            changed.relation("R").add(
+                {variable: table.domain(variable)[0]}, (group % GROUPS, self.next_id)
+            )
+            self.next_id += 1
+            assert state(kept) == before
 
     @rule(group=choices, choice=choices, ps=st.lists(weights, min_size=1, max_size=3))
     def sweep_a_variable(self, group, choice, ps):

@@ -126,6 +126,29 @@ class TestCopyingAndCombining:
         merged = figure2_world_table.merged_with(other)
         assert set(merged.variables) == {"j", "b", "f"}
 
+    def test_merged_with_shares_domains_until_a_side_edits_one(self, figure2_world_table):
+        other = WorldTable()
+        other.add_variable("f", {1: 0.5, 4: 0.5})
+        merged = figure2_world_table.merged_with(other, keep={"j", "f"})
+        assert merged.rows() == [("j", 1, 0.2), ("j", 7, 0.8), ("f", 1, 0.5), ("f", 4, 0.5)]
+        merged.add_alternative("j", 9, 0.0)
+        figure2_world_table.add_alternative("b", 9, 0.0)
+        other.add_alternative("f", 9, 0.0)
+        assert merged.domain("j") == (1, 7, 9) and merged.domain("f") == (1, 4)
+        assert figure2_world_table.domain("j") == (1, 7)
+        assert figure2_world_table.domain("b") == (4, 7, 9)
+        assert "b" not in merged
+
+    def test_ordered_follows_table_order_with_or_without_a_space(self):
+        table = WorldTable()
+        for variable in ("q", "a", "m", "z", "b"):
+            table.add_variable(variable, {0: 0.5, 1: 0.5})
+        assert table.ordered({"z", "a", "b"}) == ["a", "z", "b"]
+        table.interned()
+        assert table.ordered({"z", "a", "b"}) == ["a", "z", "b"]
+        successor = table.merged_with(WorldTable([("c", 0, 1.0)]), keep={"z", "b", "c", "q"})
+        assert successor.ordered({"c", "b", "q"}) == ["q", "b", "c"]
+
     def test_merged_with_conflicting_distribution_raises(self, figure2_world_table):
         other = WorldTable()
         other.add_variable("j", {1: 0.5, 7: 0.5})

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro.db.predicates import AttributeComparison, Constant, attr
 from repro.errors import QueryError, SQLSyntaxError
 from repro.sql import execute, parse, tokenize
 from repro.sql.ast_nodes import (
@@ -208,14 +209,36 @@ def _row_set(relation):
     }
 
 
-def _plan(database, sql, *, hash_join):
+def _plan(database, sql):
     from repro.sql.planner import plan_select
 
-    return plan_select(parse(sql).statement, database, hash_join=hash_join)
+    return plan_select(parse(sql).statement, database)
+
+
+def _literal(database, bindings, predicate):
+    """The paper's translation: σ_predicate over the product of the bindings.
+
+    ``bindings`` lists ``(alias, relation name)`` in FROM order; each relation
+    is prefixed with its alias, as the planner names columns.
+    """
+    from repro.db import algebra
+
+    relations = [
+        database.relation(name).prefixed(f"{alias}.") for alias, name in bindings
+    ]
+    joined = relations[0]
+    for relation in relations[1:]:
+        joined = algebra.product(joined, relation)
+    return algebra.select(joined, predicate)
+
+
+def _rows(relation):
+    """Rows with descriptors, in order."""
+    return [(row.descriptor, row.values) for row in relation]
 
 
 class TestPlannerEquiJoin:
-    """The hash-based equi-join path vs the naive cross-product fallback."""
+    """The planner's equi-join and equality-index paths vs the literal translation."""
 
     @staticmethod
     def _join_database(rows=300, keys=None):
@@ -235,14 +258,23 @@ class TestPlannerEquiJoin:
 
     def test_equijoin_plan_matches_cross_join_plan(self):
         database = self._join_database(rows=60, keys=12)
-        for sql in (
-            "select true from R r, S s where r.K = s.K",
-            "select true from R r, S s where r.K = s.K and r.V != s.W",
-            "select true from R r, S s where r.K = s.K and (s.W > 70 or r.V < 5)",
+        bindings = [("r", "R"), ("s", "S")]
+        join = attr("r.K") == attr("s.K")
+        for sql, predicate in (
+            ("select true from R r, S s where r.K = s.K", join),
+            (
+                "select true from R r, S s where r.K = s.K and r.V != s.W",
+                join & (attr("r.V") != attr("s.W")),
+            ),
+            (
+                "select true from R r, S s where r.K = s.K and (s.W > 70 or r.V < 5)",
+                join & ((attr("s.W") > 70) | (attr("r.V") < 5)),
+            ),
         ):
-            fast = _plan(database, sql, hash_join=True)
-            slow = _plan(database, sql, hash_join=False)
-            assert _row_set(fast.relation) == _row_set(slow.relation)
+            planned = _plan(database, sql).relation
+            literal = _literal(database, bindings, predicate)
+            assert planned.attributes == literal.attributes
+            assert _rows(planned) == _rows(literal)
 
     def test_three_way_join_and_unconnected_table(self):
         from repro.db.database import ProbabilisticDatabase
@@ -258,42 +290,117 @@ class TestPlannerEquiJoin:
             t.add({f"v{index}": True}, (index % 2,))
         # R joins T by equality; S is only reachable via the cross product.
         sql = "select true from R r, S s, T t where r.A = t.C and s.B != 0"
-        fast = _plan(database, sql, hash_join=True)
-        slow = _plan(database, sql, hash_join=False)
-        assert _row_set(fast.relation) == _row_set(slow.relation)
+        planned = _plan(database, sql).relation
+        literal = _literal(
+            database,
+            [("r", "R"), ("s", "S"), ("t", "T")],
+            (attr("r.A") == attr("t.C")) & (attr("s.B") != 0),
+        )
+        # The join order puts T before S: same rows, columns in another order.
+        assert _row_set(planned) == _row_set(literal)
 
     def test_equality_with_constant_stays_a_selection(self, ssn_database):
         # "NAME = 'Bill'" is attribute-vs-constant: not a join conjunct.
-        fast = _plan(ssn_database, "select SSN from R where NAME = 'Bill'",
-                     hash_join=True)
-        assert sorted(row.values[0] for row in fast.relation) == [4, 7]
+        planned = _plan(ssn_database, "select SSN from R where NAME = 'Bill'")
+        assert sorted(row.values[0] for row in planned.relation) == [4, 7]
 
     def test_self_join_confidence_unchanged_by_hash_path(self, ssn_database):
         sql = ("select true from R r1, R r2 "
                "where r1.SSN = r2.SSN and r1.NAME != r2.NAME")
-        fast = _plan(ssn_database, sql, hash_join=True)
-        slow = _plan(ssn_database, sql, hash_join=False)
-        assert fast.relation.descriptors() == slow.relation.descriptors()
+        planned = _plan(ssn_database, sql).relation
+        literal = _literal(
+            ssn_database,
+            [("r1", "R"), ("r2", "R")],
+            (attr("r1.SSN") == attr("r2.SSN")) & (attr("r1.NAME") != attr("r2.NAME")),
+        )
+        assert _rows(planned) == _rows(literal)
+        assert list(planned.descriptors()) == list(literal.descriptors())
 
     def test_hash_equijoin_is_faster_than_cross_join(self):
-        # 400 x 400 rows with unique keys: the nested loop pays 160k
+        # 400 x 400 rows with unique keys: the literal translation pays 160k
         # descriptor-consistency checks, the hash path ~800 probe steps.
         database = self._join_database(rows=400)
         sql = "select true from R r, S s where r.K = s.K"
+        bindings, predicate = [("r", "R"), ("s", "S")], attr("r.K") == attr("s.K")
 
-        def best_of(n, hash_join):
+        def best_of(n, build):
             durations = []
             for _ in range(n):
                 started = time.perf_counter()
-                plan = _plan(database, sql, hash_join=hash_join)
+                relation = build()
                 durations.append(time.perf_counter() - started)
-            return min(durations), plan
+            return min(durations), relation
 
-        fast_seconds, fast = best_of(3, True)
-        slow_seconds, slow = best_of(3, False)
-        assert _row_set(fast.relation) == _row_set(slow.relation)
-        assert len(fast.relation) == 400
+        fast_seconds, fast = best_of(3, lambda: _plan(database, sql).relation)
+        slow_seconds, slow = best_of(3, lambda: _literal(database, bindings, predicate))
+        assert _rows(fast) == _rows(slow)
+        assert len(fast) == 400
         # Generous floor (the gap is ~10x locally) to stay robust on noisy CI.
         assert slow_seconds > 2.0 * fast_seconds, (
             f"hash equi-join not faster: {fast_seconds:.4f}s vs {slow_seconds:.4f}s"
         )
+
+
+def _group_database():
+    """``HARD(GROUP, ID)``: 3 groups of 10 rows; ``U``: the same plus a list value."""
+    from repro.cluster.__main__ import build_cluster_database
+
+    database = build_cluster_database("hardmix:groups=3,n=6,w=10,seed=1")
+    unhashable = database.create_relation("U", ("GROUP", "ID"))
+    for row in database.relation("HARD"):
+        unhashable.add_tuple(row)
+    unhashable.add_certain(([1], 99))
+    return database
+
+
+_GROUP = attr("HARD.GROUP")
+
+#: (sql, FROM bindings, the predicate in algebra, served by the index)
+EQUALITY_CASES = {
+    "int": ("select true from HARD where GROUP = 1", [("HARD", "HARD")],
+            _GROUP == 1, True),
+    "constant-left": ("select true from HARD where 1 = GROUP", [("HARD", "HARD")],
+                      AttributeComparison(Constant(1), "=", _GROUP), True),
+    "float": ("select true from HARD where GROUP = 1.0", [("HARD", "HARD")],
+              _GROUP == 1.0, True),
+    "string": ("select true from HARD where GROUP = '1'", [("HARD", "HARD")],
+               _GROUP == "1", True),
+    "bool": ("select true from HARD where GROUP = true", [("HARD", "HARD")],
+             _GROUP == True, True),  # noqa: E712 - builds a predicate
+    "contradiction": ("select * from HARD where GROUP = 1 and GROUP = 2",
+                      [("HARD", "HARD")], (_GROUP == 1) & (_GROUP == 2), True),
+    "alias": ("select * from HARD h where h.GROUP = 2 and ID < 3", [("h", "HARD")],
+              (attr("h.GROUP") == 2) & (attr("h.ID") < 3), True),
+    "self-join": (
+        "select true from HARD h1, HARD h2 where h1.GROUP = 0 and h1.ID = h2.ID",
+        [("h1", "HARD"), ("h2", "HARD")],
+        (attr("h1.GROUP") == 0) & (attr("h1.ID") == attr("h2.ID")),
+        True,
+    ),
+    "unhashable-column": ("select true from U where GROUP = 1", [("U", "U")],
+                          attr("U.GROUP") == 1, False),
+}
+
+
+@pytest.mark.parametrize("case", list(EQUALITY_CASES), ids=list(EQUALITY_CASES))
+def test_equality_index_equals_the_literal_scan(case, monkeypatch):
+    from repro.db.urelation import URelation
+
+    sql, bindings, predicate, indexed = EQUALITY_CASES[case]
+    database = _group_database()
+    literal = _literal(database, bindings, predicate)
+    served = []
+    rows_where = URelation.rows_where
+
+    def recording(self, attribute, value):
+        found = rows_where(self, attribute, value)
+        served.append(found is not None)
+        return found
+
+    monkeypatch.setattr(URelation, "rows_where", recording)
+    planned = _plan(database, sql).relation
+    assert planned.attributes == literal.attributes
+    assert _rows(planned) == _rows(literal)
+    assert list(planned.descriptors()) == list(literal.descriptors())
+    # One index lookup per narrowed binding; the list column answers None.
+    assert served == [indexed]
