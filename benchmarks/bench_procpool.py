@@ -124,8 +124,8 @@ def _cold_pass(handle: EngineHandle, ws_set: WSSet) -> tuple[float, float]:
     """One timed computation on cold memos (parent and workers).
 
     The parent engine is built before the clock starts: its construction
-    imports the numpy kernels once per process, a set-up cost that would
-    otherwise land on whichever side happens to run first.
+    imports the engine modules and interns the world table, a set-up cost
+    that would otherwise land on whichever side happens to run first.
     """
     handle.invalidate()
     handle.engine()

@@ -48,11 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover
 else:
     Variable = object
 
-#: Clause counts at which the estimator computes the clause-weight
-#: products with the numpy kernel of :mod:`repro.core.vector` (when numpy is
-#: installed) instead of a python loop.
-_VECTOR_WEIGHTS_THRESHOLD = 32
-
 
 @dataclass
 class ApproximationResult:
@@ -116,22 +111,7 @@ class KarpLubyEstimator:
 
     @staticmethod
     def _clause_weights(clauses: list[tuple], space) -> list[float]:
-        """``P(d)`` per packed clause (numpy-folded for large clause sets)."""
-        if len(clauses) >= _VECTOR_WEIGHTS_THRESHOLD:
-            from repro.core.vector import (
-                HAVE_NUMPY,
-                descriptor_weights,
-                flatten_weights,
-            )
-
-            if HAVE_NUMPY:
-                table = flatten_weights(space.weights, space.mask)
-                return [
-                    float(w)
-                    for w in descriptor_weights(
-                        clauses, space.shift, space.mask, table
-                    )
-                ]
+        """``P(d)`` per packed clause: the product of its assignment weights."""
         shift = space.shift
         mask = space.mask
         weights = space.weights

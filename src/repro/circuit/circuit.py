@@ -22,8 +22,8 @@ sensitivities in microseconds.
 
 Evaluation replicates the engine's accumulation orders exactly (certain
 weights first in ascending value-id order, branch children next in ascending
-order, the shared ``T`` branch last; the numpy ``fold_absent_weight``
-reduction above the engine's domain-size threshold), so
+order, the shared ``T`` branch last, its coefficient the sequential sum of
+the absent values' weights in ascending value-id order), so
 :meth:`Circuit.evaluate` on the recording weights is **bit-identical** to the
 uncompiled engine — asserted by the test suite and the benchmark, not merely
 within tolerance.
@@ -48,8 +48,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.vector import HAVE_NUMPY
-from repro.core.vector import np as _np
 from repro.db.world_table import PROBABILITY_TOLERANCE
 from repro.errors import (
     InvalidDistributionError,
@@ -57,6 +55,11 @@ from repro.errors import (
     UnknownVariableError,
 )
 from repro.obs.trace import span as _span
+
+try:  # numpy only vectorises evaluate_sweep's grid; it is optional
+    import numpy as _np
+except ImportError:  # pragma: no cover - the CI image always has numpy
+    _np = None
 
 if TYPE_CHECKING:  # pragma: no cover
     from collections.abc import Mapping, Sequence
@@ -67,24 +70,17 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Node kinds (first element of every node tuple).
 CONST = 0  # (CONST, value)
 IE = 1  # (IE, terms) with terms = ((positive, packed_slots), ...)
-SUM = 2  # (SUM, var_id, certain, branches, absent_ids, absent_child,
-#          use_fold, present) — see CircuitRecorder for the field semantics
+SUM = 2  # (SUM, var_id, certain, branches, absent_ids, absent_child)
+#          — see CircuitRecorder for the field semantics
 PROD = 3  # (PROD, children)
 
 
-def _sequential_fold(weights_row, absent_ids) -> float:
-    """Sequential absent-weight fold (the engine's small-domain order)."""
+def _absent_fold(weights_row, absent_ids) -> float:
+    """The shared ``T`` branch's coefficient, summed in the engine's order."""
     total = 0.0
     for value_id in absent_ids:
         total += weights_row[value_id]
     return total
-
-
-def _numpy_fold(weights_row, present) -> float:
-    """The engine's large-domain fold: numpy reduction over absent values."""
-    from repro.core.vector import fold_absent_weight
-
-    return fold_absent_weight(weights_row, list(present))
 
 
 class Circuit:
@@ -231,8 +227,7 @@ class Circuit:
         for index, node in enumerate(self.nodes):
             kind = node[0]
             if kind == SUM:
-                (_, var_id, certain, branches, absent_ids, absent_child,
-                 use_fold, present) = node
+                _, var_id, certain, branches, absent_ids, absent_child = node
                 row = rows[var_id]
                 acc = 0.0
                 for value_id in certain:
@@ -240,11 +235,7 @@ class Circuit:
                 for value_id, child in branches:
                     acc += row[value_id] * values[child]
                 if absent_child is not None:
-                    if use_fold:
-                        coefficient = _numpy_fold(row, present)
-                    else:
-                        coefficient = _sequential_fold(row, absent_ids)
-                    acc += coefficient * values[absent_child]
+                    acc += _absent_fold(row, absent_ids) * values[absent_child]
                 values[index] = acc
             elif kind == IE:
                 total = 0.0
@@ -341,7 +332,7 @@ class Circuit:
                     f"sweep probabilities must lie in [0, 1], got {p}"
                 )
         with _span("circuit_sweep", points=len(points), nodes=len(self.nodes)):
-            if not HAVE_NUMPY:
+            if _np is None:
                 results = []
                 for p in points:
                     rows = list(self.space.weights)
@@ -372,9 +363,8 @@ class Circuit:
 
         Node values are scalars until they depend on the swept variable and
         arrays of ``len(points)`` afterwards; numpy broadcasting makes the
-        mixed arithmetic free of special cases.  This is the layer that lets
-        ``core/vector.py``'s array folds run end-to-end: a thousand-point
-        sweep is a handful of vector operations per circuit node.
+        mixed arithmetic free of special cases: a thousand-point sweep is a
+        handful of vector operations per circuit node.
         """
         space = self.space
         shift = space.shift
@@ -385,8 +375,7 @@ class Circuit:
         for index, node in enumerate(self.nodes):
             kind = node[0]
             if kind == SUM:
-                (_, var_id, certain, branches, absent_ids, absent_child,
-                 use_fold, present) = node
+                _, var_id, certain, branches, absent_ids, absent_child = node
                 if var_id == variable_id:
                     acc = 0.0
                     for vid in certain:
@@ -410,11 +399,7 @@ class Circuit:
                 for vid, child in branches:
                     acc = acc + row[vid] * values[child]
                 if absent_child is not None:
-                    if use_fold:
-                        coefficient = _numpy_fold(row, present)
-                    else:
-                        coefficient = _sequential_fold(row, absent_ids)
-                    acc = acc + coefficient * values[absent_child]
+                    acc = acc + _absent_fold(row, absent_ids) * values[absent_child]
                 values[index] = acc
             elif kind == IE:
                 total = 0.0
@@ -468,8 +453,7 @@ class Circuit:
             node = self.nodes[index]
             kind = node[0]
             if kind == SUM:
-                (_, var_id, certain, branches, absent_ids, absent_child,
-                 use_fold, present) = node
+                _, var_id, certain, branches, absent_ids, absent_child = node
                 row = rows[var_id]
                 base = var_id << shift
                 for value_id in certain:

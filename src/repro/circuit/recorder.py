@@ -83,7 +83,6 @@ class CircuitRecorder:
         self._use_independent_partitioning = config.use_independent_partitioning
         self._subsumption_every_step = config.subsumption_every_step
         self._memoize = engine.memoize
-        self._fold_threshold = engine.weight_fold_threshold
         self._nodes: list[tuple] = []
         #: Engine-canonical key (sorted descriptor tuple) -> node id, for the
         #: big sub-ws-sets the engine would memoise.
@@ -196,14 +195,10 @@ class CircuitRecorder:
             descriptors, variable_id, shift
         )
         domain_size = len(self._space.weights[variable_id])
-        use_fold = (
-            self._fold_threshold is not None and domain_size >= self._fold_threshold
-        )
-        present = sorted(by_value)
         certain: list[int] = []
         branch_ids: list[int] = []
         pending: list[list] = []
-        for value_id in present:
+        for value_id in sorted(by_value):
             branch = by_value[value_id]
             if () in branch:
                 # A descriptor consisted solely of this assignment: the
@@ -230,8 +225,6 @@ class CircuitRecorder:
             tuple(branch_ids),
             absent_ids,
             has_absent,
-            use_fold,
-            tuple(present),
         )
         stack.append(_RecorderFrame(SUM, pending, key, meta))
         return None
@@ -240,24 +233,14 @@ class CircuitRecorder:
         if frame.kind == PROD:
             node: tuple = (PROD, tuple(frame.built))
         else:
-            (variable_id, certain, branch_ids, absent_ids, has_absent,
-             use_fold, present) = frame.meta
+            variable_id, certain, branch_ids, absent_ids, has_absent = frame.meta
             if has_absent:
                 absent_child: int | None = frame.built[-1]
                 branches = tuple(zip(branch_ids, frame.built[:-1]))
             else:
                 absent_child = None
                 branches = tuple(zip(branch_ids, frame.built))
-            node = (
-                SUM,
-                variable_id,
-                certain,
-                branches,
-                absent_ids,
-                absent_child,
-                use_fold,
-                present,
-            )
+            node = (SUM, variable_id, certain, branches, absent_ids, absent_child)
         index = self._emit(node)
         if frame.key is not None:
             self._memo[frame.key] = index

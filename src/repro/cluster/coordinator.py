@@ -534,15 +534,15 @@ class ClusterCoordinator:
                     [constants[index] for index in range(total)]
                 )
                 return [base] * len(points)
-            swept_values = list(sweep)
-            merged = []
-            for i in range(len(points)):
-                complement = 1.0
-                for index in range(total):
-                    v = swept_values[i] if index == swept else constants[index]
-                    complement *= 1.0 - v
-                merged.append(1.0 - complement)
-            return merged
+            return [
+                merge_component_values(
+                    [
+                        point if index == swept else constants[index]
+                        for index in range(total)
+                    ]
+                )
+                for point in sweep
+            ]
         finally:
             self.metrics.histogram(
                 "repro_cluster_request_seconds", op="what_if"

@@ -64,11 +64,7 @@ from repro.core.decompose import (
     to_internal,
 )
 from repro.core.descriptors import WSDescriptor, as_descriptor
-from repro.core.heuristics import (
-    count_occurrences,
-    make_heuristic,
-    minlog_select_vectorized,
-)
+from repro.core.heuristics import count_occurrences, make_heuristic
 from repro.core.interned import (
     InternedEngine,
     PackedDescriptor,
@@ -631,8 +627,8 @@ class ConditioningMemo:
 
         ``options`` captures every engine knob that can change the
         recursion's structure or floating-point results (pruning, rule 2,
-        heuristic, subsumption, vectorisation threshold); a mismatch clears
-        the memo rather than risking cross-configuration hits.
+        heuristic, subsumption); a mismatch clears the memo rather than
+        risking cross-configuration hits.
         """
         self.refresh(space)
         if self.options != options:
@@ -786,7 +782,6 @@ class _InternedConditioningEngine:
         self.world_table = world_table
         self.config = config
         self.space = world_table.interned()
-        self.heuristic = make_heuristic(config.heuristic)
         self.budget = Budget(config.max_calls, config.time_limit)
         self.stats = DecompositionStats()
         self.prune_unrelated = prune_unrelated
@@ -798,7 +793,6 @@ class _InternedConditioningEngine:
         self.confidence_engine = InternedEngine(
             world_table, config, budget=self.budget, record_elimination_order=False
         )
-        self._minlog_vector_threshold = self.confidence_engine.minlog_vector_threshold
         # Condition-descriptor variable masks (shared verbatim between nodes).
         self._condition_masks: dict[PackedDescriptor, int] = {}
         # New variables: id ``base + k`` with name, source variable id, and
@@ -844,7 +838,6 @@ class _InternedConditioningEngine:
             config.use_independent_partitioning,
             config.simplify_subsumed,
             config.subsumption_every_step,
-            config.numpy_threshold,
         )
 
     # -- interning --------------------------------------------------------
@@ -1148,19 +1141,9 @@ class _InternedConditioningEngine:
             }
             if shared:
                 occurrences = shared
-        if len(occurrences) == 1:
-            variable_id = next(iter(occurrences))
-        elif (
-            self._minlog_vector_threshold is not None
-            and len(occurrences) >= self._minlog_vector_threshold
-        ):
-            variable_id = minlog_select_vectorized(
-                occurrences, len(descriptors), space
-            )
-        else:
-            variable_id = self.heuristic.select_variable(
-                occurrences, len(descriptors), space
-            )
+        variable_id = self.confidence_engine.select_variable_id(
+            occurrences, len(descriptors)
+        )
         stats.eliminated_variables.append(space.variables[variable_id])
         stats.variable_nodes += 1
         by_value, unmentioned = split_on_variable_interned(

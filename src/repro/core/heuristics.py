@@ -142,51 +142,6 @@ class MinLogHeuristic(Heuristic):
         return estimate
 
 
-#: Lazily-bound :func:`repro.core.vector.minlog_scores` (set on first use).
-_minlog_scores = None
-
-
-def minlog_select_vectorized(
-    occurrences: OccurrenceCounts,
-    descriptor_count: int,
-    domain_sizes,
-) -> Variable:
-    """Vectorised counterpart of :class:`MinLogHeuristic` selection (base 2).
-
-    Computes the Figure 6 estimate ``log2(Σ_i 2^{s_i})`` for *every* candidate
-    variable in one segmented numpy reduction instead of a python loop per
-    variable, which pays off once ws-sets mention many variables per node.
-    ``domain_sizes`` is a domain-size provider (``domain_size(variable)``),
-    matching :meth:`Heuristic.select_variable`.  Ties resolve to the first
-    candidate in iteration order, like the scalar path.  Callers must ensure
-    numpy is available (see :mod:`repro.core.vector`).
-    """
-    # Bound lazily once so `import repro` never pulls numpy in, while the
-    # per-node hot path avoids repeated import machinery.
-    global _minlog_scores
-    if _minlog_scores is None:
-        from repro.core.vector import minlog_scores as _scores
-
-        _minlog_scores = _scores
-    minlog_scores = _minlog_scores
-
-    variables = []
-    sizes: list[int] = []
-    offsets: list[int] = []
-    domain_size = domain_sizes.domain_size
-    for variable, value_counts in occurrences.items():
-        counts = value_counts.values()
-        t_size = descriptor_count - sum(counts)
-        offsets.append(len(sizes))
-        variables.append(variable)
-        missing_assignment = len(value_counts) < domain_size(variable) or 0 in counts
-        if missing_assignment:
-            sizes.append(t_size)
-        sizes.extend(count + t_size for count in counts if count > 0)
-    scores = minlog_scores(sizes, offsets)
-    return variables[int(scores.argmin())]
-
-
 class MinMaxHeuristic(Heuristic):
     """The minmax heuristic: minimise the largest branch ``|S_{x→i} ∪ T|``."""
 

@@ -43,7 +43,7 @@ from repro.core.decompose import (
     kept_after_subsumption,
     make_memo,
 )
-from repro.core.heuristics import make_heuristic, minlog_select_vectorized
+from repro.core.heuristics import make_heuristic
 from repro.errors import UnknownVariableError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -481,23 +481,6 @@ class InternedEngine:
         self._use_independent_partitioning = config.use_independent_partitioning
         self._subsumption_every_step = config.subsumption_every_step
         self._tick = self.budget.tick
-        # Numpy vectorisation of the minlog estimate and ⊕-weight folds:
-        # enabled above config.numpy_threshold when numpy is importable and
-        # the configured heuristic is the (default) minlog instance.
-        self._numpy_threshold: int | None = None
-        self._vector_minlog = False
-        self._fold_absent_weight = None
-        if config.numpy_threshold is not None:
-            from repro.core.heuristics import MinLogHeuristic
-            from repro.core.vector import HAVE_NUMPY, fold_absent_weight
-
-            if HAVE_NUMPY:
-                self._numpy_threshold = max(2, config.numpy_threshold)
-                self._fold_absent_weight = fold_absent_weight
-                self._vector_minlog = (
-                    isinstance(self.heuristic, MinLogHeuristic)
-                    and self.heuristic.base == 2.0
-                )
 
     def reset_budget(self, budget: Budget) -> None:
         """Install a fresh budget (handles re-arm per computation)."""
@@ -534,47 +517,22 @@ class InternedEngine:
         """
         return connected_components_interned(interned, self.space.shift)
 
-    @property
-    def minlog_vector_threshold(self) -> int | None:
-        """Candidate count at which vectorised minlog selection engages.
-
-        ``None`` when vectorisation is unavailable or disabled (no numpy,
-        ``numpy_threshold=None``, or a non-default heuristic).  Exposed so
-        sibling engines sharing this engine's configuration — the interned
-        conditioning engine — can apply the same dispatch without reaching
-        into private state.
-        """
-        return self._numpy_threshold if self._vector_minlog else None
-
-    @property
-    def weight_fold_threshold(self) -> int | None:
-        """Domain size at which ⊕-weight folds switch to the numpy reduction.
-
-        ``None`` when numpy is unavailable or vectorisation is disabled.
-        The circuit recorder replicates this dispatch so recorded ⊕-nodes
-        accumulate their absent-value weights in the engine's exact order
-        (numpy pairwise summation differs from a sequential fold in the last
-        bits, and the circuit promises bit-identical baseline values).
-        """
-        return self._numpy_threshold
-
     def select_variable_id(
         self, occurrences: dict[int, dict[int, int]], descriptor_count: int
     ) -> int:
         """The variable the engine would eliminate next at a ⊕-node.
 
         This is the full selection dispatch of :meth:`_expand` — single
-        candidate short-circuit, vectorised minlog above the numpy threshold,
-        configured heuristic otherwise — shared with the circuit recorder so
-        recorded decompositions are structurally identical to evaluated ones.
-        The choice depends only on occurrence counts and domain sizes, never
-        on the weights themselves, which is what makes a recorded circuit
-        valid under arbitrary re-weightings.
+        candidate short-circuit, configured heuristic otherwise — shared with
+        the circuit recorder and the interned conditioning engine, so recorded
+        decompositions are structurally identical to evaluated ones and
+        conditioning eliminates what the engine would.  The choice depends
+        only on occurrence counts and domain sizes, never on the weights
+        themselves, which is what makes a recorded circuit valid under
+        arbitrary re-weightings.
         """
         if len(occurrences) == 1:
             return next(iter(occurrences))
-        if self._vector_minlog and len(occurrences) >= self._numpy_threshold:
-            return minlog_select_vectorized(occurrences, descriptor_count, self.space)
         return self.heuristic.select_variable(
             occurrences, descriptor_count, self.space
         )
@@ -727,20 +685,7 @@ class InternedEngine:
         weights: list[float] = []
         certain_weight = 0.0
         absent_weight = 0.0
-        weights_row = space.weights[variable_id]
-        if (
-            self._numpy_threshold is not None
-            and len(weights_row) >= self._numpy_threshold
-        ):
-            # Large domain: fold the weights of the absent values (they all
-            # share the single subproblem T) in one numpy reduction and only
-            # walk the values that actually occur in the ws-set.
-            present = sorted(by_value)
-            absent_weight = self._fold_absent_weight(weights_row, present)
-            items = [(value_id, weights_row[value_id]) for value_id in present]
-        else:
-            items = enumerate(weights_row)
-        for value_id, weight in items:
+        for value_id, weight in enumerate(space.weights[variable_id]):
             if weight == 0.0:
                 continue
             branch = by_value.get(value_id)

@@ -85,14 +85,6 @@ class ExactConfig:
         :data:`~repro.core.engine.DEFAULT_CONDITION_MEMO_LIMIT`).
     max_calls, time_limit:
         Optional budget limits forwarded to :class:`~repro.core.decompose.Budget`.
-    numpy_threshold:
-        Size at which the engine switches its fold-heavy helpers
-        (the minlog cost estimate over candidate variables, the ⊕-branch
-        weight folds) to the numpy kernels of :mod:`repro.core.vector`:
-        vectorisation kicks in when a fold spans at least this many elements.
-        Below the threshold — and always when numpy is not installed — the
-        pure-python loops are used.  ``None`` disables vectorisation
-        entirely (the ablation knob of the threshold-sweep benchmark).
     """
 
     use_independent_partitioning: bool = True
@@ -105,7 +97,6 @@ class ExactConfig:
     condition_memo_limit: int | None = None
     max_calls: int | None = None
     time_limit: float | None = None
-    numpy_threshold: int | None = 32
 
     def __post_init__(self) -> None:
         if self.memo_limit is not None and self.memo_limit < 2:

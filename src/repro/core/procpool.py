@@ -254,13 +254,10 @@ def _compute_chunk(
 def _warm_up_worker(seconds: float) -> bool:
     """Load the engine modules, then hold this worker while its siblings spawn.
 
-    :func:`_compute_chunk` imports the engine lazily and the engine
-    constructor pulls in the numpy kernels of :mod:`repro.core.vector`; a
-    warm-up that skipped them would leave that import cost to the first cold
-    query on every worker.
+    :func:`_compute_chunk` imports the engine lazily; a warm-up that skipped
+    it would leave that import cost to the first cold query on every worker.
     """
     import repro.core.interned  # noqa: F401
-    import repro.core.vector  # noqa: F401
 
     time.sleep(seconds)
     return True

@@ -16,6 +16,7 @@ from repro.approx.montecarlo import naive_monte_carlo_confidence
 from repro.core.bruteforce import brute_force_probability
 from repro.core.probability import probability
 from repro.core.wsset import WSSet
+from repro.db.world_table import WorldTable
 from repro.workloads.random_instances import random_world_table, random_wsset
 
 
@@ -52,6 +53,38 @@ class TestInternedKarpLuby:
         assert KarpLubyEstimator(ws_set, world_table).weights == pytest.approx(
             [descriptor.probability(world_table) for descriptor in ws_set]
         )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_clause_weights_equal_ordered_products_on_200_clauses(self, seed):
+        # Exact equality, not approx: each clause weight is the product of
+        # its assignment probabilities in world-table variable order.
+        rng = random.Random(6250 + seed)
+        world_table = WorldTable()
+        for index in range(60):
+            weights = [rng.uniform(0.05, 1.0) for _ in range(rng.randint(2, 4))]
+            total = sum(weights)
+            world_table.add_variable(
+                f"v{index}", {value: w / total for value, w in enumerate(weights)}
+            )
+        variables = list(world_table.variables)
+        clauses = []
+        for _ in range(200):
+            chosen = rng.sample(variables, 4)
+            clauses.append(
+                {v: rng.choice(list(world_table.distribution(v))) for v in chosen}
+            )
+        ws_set = WSSet(clauses)
+        expected = []
+        for descriptor in ws_set:
+            assignment = dict(descriptor.items())
+            product = 1.0
+            for variable in variables:
+                if variable in assignment:
+                    product *= world_table.distribution(variable)[assignment[variable]]
+            expected.append(product)
+        weights = KarpLubyEstimator(ws_set, world_table).weights
+        assert len(weights) == len(expected) >= 32
+        assert all(got == want for got, want in zip(weights, expected))
 
     def test_seeded_runs_are_reproducible(self):
         world_table, ws_set = random_instance(6300)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.circuit.circuit as circuit_module
 from repro.core.engine import EngineHandle
 from repro.core.probability import ExactConfig
 from repro.core.wsset import WSSet
@@ -74,7 +75,6 @@ class TestEvaluate:
             ExactConfig(use_independent_partitioning=False),
             ExactConfig(subsumption_every_step=True),
             ExactConfig(memoize=False),
-            ExactConfig(numpy_threshold=2),
         ]
         for config in configs:
             session = Session(instance.world_table, config)
@@ -138,6 +138,29 @@ class TestSweepAndGradient:
             table.add_variable("z", {1: 0.2, 2: 0.3, 3: 0.5})
             expected = Session(table).confidence(ws_set).value
             assert value == pytest.approx(expected, abs=TOLERANCE)
+
+    @pytest.mark.parametrize("numpy_on", [True, False], ids=["numpy", "python"])
+    def test_sweep_matches_per_point_evaluate(
+        self, world_table, ws_set, monkeypatch, numpy_on
+    ):
+        # The vectorised grid and the point-by-point fallback answer alike.
+        if numpy_on:
+            pytest.importorskip("numpy")
+        else:
+            monkeypatch.setattr(circuit_module, "_np", None)
+        circuit = Session(world_table).compile(ws_set)
+        ps = [0.0, 0.15, 0.5, 0.85, 1.0]
+        for variable in sorted(circuit.variables):
+            row = world_table.distribution(variable)
+            swept, *others = list(row)
+            rest = 1.0 - row[swept]
+            values = circuit.evaluate_sweep(variable, ps, value=swept)
+            for p, value in zip(ps, values):
+                override = {swept: p}
+                for other in others:
+                    override[other] = row[other] * (1.0 - p) / rest
+                expected = circuit.evaluate({variable: override})
+                assert value == pytest.approx(expected, abs=TOLERANCE)
 
     def test_sweep_default_value_and_validation(self, world_table, ws_set):
         circuit = Session(world_table).compile(ws_set)

@@ -27,7 +27,6 @@ CONFIGS = [
     ExactConfig(use_independent_partitioning=False),
     ExactConfig(subsumption_every_step=True),
     ExactConfig(memoize=False),
-    ExactConfig(numpy_threshold=2),
 ]
 
 
