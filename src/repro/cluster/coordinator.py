@@ -51,6 +51,7 @@ from repro.core.components import (
 )
 from repro.core.engine import EngineStats
 from repro.core.wsset import WSSet
+from repro.db.api import ConfidenceAPI, confidence_requests
 from repro.db.confidence import ConfidenceRow
 from repro.db.session import ConfidenceRequest, ConfidenceResult
 from repro.db.urelation import URelation
@@ -183,7 +184,7 @@ class _Route:
         return None
 
 
-class ClusterCoordinator:
+class ClusterCoordinator(ConfidenceAPI):
     """Route :class:`ConfidenceAPI` calls across the shards of one cluster.
 
     Async by design — cross-shard fan-out is concurrent I/O.  The blocking
@@ -286,11 +287,6 @@ class ClusterCoordinator:
                 "repro_cluster_request_seconds", op="confidence"
             ).record(time.monotonic() - started)
 
-    async def confidence(
-        self, target, method: str = "exact", **options
-    ) -> ConfidenceResult:
-        return await self.query(ConfidenceRequest(target, method, **options))
-
     async def confidence_many(
         self, targets: "Iterable", method: str = "exact", **options
     ) -> list[ConfidenceResult]:
@@ -305,12 +301,7 @@ class ClusterCoordinator:
         """
         started = time.monotonic()
         try:
-            requests = [
-                target
-                if isinstance(target, ConfidenceRequest)
-                else ConfidenceRequest(target, method, **options)
-                for target in targets
-            ]
+            requests = confidence_requests(targets, method, options)
             if not requests:
                 return []
             routes = [self._route(request.target) for request in requests]
@@ -549,7 +540,7 @@ class ClusterCoordinator:
             ).record(time.monotonic() - started)
 
     # ------------------------------------------------------------------
-    # Batch / derived
+    # Batch
     # ------------------------------------------------------------------
     async def confidence_batch(
         self, relation: "URelation | str", method: str = "exact", **options
@@ -606,24 +597,6 @@ class ClusterCoordinator:
             self.metrics.histogram(
                 "repro_cluster_request_seconds", op="confidence_batch"
             ).record(time.monotonic() - started)
-
-    async def certain_tuples(
-        self, relation: "URelation | str", *, tolerance: float = 1e-9, **options
-    ) -> list[tuple]:
-        return [
-            row.values
-            for row in await self.confidence_batch(relation, **options)
-            if row.confidence >= 1.0 - tolerance
-        ]
-
-    async def possible_tuples(
-        self, relation: "URelation | str", *, threshold: float = 0.0, **options
-    ) -> list[ConfidenceRow]:
-        return [
-            row
-            for row in await self.confidence_batch(relation, **options)
-            if row.confidence > threshold
-        ]
 
     # ------------------------------------------------------------------
     # Observability

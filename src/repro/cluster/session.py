@@ -19,6 +19,7 @@ import threading
 from typing import TYPE_CHECKING
 
 from repro.cluster.coordinator import ClusterCoordinator
+from repro.db.api import ConfidenceAPI
 
 if TYPE_CHECKING:  # pragma: no cover
     from collections.abc import Iterable, Sequence
@@ -32,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.server.client import RetryPolicy
 
 
-class ClusterSession:
+class ClusterSession(ConfidenceAPI):
     """A blocking :class:`ConfidenceAPI` session over many shard servers.
 
     ``addresses`` are ``(host, port)`` pairs, one per shard, in shard-index
@@ -83,44 +84,19 @@ class ClusterSession:
     def query(self, request: "ConfidenceRequest") -> "ConfidenceResult":
         return self._run(self._coordinator.query(request))
 
-    def confidence(
-        self, target: "WSSet | URelation | str", method: str = "exact", **options
-    ) -> "ConfidenceResult":
-        return self._run(self._coordinator.confidence(target, method, **options))
-
     def confidence_many(
         self,
         targets: "Iterable[WSSet | URelation | str | ConfidenceRequest]",
         method: str = "exact",
         **options,
     ) -> "list[ConfidenceResult]":
-        return self._run(
-            self._coordinator.confidence_many(list(targets), method, **options)
-        )
+        return self._run(self._coordinator.confidence_many(targets, method, **options))
 
     def confidence_batch(
         self, relation: "URelation | str", method: str = "exact", **options
     ) -> "list[ConfidenceRow]":
         return self._run(
             self._coordinator.confidence_batch(relation, method, **options)
-        )
-
-    def certain_tuples(
-        self, relation: "URelation | str", *, tolerance: float = 1e-9, **options
-    ) -> list[tuple]:
-        return self._run(
-            self._coordinator.certain_tuples(
-                relation, tolerance=tolerance, **options
-            )
-        )
-
-    def possible_tuples(
-        self, relation: "URelation | str", *, threshold: float = 0.0, **options
-    ) -> "list[ConfidenceRow]":
-        return self._run(
-            self._coordinator.possible_tuples(
-                relation, threshold=threshold, **options
-            )
         )
 
     def what_if(

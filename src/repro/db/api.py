@@ -1,21 +1,22 @@
 """The unified confidence API: one protocol, one codec, one entry point.
 
-Nine PRs grew four session flavours — in-process :class:`~repro.db.session.
-Session` / :class:`~repro.db.session.AsyncSession` and remote
-:class:`~repro.server.client.ServerSession` / :class:`~repro.server.client.
-AsyncServerSession` — plus the cluster-backed
+Six sessions answer the same calls: in-process
+:class:`~repro.db.session.Session` / :class:`~repro.db.session.AsyncSession`,
+served :class:`~repro.server.client.ServerSession` /
+:class:`~repro.server.client.AsyncServerSession`, and the cluster's
+:class:`~repro.cluster.coordinator.ClusterCoordinator` /
 :class:`~repro.cluster.session.ClusterSession`.  This module pins down what
 they have in common:
 
-* :class:`ConfidenceAPI` — the structural protocol every session implements
-  (``isinstance(session, ConfidenceAPI)`` works at runtime; the async
-  flavours satisfy it with coroutine methods of the same names and
-  signatures);
+* :class:`ConfidenceAPI` — the protocol every session subclasses.  Each
+  session implements the primitive calls (``query``, ``confidence_many``,
+  ``confidence_batch``, ``what_if``, ``statistics``, ``close``); the derived
+  ones — ``confidence``, ``certain_tuples``, ``possible_tuples`` — live here
+  once.  The async sessions implement the primitives as awaitables, and
+  :func:`_then` lets the derived bodies chain onto either flavour;
 * :func:`target_to_payload` / :func:`target_from_payload` — the one wire
-  codec for confidence targets, previously duplicated knowledge between
-  ``ConfidenceRequest`` and the server protocol (both now import it from
-  here; ``repro.db.session`` re-exports the names for backward
-  compatibility);
+  codec for confidence targets, shared by ``ConfidenceRequest`` and the
+  server protocol (``repro.db.session`` re-exports the names);
 * :func:`connect` — the single entry point: hand it a
   :class:`~repro.db.database.ProbabilisticDatabase` (or a bare
   :class:`~repro.db.world_table.WorldTable`), a ``"host:port"`` address, or
@@ -25,17 +26,42 @@ they have in common:
 
 from __future__ import annotations
 
+from inspect import isawaitable
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.core.wsset import WSSet
 from repro.db.urelation import URelation
 
 if TYPE_CHECKING:  # pragma: no cover
-    from collections.abc import Iterable, Sequence
+    from collections.abc import Awaitable, Iterable, Sequence
 
     from repro.core.engine import EngineStats
     from repro.db.confidence import ConfidenceRow
     from repro.db.session import ConfidenceRequest, ConfidenceResult
+
+
+def _then(value, fn):
+    """``fn(value)``, or for an awaitable ``value`` a coroutine of it — so
+    one derived body serves blocking and async sessions alike."""
+    if isawaitable(value):
+
+        async def chained():
+            return fn(await value)
+
+        return chained()
+    return fn(value)
+
+
+def confidence_requests(targets, method: str, options: dict) -> list:
+    """A ``confidence_many`` call's requests: each target, or one built for it."""
+    from repro.db.session import ConfidenceRequest
+
+    return [
+        target
+        if isinstance(target, ConfidenceRequest)
+        else ConfidenceRequest(target, method, **options)
+        for target in targets
+    ]
 
 
 @runtime_checkable
@@ -45,7 +71,9 @@ class ConfidenceAPI(Protocol):
     Local, single-server and cluster sessions all answer the same calls with
     the same meanings; async flavours expose the same names as coroutines.
     Obtain an implementation with :func:`connect` — the call sites stay
-    identical whichever backend serves them.
+    identical whichever backend serves them.  Subclasses implement the
+    primitive calls and inherit ``confidence``, ``certain_tuples`` and
+    ``possible_tuples``.
     """
 
     def query(self, request: "ConfidenceRequest") -> "ConfidenceResult":
@@ -56,7 +84,9 @@ class ConfidenceAPI(Protocol):
         self, target: "WSSet | URelation | str", method: str = "exact", **options
     ) -> "ConfidenceResult":
         """Confidence of one target (ws-set, relation object or name)."""
-        ...
+        from repro.db.session import ConfidenceRequest
+
+        return self.query(ConfidenceRequest(target, method, **options))
 
     def confidence_many(
         self,
@@ -73,15 +103,25 @@ class ConfidenceAPI(Protocol):
         """``conf()`` of every distinct value tuple of a relation."""
         ...
 
-    def certain_tuples(self, relation: "URelation | str", **options) -> list[tuple]:
-        """Value tuples present in every possible world."""
-        ...
+    def certain_tuples(
+        self, relation: "URelation | str", *, tolerance: float = 1e-9, **options
+    ) -> list[tuple]:
+        """Value tuples present in every possible world, via one batch."""
+        return _then(
+            self.confidence_batch(relation, **options),
+            lambda rows: [
+                row.values for row in rows if row.confidence >= 1.0 - tolerance
+            ],
+        )
 
     def possible_tuples(
-        self, relation: "URelation | str", **options
+        self, relation: "URelation | str", *, threshold: float = 0.0, **options
     ) -> "list[ConfidenceRow]":
-        """Value tuples whose confidence exceeds a threshold."""
-        ...
+        """Value tuples whose confidence exceeds ``threshold``, via one batch."""
+        return _then(
+            self.confidence_batch(relation, **options),
+            lambda rows: [row for row in rows if row.confidence > threshold],
+        )
 
     def what_if(
         self, target: "WSSet | URelation | str", variable, ps: "Sequence[float]",
@@ -94,7 +134,7 @@ class ConfidenceAPI(Protocol):
         """Aggregate engine statistics (merged across shards for clusters)."""
         ...
 
-    def close(self) -> None:
+    def close(self) -> "None | Awaitable[None]":
         """Release the session's resources."""
         ...
 

@@ -55,6 +55,7 @@ from repro.core.wsset import WSSet
 # with the server protocol); the names are re-exported here because earlier
 # releases defined them in this module.
 from repro.db.api import target_from_payload, target_to_payload  # noqa: F401
+from repro.db.api import ConfidenceAPI, confidence_requests
 from repro.db.confidence import ConfidenceRow
 from repro.db.urelation import URelation
 from repro.db.world_table import WorldTable
@@ -286,7 +287,7 @@ class ConfidenceResult:
 
 
 
-class Session:
+class Session(ConfidenceAPI):
     """A long-lived confidence service over one probabilistic database.
 
     Examples
@@ -428,11 +429,6 @@ class Session:
         ws_set = self._as_wsset(request.target)
         return self._confidence_wsset(ws_set, request)
 
-    def confidence(self, target: "WSSet | URelation | str", method: str = "exact",
-                   **options) -> ConfidenceResult:
-        """Convenience wrapper building the :class:`ConfidenceRequest` inline."""
-        return self.query(ConfidenceRequest(target, method, **options))
-
     def cached(self, request: ConfidenceRequest) -> ConfidenceResult | None:
         """Answer ``request`` from the engine's cache, or ``None``; never blocks.
 
@@ -473,13 +469,10 @@ class Session:
         **options,
     ) -> list[ConfidenceResult]:
         """Answer several queries through the shared engine, in order."""
-        results = []
-        for target in targets:
-            if isinstance(target, ConfidenceRequest):
-                results.append(self.query(target))
-            else:
-                results.append(self.confidence(target, method, **options))
-        return results
+        return [
+            self.query(request)
+            for request in confidence_requests(targets, method, options)
+        ]
 
     # ------------------------------------------------------------------
     # Compiled circuits: what-if sweeps without re-decomposition
@@ -620,34 +613,6 @@ class Session:
         return [
             ConfidenceRow(values, self.confidence(target, method, **options).value)
             for values, target in grouped.items()
-        ]
-
-    def certain_tuples(
-        self,
-        relation: "URelation | str",
-        *,
-        tolerance: float = 1e-9,
-        **options,
-    ) -> list[tuple]:
-        """Value tuples present in every world, via one shared batch."""
-        return [
-            row.values
-            for row in self.confidence_batch(relation, **options)
-            if row.confidence >= 1.0 - tolerance
-        ]
-
-    def possible_tuples(
-        self,
-        relation: "URelation | str",
-        *,
-        threshold: float = 0.0,
-        **options,
-    ) -> list[ConfidenceRow]:
-        """Value tuples whose confidence exceeds ``threshold``, via one batch."""
-        return [
-            row
-            for row in self.confidence_batch(relation, **options)
-            if row.confidence > threshold
         ]
 
     # ------------------------------------------------------------------
@@ -832,7 +797,7 @@ class Session:
         )
 
 
-class AsyncSession:
+class AsyncSession(ConfidenceAPI):
     """Async facade over a :class:`Session` (the async executor surface).
 
     Every method mirrors its synchronous counterpart.  :meth:`query` and
@@ -877,25 +842,15 @@ class AsyncSession:
             result = await self._run(self.session.query, request)
         return result
 
-    async def confidence(
-        self, target: "WSSet | URelation | str", method: str = "exact", **options
-    ) -> ConfidenceResult:
-        return await self.query(ConfidenceRequest(target, method, **options))
-
     async def confidence_many(
         self,
         targets: "Sequence[WSSet | URelation | str | ConfidenceRequest]",
         method: str = "exact",
         **options,
     ) -> list[ConfidenceResult]:
-        """``asyncio.gather`` over one :meth:`confidence` task per target."""
-
-        async def one(target):
-            if isinstance(target, ConfidenceRequest):
-                return await self.query(target)
-            return await self.confidence(target, method, **options)
-
-        return list(await asyncio.gather(*(one(target) for target in targets)))
+        """``asyncio.gather`` over one :meth:`query` task per target."""
+        requests = confidence_requests(targets, method, options)
+        return list(await asyncio.gather(*map(self.query, requests)))
 
     async def compile(
         self,
@@ -926,14 +881,6 @@ class AsyncSession:
         return await self._run(
             self.session.confidence_batch, relation, method, **options
         )
-
-    async def certain_tuples(self, relation: "URelation | str", **options) -> list[tuple]:
-        return await self._run(self.session.certain_tuples, relation, **options)
-
-    async def possible_tuples(
-        self, relation: "URelation | str", **options
-    ) -> list[ConfidenceRow]:
-        return await self._run(self.session.possible_tuples, relation, **options)
 
     async def execute(self, sql: str) -> "QueryResult":
         return await self._run(self.session.execute, sql)

@@ -1,53 +1,32 @@
-"""Client library for the confidence server: the session API over a socket.
+"""Client library for the confidence server: two transports, one method table.
 
-:class:`ServerSession` (blocking) and :class:`AsyncServerSession` (asyncio)
-mirror the local :class:`~repro.db.session.Session` /
-:class:`~repro.db.session.AsyncSession` surface — ``confidence``, ``query``,
-``confidence_many``, ``confidence_batch``, ``what_if``, ``certain_tuples``,
-``possible_tuples``, ``execute``, ``execute_script``, ``statistics`` — so
-code written against a local session runs unchanged against a socket::
+:class:`ServerSession` (blocking socket) and :class:`AsyncServerSession`
+(asyncio streams) answer the :class:`~repro.db.api.ConfidenceAPI` of a local
+:class:`~repro.db.session.Session`, so code runs unchanged against a socket::
 
     with connect("127.0.0.1", 2008) as session:
         result = session.confidence("R", method="hybrid", seed=7)
         rows = session.confidence_batch("R")
-        answer = session.execute("select SSN, conf() from R")
 
-Results come back as the same dataclasses the local API returns
-(:class:`~repro.db.session.ConfidenceResult`,
-:class:`~repro.db.confidence.ConfidenceRow`,
-:class:`~repro.sql.executor.QueryResult`), and error frames re-raise the
-matching :mod:`repro.errors` exception locally (a remote budget overrun
-raises :class:`~repro.errors.BudgetExceededError` here).
+Each wire call is written once, on the shared method table, as
+``self._request(op, args, deadline_ms, decode)``.  The transports differ only
+in ``_request``: the blocking one returns ``decode(self._call(...))``; the
+async one is a coroutine doing the same, so every method of
+:class:`AsyncServerSession` returns an awaitable.  ``confidence``,
+``certain_tuples`` and ``possible_tuples`` come from ``ConfidenceAPI``.
+Results are the local dataclasses, and error frames re-raise the matching
+:mod:`repro.errors` exception.
 
-Both clients are strictly request/response per connection; open several
-connections for overlapping requests (that is exactly what the server's
-pool threads are for) — or batch them: ``confidence_many`` ships all its
-targets in one frame and the *server* fans them out across its pool, which
-both removes the per-request round trip and, with a process-pool server,
-runs the batch across cores.
-
-The blocking client is fault-tolerant (protocol v3):
-
-* a :class:`RetryPolicy` retries failed *idempotent* operations with
-  exponential backoff and jitter, reconnecting transparently when the
-  connection dropped.  Only operations in
-  :data:`repro.server.protocol.IDEMPOTENT_OPS` ever retry — ``execute`` /
-  ``execute_script`` can condition the database, and resending one after an
-  ambiguous failure could apply it twice;
-* ``request_timeout`` bounds each response wait, raising
-  :class:`~repro.errors.RequestTimeoutError` instead of hanging forever on a
-  wedged server (the connection is closed — the stream is desynchronised —
-  and reopened on the next call);
-* ``deadline_ms`` (a :class:`~repro.db.session.ConfidenceRequest` option) is
-  lifted onto the wire frame, where the server bounds queueing and degrades
-  an overrunning exact computation to a Karp-Luby answer;
-* :meth:`ServerSession.health` reads the server's admission pressure without
-  touching the database or its locks.
-
-:class:`AsyncServerSession` supports ``request_timeout``, deadlines and
-``health`` but deliberately not automatic retry: an asyncio caller composes
-its own retry loops (and cancellation) more naturally than a built-in policy
-could.
+Each connection is strictly request/response; ``confidence_many`` ships all
+its targets in one frame for the server to fan out across its pool.
+``request_timeout`` bounds each response wait
+(:class:`~repro.errors.RequestTimeoutError`; the desynchronised connection
+is closed).  A ``deadline_ms`` option rides on the frame, where the server
+bounds queueing with it and degrades an overrunning exact computation to a
+Karp-Luby answer.  Only the blocking transport retries, under a
+:class:`RetryPolicy` and only for :data:`~repro.server.protocol.IDEMPOTENT_OPS`
+(``execute`` can condition the database, so resending it could apply it
+twice); an asyncio caller composes its own retry loops.
 """
 
 from __future__ import annotations
@@ -60,8 +39,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.engine import EngineStats
+from repro.db.api import ConfidenceAPI, confidence_requests, target_to_payload
 from repro.db.confidence import ConfidenceRow
-from repro.db.api import target_to_payload
 from repro.db.session import ConfidenceRequest, ConfidenceResult
 from repro.errors import (
     OverloadedError,
@@ -77,6 +56,8 @@ from repro.server.protocol import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
+    from collections.abc import Iterable
+
     from repro.core.wsset import WSSet
     from repro.db.urelation import URelation
     from repro.sql.executor import QueryResult
@@ -87,12 +68,11 @@ class RetryPolicy:
     """Backoff schedule for retrying failed idempotent operations.
 
     The delay before retry *n* (1-based) is ``base_delay × multiplier^(n-1)``
-    capped at ``max_delay``, then raised to any server-provided
-    ``retry_after_ms`` hint (an overloaded server knows its own backlog
-    better than a generic schedule), then multiplied by ``1 + jitter × U``
-    with ``U`` uniform in ``[0, 1)`` — jitter decorrelates a thundering herd
-    of clients all shed at the same moment.  ``seed`` makes the jitter
-    deterministic (tests); by default each session draws from its own RNG.
+    capped at ``max_delay``, raised to any server ``retry_after_ms`` hint
+    (an overloaded server knows its backlog), then multiplied by
+    ``1 + jitter × U`` with ``U`` uniform in ``[0, 1)`` to decorrelate
+    clients shed at the same moment.  ``seed`` makes the jitter
+    deterministic; by default each session draws from its own RNG.
 
     ``attempts`` counts total tries including the first, so ``attempts=1``
     disables retrying while keeping the policy object.
@@ -198,68 +178,120 @@ async def connect_async(
     )
 
 
-class _SessionCalls:
-    """The shared request-building/decoding logic of both client flavours."""
+def _result_of(frame: dict | None, sent_id: int) -> object:
+    """The ``result`` of a response frame, or its error re-raised locally."""
+    if frame is None:
+        raise ProtocolError("server closed the connection", code="connection-closed")
+    if not isinstance(frame, dict) or "ok" not in frame:
+        raise ProtocolError(f"malformed response frame {frame!r}")
+    if not frame["ok"]:
+        # Error frames may carry id null (the server could not read the
+        # request's id, e.g. an oversized frame it had to drain): surface
+        # the server's code and message, not an id mismatch.
+        error = frame.get("error") or {}
+        raise protocol.exception_for(
+            error.get("code", "internal"),
+            error.get("message", "unknown server error"),
+            error.get("detail"),
+        )
+    if frame.get("id") != sent_id:
+        raise ProtocolError(
+            f"response id {frame.get('id')!r} does not match request id {sent_id}"
+        )
+    return frame.get("result")
 
-    def _next_id(self) -> int:
-        self._id += 1
-        return self._id
 
-    @staticmethod
-    def _result_of(frame: dict, sent_id: int) -> object:
-        if not isinstance(frame, dict) or "ok" not in frame:
-            raise ProtocolError(f"malformed response frame {frame!r}")
-        if not frame["ok"]:
-            # Error frames may carry id null (the server could not read the
-            # request's id, e.g. an oversized frame it had to drain); always
-            # surface the server's code and message rather than an id
-            # mismatch that would hide them.
-            error = frame.get("error") or {}
-            raise protocol.exception_for(
-                error.get("code", "internal"),
-                error.get("message", "unknown server error"),
-                error.get("detail"),
-            )
-        if frame.get("id") != sent_id:
-            raise ProtocolError(
-                f"response id {frame.get('id')!r} does not match request id {sent_id}"
-            )
-        return frame.get("result")
+def _raw(result):
+    return result
 
-    @staticmethod
-    def _confidence_args(
-        target: "WSSet | URelation | str", method: str, options: dict
-    ) -> dict:
-        return ConfidenceRequest(target, method, **options).to_payload()
 
-    @staticmethod
-    def _many_args(targets, method: str, options: dict) -> dict:
-        """The ``confidence_many`` frame: one request payload per target."""
-        payloads = []
-        for target in targets:
-            if isinstance(target, ConfidenceRequest):
-                payloads.append(target.to_payload())
-            else:
-                payloads.append(
-                    ConfidenceRequest(target, method, **options).to_payload()
-                )
-        return {"requests": payloads}
+class _ServedSession(ConfidenceAPI):
+    """The one method table of both served clients.
 
-    @staticmethod
-    def _many_results(result: dict) -> list[ConfidenceResult]:
-        return [
-            ConfidenceResult.from_payload(payload) for payload in result["results"]
-        ]
+    Each call is one ``self._request(op, args, deadline_ms, decode)``; the
+    transport subclass decides whether that blocks or returns a coroutine.
+    """
 
-    @staticmethod
-    def _batch_args(relation: "URelation | str", method: str, options: dict) -> dict:
+    def _request(self, op, args=None, deadline_ms=None, decode=_raw):
+        raise NotImplementedError  # defined by each transport
+
+    def ping(self) -> dict:
+        """Liveness check; returns the server's ``{"pong": ..., "protocol": ...}``."""
+        return self._request("ping")
+
+    def health(self) -> dict:
+        """The server's health payload: status plus admission pressure.
+
+        Unlike :meth:`server_stats` this takes no server-side locks, so it
+        answers even while conditioning or a saturated queue stalls
+        everything else.
+        """
+        return self._request("health")
+
+    def shard_map(self) -> dict:
+        """The server's cluster membership, lock-free like :meth:`health`.
+
+        ``{"sharded": false}`` on a stand-alone server; on a shard,
+        ``{"sharded": true, "shard": i, "shards": n, "map": ...}`` with
+        ``map`` a :class:`~repro.cluster.partition.ShardMap` payload.
+        """
+        return self._request("shard_map")
+
+    def query(self, request: ConfidenceRequest) -> ConfidenceResult:
+        # The request's deadline also rides at frame level, where the server
+        # bounds the admission wait with it (not just the computation).
+        return self._request(
+            "confidence",
+            request.to_payload(),
+            request.deadline_ms,
+            ConfidenceResult.from_payload,
+        )
+
+    def confidence_many(
+        self,
+        targets: "Iterable[WSSet | URelation | str | ConfidenceRequest]",
+        method: str = "exact",
+        **options,
+    ) -> list[ConfidenceResult]:
+        """All targets in *one* frame, fanned out by the server's pool and
+        answered in target order (an empty batch answers ``[]``)."""
+        requests = confidence_requests(targets, method, options)
+        return self._request(
+            "confidence_many",
+            {"requests": [request.to_payload() for request in requests]},
+            options.get("deadline_ms"),
+            lambda result: list(map(ConfidenceResult.from_payload, result["results"])),
+        )
+
+    def confidence_batch(
+        self, relation: "URelation | str", method: str = "exact", **options
+    ) -> list[ConfidenceRow]:
         name = relation if isinstance(relation, str) else relation.name
-        return {"relation": name, "method": method, **options}
+        return self._request(
+            "confidence_batch",
+            {"relation": name, "method": method, **options},
+            options.get("deadline_ms"),
+            lambda result: [
+                ConfidenceRow(tuple(row["values"]), row["confidence"])
+                for row in result["rows"]
+            ],
+        )
 
-    @staticmethod
-    def _what_if_args(
-        target: "WSSet | URelation | str", variable, ps, value
-    ) -> dict:
+    def what_if(
+        self,
+        target: "WSSet | URelation | str",
+        variable,
+        ps,
+        *,
+        value=None,
+        deadline_ms: float | None = None,
+    ) -> list[float]:
+        """A what-if sweep in one frame: ``P(target)`` at every point of ``ps``.
+
+        The server re-evaluates the target's cached lineage circuit per point,
+        like :meth:`~repro.db.session.Session.what_if`; ``variable`` and
+        ``value`` must be JSON-representable, like ws-set targets.
+        """
         args = {
             "target": target_to_payload(target),
             "variable": variable,
@@ -267,18 +299,49 @@ class _SessionCalls:
         }
         if value is not None:
             args["value"] = value
-        return args
+        return self._request(
+            "what_if", args, deadline_ms, lambda result: list(result["values"])
+        )
 
-    @staticmethod
-    def _batch_rows(result: dict) -> list[ConfidenceRow]:
-        return [
-            ConfidenceRow(tuple(row["values"]), row["confidence"])
-            for row in result["rows"]
-        ]
+    def execute(self, sql: str) -> "QueryResult":
+        return self._request(
+            "execute", {"sql": sql}, decode=protocol.query_result_from_payload
+        )
+
+    def execute_script(self, sql: str) -> "list[QueryResult]":
+        return self._request(
+            "execute_script",
+            {"sql": sql},
+            decode=lambda rows: list(map(protocol.query_result_from_payload, rows)),
+        )
+
+    def server_stats(self) -> dict:
+        """The raw ``stats`` frame: engine snapshot plus server counters."""
+        return self._request("stats")
+
+    def metrics(self) -> dict:
+        """The server's merged metrics snapshot (registry schema, lock-free).
+
+        Counters, gauges and histogram snapshots keyed by Prometheus-style
+        series name; feed histograms to
+        :func:`repro.obs.metrics.quantile_from_snapshot` for p50/p90/p99.
+        """
+        return self._request("metrics", decode=lambda result: result["metrics"])
+
+    def statistics(self) -> EngineStats:
+        """The shared engine's aggregate statistics (like ``Session.statistics``)."""
+        return self._request(
+            "stats", decode=lambda result: EngineStats.from_dict(result["engine"])
+        )
+
+    @property
+    def stats(self) -> EngineStats:
+        """Alias of :meth:`statistics`."""
+        return self.statistics()
 
 
-class ServerSession(_SessionCalls):
-    """A blocking client connection mirroring the local ``Session`` API."""
+class ServerSession(_ServedSession):
+    """The blocking socket transport: retries, reconnects, response timeouts."""
 
     def __init__(
         self,
@@ -301,19 +364,16 @@ class ServerSession(_SessionCalls):
         #: Retries performed over this session's lifetime (observability).
         self.retries = 0
 
-    # ------------------------------------------------------------------
-    # Transport
-    # ------------------------------------------------------------------
+    def _request(self, op: str, args=None, deadline_ms=None, decode=_raw):
+        return decode(self._call(op, args, deadline_ms))
+
     def _call(
         self, op: str, args: dict | None = None, deadline_ms: float | None = None
     ) -> object:
-        """One request/response round trip, retried per the session policy.
+        """One round trip, retried per the policy if ``op`` is idempotent.
 
-        Only idempotent operations retry (:data:`IDEMPOTENT_OPS`); a failure
-        classified as connection-breaking closes the socket, and the next
-        attempt reconnects to the remembered address.  Non-retryable errors
-        — and retryable ones once the policy's attempts are spent — raise
-        to the caller unchanged.
+        A connection-breaking failure closes the socket and the next attempt
+        reconnects; other errors, and retries once spent, raise unchanged.
         """
         policy = self._retry if op in IDEMPOTENT_OPS else None
         attempts = policy.attempts if policy is not None else 1
@@ -340,7 +400,8 @@ class ServerSession(_SessionCalls):
     def _call_once(
         self, op: str, args: dict | None, deadline_ms: float | None
     ) -> object:
-        sent_id = self._next_id()
+        self._id += 1
+        sent_id = self._id
         sock = self._ensure_sock()
         protocol.send_frame(
             sock,
@@ -362,9 +423,7 @@ class ServerSession(_SessionCalls):
         finally:
             if self._sock is not None:
                 self._sock.settimeout(None)
-        if frame is None:
-            raise ProtocolError("server closed the connection", code="connection-closed")
-        return self._result_of(frame, sent_id)
+        return _result_of(frame, sent_id)
 
     def _ensure_sock(self) -> socket.socket:
         """The live socket, reconnecting to the remembered address if closed."""
@@ -397,166 +456,16 @@ class ServerSession(_SessionCalls):
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # ------------------------------------------------------------------
-    # The session surface
-    # ------------------------------------------------------------------
-    def ping(self) -> dict:
-        """Liveness check; returns the server's ``{"pong": ..., "protocol": ...}``."""
-        return self._call("ping")
-
-    def health(self) -> dict:
-        """The server's health payload: status plus admission pressure.
-
-        Unlike :meth:`server_stats` this takes no server-side locks, so it
-        answers even while conditioning or a saturated queue stalls
-        everything else.
-        """
-        return self._call("health")
-
-    def shard_map(self) -> dict:
-        """The server's cluster membership, lock-free like :meth:`health`.
-
-        ``{"sharded": false}`` on a stand-alone server; on a shard,
-        ``{"sharded": true, "shard": i, "shards": n, "map": ...}`` with
-        ``map`` a :class:`~repro.cluster.partition.ShardMap` payload.
-        """
-        return self._call("shard_map")
-
-    def query(self, request: ConfidenceRequest) -> ConfidenceResult:
-        # The request's deadline also rides at frame level, where the server
-        # bounds the admission wait with it (not just the computation).
-        return ConfidenceResult.from_payload(
-            self._call(
-                "confidence", request.to_payload(), deadline_ms=request.deadline_ms
-            )
-        )
-
-    def confidence(
-        self, target: "WSSet | URelation | str", method: str = "exact", **options
-    ) -> ConfidenceResult:
-        return ConfidenceResult.from_payload(
-            self._call(
-                "confidence",
-                self._confidence_args(target, method, options),
-                deadline_ms=options.get("deadline_ms"),
-            )
-        )
-
-    def confidence_many(
-        self,
-        targets: "list[WSSet | URelation | str | ConfidenceRequest]",
-        method: str = "exact",
-        **options,
-    ) -> list[ConfidenceResult]:
-        """All targets in *one* ``confidence_many`` frame (one round trip).
-
-        The server fans the batch out across its pool threads (with a
-        process pool the requests genuinely overlap across cores) and
-        answers in target order.
-        """
-        targets = list(targets)
-        if not targets:
-            return []
-        return self._many_results(
-            self._call(
-                "confidence_many",
-                self._many_args(targets, method, options),
-                deadline_ms=options.get("deadline_ms"),
-            )
-        )
-
-    def confidence_batch(
-        self, relation: "URelation | str", method: str = "exact", **options
-    ) -> list[ConfidenceRow]:
-        return self._batch_rows(
-            self._call("confidence_batch", self._batch_args(relation, method, options))
-        )
-
-    def certain_tuples(
-        self, relation: "URelation | str", *, tolerance: float = 1e-9, **options
-    ) -> list[tuple]:
-        return [
-            row.values
-            for row in self.confidence_batch(relation, **options)
-            if row.confidence >= 1.0 - tolerance
-        ]
-
-    def possible_tuples(
-        self, relation: "URelation | str", *, threshold: float = 0.0, **options
-    ) -> list[ConfidenceRow]:
-        return [
-            row
-            for row in self.confidence_batch(relation, **options)
-            if row.confidence > threshold
-        ]
-
-    def what_if(
-        self,
-        target: "WSSet | URelation | str",
-        variable,
-        ps,
-        *,
-        value=None,
-        deadline_ms: float | None = None,
-    ) -> list[float]:
-        """A what-if sweep in one frame: ``P(target)`` at every point of ``ps``.
-
-        The server compiles the target's lineage into a circuit once
-        (cached across calls on the shared engine handle) and re-evaluates
-        it per point — mirroring :meth:`~repro.db.session.Session.what_if`.
-        ``variable`` and ``value`` must be JSON-representable, like ws-set
-        targets.
-        """
-        result = self._call(
-            "what_if",
-            self._what_if_args(target, variable, ps, value),
-            deadline_ms=deadline_ms,
-        )
-        return list(result["values"])
-
-    def execute(self, sql: str) -> "QueryResult":
-        return protocol.query_result_from_payload(self._call("execute", {"sql": sql}))
-
-    def execute_script(self, sql: str) -> "list[QueryResult]":
-        return [
-            protocol.query_result_from_payload(payload)
-            for payload in self._call("execute_script", {"sql": sql})
-        ]
-
-    def server_stats(self) -> dict:
-        """The raw ``stats`` frame: engine snapshot plus server counters."""
-        return self._call("stats")
-
-    def metrics(self) -> dict:
-        """The server's merged metrics snapshot (registry schema, lock-free).
-
-        Counters, gauges and histogram snapshots keyed by Prometheus-style
-        series name; feed histograms to
-        :func:`repro.obs.metrics.quantile_from_snapshot` for p50/p90/p99.
-        """
-        return self._call("metrics")["metrics"]
-
-    def statistics(self) -> EngineStats:
-        """The shared engine's aggregate statistics (like ``Session.statistics``)."""
-        return EngineStats.from_dict(self.server_stats()["engine"])
-
-    @property
-    def stats(self) -> EngineStats:
-        """Alias of :meth:`statistics`."""
-        return self.statistics()
-
     def __repr__(self) -> str:
         try:
-            if self._sock is None:
-                raise OSError
             peer = "%s:%s" % self._sock.getpeername()[:2]
-        except OSError:
+        except (AttributeError, OSError):  # closed: no socket, or a dead one
             peer = "closed"
         return f"ServerSession({peer})"
 
 
-class AsyncServerSession(_SessionCalls):
-    """An asyncio client connection mirroring the local ``AsyncSession`` API.
+class AsyncServerSession(_ServedSession):
+    """The asyncio stream transport: every method returns an awaitable.
 
     Calls serialise on an internal lock (the protocol is request/response per
     connection); ``confidence_many`` therefore pipelines at the server only
@@ -578,28 +487,27 @@ class AsyncServerSession(_SessionCalls):
         self._id = 0
         self._lock = asyncio.Lock()
 
+    async def _request(self, op: str, args=None, deadline_ms=None, decode=_raw):
+        return decode(await self._call(op, args, deadline_ms))
+
     async def _call(
         self, op: str, args: dict | None = None, deadline_ms: float | None = None
     ) -> object:
         async with self._lock:
-            sent_id = self._next_id()
+            self._id += 1
+            sent_id = self._id
             await protocol.write_frame(
                 self._writer,
                 protocol.request_frame(op, args, id=sent_id, deadline_ms=deadline_ms),
                 max_frame_bytes=self._max_frame_bytes,
             )
             try:
-                if self._request_timeout is None:
-                    frame = await protocol.read_frame(
+                frame = await asyncio.wait_for(
+                    protocol.read_frame(
                         self._reader, max_frame_bytes=self._max_frame_bytes
-                    )
-                else:
-                    frame = await asyncio.wait_for(
-                        protocol.read_frame(
-                            self._reader, max_frame_bytes=self._max_frame_bytes
-                        ),
-                        self._request_timeout,
-                    )
+                    ),
+                    self._request_timeout,
+                )
             except TimeoutError:
                 # The stream is desynchronised (the abandoned response could
                 # arrive any time); close so no later call misreads it.
@@ -608,9 +516,7 @@ class AsyncServerSession(_SessionCalls):
                     f"no response to {op!r} within {self._request_timeout:g}s",
                     timeout=self._request_timeout,
                 ) from None
-        if frame is None:
-            raise ProtocolError("server closed the connection", code="connection-closed")
-        return self._result_of(frame, sent_id)
+        return _result_of(frame, sent_id)
 
     async def close(self) -> None:
         self._writer.close()
@@ -624,118 +530,6 @@ class AsyncServerSession(_SessionCalls):
 
     async def __aexit__(self, *exc_info) -> None:
         await self.close()
-
-    async def ping(self) -> dict:
-        return await self._call("ping")
-
-    async def health(self) -> dict:
-        """The server's lock-free health payload (see the blocking twin)."""
-        return await self._call("health")
-
-    async def shard_map(self) -> dict:
-        """The server's cluster membership (see the blocking twin)."""
-        return await self._call("shard_map")
-
-    async def query(self, request: ConfidenceRequest) -> ConfidenceResult:
-        return ConfidenceResult.from_payload(
-            await self._call(
-                "confidence", request.to_payload(), deadline_ms=request.deadline_ms
-            )
-        )
-
-    async def confidence(
-        self, target: "WSSet | URelation | str", method: str = "exact", **options
-    ) -> ConfidenceResult:
-        return ConfidenceResult.from_payload(
-            await self._call(
-                "confidence",
-                self._confidence_args(target, method, options),
-                deadline_ms=options.get("deadline_ms"),
-            )
-        )
-
-    async def confidence_many(
-        self,
-        targets: "list[WSSet | URelation | str | ConfidenceRequest]",
-        method: str = "exact",
-        **options,
-    ) -> list[ConfidenceResult]:
-        """All targets in one ``confidence_many`` frame (see the blocking twin)."""
-        targets = list(targets)
-        if not targets:
-            return []
-        return self._many_results(
-            await self._call(
-                "confidence_many",
-                self._many_args(targets, method, options),
-                deadline_ms=options.get("deadline_ms"),
-            )
-        )
-
-    async def confidence_batch(
-        self, relation: "URelation | str", method: str = "exact", **options
-    ) -> list[ConfidenceRow]:
-        return self._batch_rows(
-            await self._call(
-                "confidence_batch", self._batch_args(relation, method, options)
-            )
-        )
-
-    async def certain_tuples(
-        self, relation: "URelation | str", *, tolerance: float = 1e-9, **options
-    ) -> list[tuple]:
-        return [
-            row.values
-            for row in await self.confidence_batch(relation, **options)
-            if row.confidence >= 1.0 - tolerance
-        ]
-
-    async def possible_tuples(
-        self, relation: "URelation | str", *, threshold: float = 0.0, **options
-    ) -> list[ConfidenceRow]:
-        return [
-            row
-            for row in await self.confidence_batch(relation, **options)
-            if row.confidence > threshold
-        ]
-
-    async def what_if(
-        self,
-        target: "WSSet | URelation | str",
-        variable,
-        ps,
-        *,
-        value=None,
-        deadline_ms: float | None = None,
-    ) -> list[float]:
-        """A one-frame what-if sweep (see the blocking twin)."""
-        result = await self._call(
-            "what_if",
-            self._what_if_args(target, variable, ps, value),
-            deadline_ms=deadline_ms,
-        )
-        return list(result["values"])
-
-    async def execute(self, sql: str) -> "QueryResult":
-        return protocol.query_result_from_payload(
-            await self._call("execute", {"sql": sql})
-        )
-
-    async def execute_script(self, sql: str) -> "list[QueryResult]":
-        return [
-            protocol.query_result_from_payload(payload)
-            for payload in await self._call("execute_script", {"sql": sql})
-        ]
-
-    async def server_stats(self) -> dict:
-        return await self._call("stats")
-
-    async def metrics(self) -> dict:
-        """The server's merged metrics snapshot (see the blocking twin)."""
-        return (await self._call("metrics"))["metrics"]
-
-    async def statistics(self) -> EngineStats:
-        return EngineStats.from_dict((await self.server_stats())["engine"])
 
     def __repr__(self) -> str:
         return "AsyncServerSession()"

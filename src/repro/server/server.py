@@ -27,10 +27,10 @@ Serving is fault-tolerant (protocol v3):
   server stays observable while saturated;
 * **deadlines** — a request frame's ``deadline_ms`` bounds its whole server
   residency.  The admission wait is cut short when the deadline would pass
-  in the queue (``deadline-exceeded``), and for ``confidence`` /
-  ``confidence_many`` the *remaining* time is folded into the session
-  request, where an overrunning exact computation degrades to a Karp-Luby
-  (ε, δ) answer instead of erroring (see
+  in the queue (``deadline-exceeded``), and for ``confidence``,
+  ``confidence_many`` and ``confidence_batch`` the *remaining* time is
+  folded into the session request, where an overrunning exact computation
+  degrades to a Karp-Luby (ε, δ) answer instead of erroring (see
   :meth:`repro.db.session.Session.query`);
 * **graceful drain** — :meth:`stop` stops accepting, lets in-flight requests
   finish (and answer) for a grace period, sheds newly arriving work as
@@ -90,7 +90,9 @@ logger = logging.getLogger("repro.server")
 slow_query_logger = logging.getLogger("repro.server.slowquery")
 
 #: ConfidenceRequest option names accepted in ``confidence_batch`` frames.
-_BATCH_OPTIONS = ("epsilon", "delta", "seed", "max_calls", "time_limit", "hybrid_scale")
+_BATCH_OPTIONS = (
+    "epsilon", "delta", "seed", "max_calls", "time_limit", "hybrid_scale", "deadline_ms"
+)
 
 #: Operations that pass admission control (they occupy a pool thread and
 #: burn CPU).  ``ping`` / ``health`` / ``stats`` bypass it by design: a
@@ -619,13 +621,13 @@ class ConfidenceServer:
     async def _admitted(self, op: str, args: dict, deadline: float | None) -> object:
         """Answer an admitted computation op, deadline folded into the request.
 
-        ``confidence`` / ``confidence_many`` requests carry the *remaining*
-        milliseconds as :attr:`~repro.db.session.ConfidenceRequest.deadline_ms`
-        (tightening any client-set value), so an overrunning exact
-        computation degrades to a Karp-Luby answer inside the deadline
-        instead of erroring.  For ``confidence_batch``, ``what_if`` and SQL
-        execution the deadline bounds the admission wait only — their
-        computations have no mid-flight degradation path.
+        ``confidence`` / ``confidence_many`` requests — and every group of a
+        ``confidence_batch`` — carry the *remaining* milliseconds as
+        :attr:`~repro.db.session.ConfidenceRequest.deadline_ms` (tightening
+        any client-set value), so an overrunning exact computation degrades
+        to a Karp-Luby answer inside the deadline instead of erroring.  For
+        ``what_if`` and SQL execution the deadline bounds the admission wait
+        only — their computations have no mid-flight degradation path.
 
         The ``server.dispatch`` fault point sits at the top, *inside* the
         admission slot: a ``delay`` fault holds the request open — in flight
@@ -661,7 +663,7 @@ class ConfidenceServer:
             return {"results": [result.to_payload() for result in results]}
         if op == "confidence_batch":
             async with self._gate:
-                return await self._confidence_batch(args)
+                return await self._confidence_batch(args, remaining_ms)
         if op == "what_if":
             async with self._gate:
                 return await self._what_if(args)
@@ -897,7 +899,7 @@ class ConfidenceServer:
             result.trace = None
         return result
 
-    async def _confidence_batch(self, args: dict) -> dict:
+    async def _confidence_batch(self, args: dict, remaining_ms: float | None) -> dict:
         relation = args.get("relation")
         if not isinstance(relation, str):
             raise QueryError(
@@ -913,6 +915,10 @@ class ConfidenceServer:
             for name in _BATCH_OPTIONS
             if args.get(name) is not None
         }
+        if remaining_ms is not None:
+            options["deadline_ms"] = min(
+                options.get("deadline_ms", remaining_ms), remaining_ms
+            )
         rows = await self._run(
             self._session.confidence_batch,
             relation,

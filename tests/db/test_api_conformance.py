@@ -4,10 +4,13 @@ Every :class:`~repro.db.api.ConfidenceAPI` implementation reachable through
 :func:`repro.connect` must answer the same calls with the same meanings —
 and, for exact computation, the same bits.  The suite is parametrized over
 the backend and never branches on it: if a test needs to know which backend
-it is running against, the API has leaked.
+it is running against, the API has leaked.  The async leg asks the same
+calls through :meth:`Session.as_async` and :func:`repro.server.connect_async`.
 """
 
 from __future__ import annotations
+
+import asyncio
 
 import pytest
 
@@ -18,6 +21,7 @@ from repro.core.engine import EngineStats
 from repro.core.wsset import WSSet
 from repro.db.session import ConfidenceRequest, ConfidenceResult, Session
 from repro.errors import UnknownVariableError
+from repro.server import connect_async
 
 BACKENDS = ("local", "server", "cluster")
 
@@ -124,11 +128,103 @@ class TestConformance:
         with pytest.raises(UnknownVariableError):
             api_session.confidence(target, method, seed=1)
 
+    def test_confidence_batch_under_a_deadline(self, api_session, reference):
+        rows = api_session.confidence_batch("HARD", deadline_ms=60_000)
+        assert [(r.values, r.confidence) for r in rows] == [
+            (r.values, r.confidence) for r in reference.confidence_batch("HARD")
+        ]
+
+    def test_empty_confidence_many(self, api_session):
+        assert api_session.confidence_many([]) == []
+
     def test_statistics_reports_engine_work(self, api_session):
         api_session.confidence("HARD")
         stats = api_session.statistics()
         assert isinstance(stats, EngineStats)
         assert stats.computations > 0
+
+
+@pytest.fixture(params=("local", "server"))
+def ask_async(request, conformance_db):
+    """``ask(call)`` runs ``await call(session)`` on an async ConfidenceAPI."""
+    if request.param == "local":
+        session = Session(conformance_db)
+        facade = session.as_async()
+        yield lambda call: asyncio.run(call(facade))
+        facade.close()
+        session.close()
+    else:
+        from repro.cluster.bootstrap import _ShardThread
+
+        thread = _ShardThread(conformance_db, shard_info=None)
+        thread.start()
+
+        async def served(call):
+            async with await connect_async(thread.host, thread.port) as session:
+                return await call(session)
+
+        try:
+            yield lambda call: asyncio.run(served(call))
+        finally:
+            thread.stop(grace=0.0)
+
+
+def _rows(rows):
+    return [(row.values, row.confidence) for row in rows]
+
+
+class TestAsyncConformance:
+    def test_implements_the_protocol(self, ask_async):
+        async def call(session):
+            return isinstance(session, repro.ConfidenceAPI)
+
+        assert ask_async(call)
+
+    def test_confidence_query_and_many(self, ask_async, reference, conformance_db):
+        descriptors = list(conformance_db.relation("HARD").descriptors())
+        targets = ["HARD", WSSet(descriptors[:4]), WSSet(descriptors[6:16])]
+        request = ConfidenceRequest(WSSet(descriptors[:7]))
+
+        async def call(session):
+            return (
+                (await session.confidence("HARD")).value,
+                (await session.query(request)).value,
+                [r.value for r in await session.confidence_many(targets)],
+                await session.confidence_many([]),
+            )
+
+        assert ask_async(call) == (
+            reference.confidence("HARD").value,
+            reference.query(request).value,
+            [reference.confidence(t).value for t in targets],
+            [],
+        )
+
+    def test_batch_and_tuple_selections(self, ask_async, reference):
+        async def call(session):
+            return (
+                _rows(await session.confidence_batch("HARD")),
+                _rows(await session.confidence_batch("HARD", deadline_ms=60_000)),
+                await session.certain_tuples("HARD"),
+                _rows(await session.possible_tuples("HARD", threshold=0.02)),
+            )
+
+        expected = _rows(reference.confidence_batch("HARD"))
+        assert ask_async(call) == (
+            expected,
+            expected,
+            reference.certain_tuples("HARD"),
+            _rows(reference.possible_tuples("HARD", threshold=0.02)),
+        )
+
+    def test_what_if_sweep(self, ask_async, reference, conformance_db):
+        variable = next(iter(conformance_db.world_table.variables))
+        points = [0.1, 0.4, 0.8]
+
+        async def call(session):
+            return await session.what_if("HARD", variable, points)
+
+        assert ask_async(call) == reference.what_if("HARD", variable, points)
 
 
 def test_connect_rejects_nonsense_targets():
