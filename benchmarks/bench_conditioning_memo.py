@@ -1,31 +1,34 @@
-"""Conditioning-subproblem memo: repeated asserts and sibling-heavy branches.
+"""Conditioning-subproblem memo: sibling branches and a constraint assert.
 
-Two measurements, both on #P-hard (Figure 11a-style) conditioning material,
-each run memo-on against the ``ExactConfig(condition_memoize=False)``
-ablation:
+The memo lives for one conditioning run.  Two measurements, each run
+memo-on against the ``ExactConfig(condition_memoize=False)`` ablation:
 
-1. **Repeated assert** (cross-call): the same what-if assert evaluated K
-   times over an unchanged prior through one shared
-   :class:`~repro.core.conditioning.ConditioningMemo` — the handle-level
-   situation of a session replaying an assert while exploring what-ifs.
-   After the first (cold) call every repetition answers from the root memo
-   entry, so the memoised total must be at least **2x** faster than the
-   ablation; the floor is enforced unconditionally, since the memo is a
-   single-threaded win and needs no spare cores.
-
-2. **Sibling branches** (within one run): a fan-out variable ``w`` paired
-   with a fixed hard residual condition, so every ⊕-branch of ``w`` leaves
+1. **Sibling branches**: a fan-out variable ``w`` paired with a fixed hard
+   (Figure 11a-style) residual condition, so every ⊕-branch of ``w`` leaves
    the *identical* subproblem — the cross-branch hits of the Davis-Putnam
-   recursion itself.  One cold memoised run against one unmemoised run;
-   the memoised run must show at least ``fanout - 1`` sibling hits.  Both
-   runs disable ``prune_unrelated``: with pruning on, the heuristic only
-   eliminates tuple-sharing variables and hands unrelated residuals to the
-   (already memoised) confidence engine, so the pure cross-branch effect
-   would be masked by an older cache.
+   recursion itself.  Both runs disable ``prune_unrelated``: with pruning
+   on, the heuristic only eliminates tuple-sharing variables and hands
+   unrelated residuals to the (already memoised) confidence engine, so the
+   pure cross-branch effect would be masked by an older cache.
 
-Every memoised result is asserted **bit-identical** to the unmemoised one —
-same confidence, same rewritten descriptors, same new-variable weights —
-before any timing is trusted.
+2. **Constraint assert**: the paper's motivating use case, an integrity
+   constraint compiled to a condition ws-set (Section 3.2) and asserted —
+   ``FunctionalDependency("R", ["VALUE"], ["ID"])`` on
+   ``random_attribute_level_database(Random(11), num_entities=24,
+   num_values=96, max_alternatives=3)``.
+
+The enforced gate is deterministic, so it holds on any machine:
+
+* every memoised result is **bit-identical** to the unmemoised one — same
+  confidence, same rewritten descriptors, same new-variable weights, and
+  for the assert the same ``ConditioningSummary`` (new variables, dropped
+  variables, rewritten-tuple count);
+* the sibling run records at least ``fanout - 1`` memo hits;
+* with the memo on, the constraint assert eliminates fewer variables than
+  with it off.
+
+Times are the median of ``RUNS`` runs per side and are recorded, not gated:
+a timing floor would be too noisy to enforce.
 
 Run directly to print the table and record ``BENCH_conditioning_memo.json``::
 
@@ -37,31 +40,36 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import time
 from pathlib import Path
+from random import Random
 
-from repro.core.conditioning import ConditioningMemo, condition_wsset
+from repro.core.conditioning import condition_wsset
 from repro.core.probability import ExactConfig
 from repro.core.wsset import WSSet
+from repro.db.constraints import FunctionalDependency
 from repro.db.world_table import WorldTable
 from repro.workloads.hard import HardCaseParameters, generate_hard_instance
+from repro.workloads.random_instances import random_attribute_level_database
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REPORT_NAME = "BENCH_conditioning_memo.json"
 
+MEMO_ON = ExactConfig()
 MEMO_OFF = ExactConfig(condition_memoize=False)
-TARGET_SPEEDUP = 2.0
 
-#: Figure 11a-style material for the condition ws-set (quick mode shrinks it).
-NUM_VARIABLES = 14
+#: Timed runs per side; each reported time is their median.
+RUNS = 3
+
 ALTERNATIVES = 2
-DESCRIPTOR_LENGTH = 4
-CONDITION_DESCRIPTORS = 48
-TUPLES = 12
-REPETITIONS = 12
-
 SIBLING_FANOUT = 6
 SIBLING_TUPLES = 8
+
+FD_SEED = 11
+FD_ENTITIES = 24
+FD_VALUES = 96
+FD_ALTERNATIVES = 3
 
 
 def usable_cpus() -> int:
@@ -82,24 +90,14 @@ def signature(result):
     )
 
 
-def build_assert_workload(num_descriptors: int, tuples: int):
-    """A hard condition plus tuple descriptors over the same variables."""
-    instance = generate_hard_instance(
-        HardCaseParameters(
-            num_variables=NUM_VARIABLES,
-            alternatives=ALTERNATIVES,
-            descriptor_length=DESCRIPTOR_LENGTH,
-            num_descriptors=num_descriptors + tuples,
-            seed=0,
-        )
-    )
-    descriptors = list(instance.ws_set)
-    condition = WSSet(descriptors[:num_descriptors])
-    tagged = [
-        (f"t{index}", descriptor)
-        for index, descriptor in enumerate(descriptors[num_descriptors:])
-    ]
-    return instance.world_table, condition, tagged
+def timed_runs(run, runs: int):
+    """``(median seconds, last result)`` of ``runs`` calls of ``run``."""
+    seconds = []
+    for _ in range(runs):
+        started = time.perf_counter()
+        result = run()
+        seconds.append(time.perf_counter() - started)
+    return statistics.median(seconds), result
 
 
 def build_sibling_workload(
@@ -138,85 +136,94 @@ def build_sibling_workload(
     return world_table, condition, tagged
 
 
-def measure_repeated_assert(repetitions: int, num_descriptors: int) -> dict:
-    world_table, condition, tuples = build_assert_workload(
-        num_descriptors, TUPLES
-    )
-    memo = ConditioningMemo()
-
-    started = time.perf_counter()
-    baselines = [
-        condition_wsset(condition, tuples, world_table, MEMO_OFF)
-        for _ in range(repetitions)
-    ]
-    off_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    memoised = [
-        condition_wsset(condition, tuples, world_table, memo=memo)
-        for _ in range(repetitions)
-    ]
-    on_seconds = time.perf_counter() - started
-
-    reference = signature(baselines[0])
-    for result in baselines[1:] + memoised:
-        assert signature(result) == reference, "memoised assert diverged"
-    assert memo.hits >= repetitions - 1, (
-        f"expected root hits on every repetition after the first: "
-        f"{memo.hits} hits for {repetitions} calls"
-    )
-    return {
-        "repetitions": repetitions,
-        "condition_descriptors": num_descriptors,
-        "tuples": TUPLES,
-        "memo_off_seconds": round(off_seconds, 4),
-        "memo_on_seconds": round(on_seconds, 4),
-        "speedup": round(off_seconds / on_seconds, 2),
-        "memo": {
-            "hits": memo.hits,
-            "misses": memo.misses,
-            "evictions": memo.evictions,
-            "entries": len(memo),
-            "bytes_estimate": memo.bytes_estimate(),
-        },
-        "bit_identical": True,
-    }
-
-
 def measure_sibling_branches(
-    fanout: int, num_descriptors: int, num_variables: int, descriptor_length: int
+    fanout: int,
+    num_descriptors: int,
+    num_variables: int,
+    descriptor_length: int,
+    runs: int,
 ) -> dict:
     world_table, condition, tuples = build_sibling_workload(
         fanout, num_descriptors, num_variables, descriptor_length
     )
 
-    started = time.perf_counter()
-    baseline = condition_wsset(
-        condition, tuples, world_table, MEMO_OFF, prune_unrelated=False
-    )
-    off_seconds = time.perf_counter() - started
+    def run(config):
+        return lambda: condition_wsset(
+            condition, tuples, world_table, config, prune_unrelated=False
+        )
 
-    memo = ConditioningMemo()
-    started = time.perf_counter()
-    memoised = condition_wsset(
-        condition, tuples, world_table, memo=memo, prune_unrelated=False
-    )
-    on_seconds = time.perf_counter() - started
+    off_seconds, baseline = timed_runs(run(MEMO_OFF), runs)
+    on_seconds, memoised = timed_runs(run(MEMO_ON), runs)
 
     assert signature(memoised) == signature(baseline), "sibling run diverged"
-    assert memo.hits >= fanout - 1, (
-        f"expected >= {fanout - 1} sibling hits, saw {memo.hits}"
-    )
+    hits = memoised.stats.memo_hits
+    assert hits >= fanout - 1, f"expected >= {fanout - 1} sibling hits, saw {hits}"
     return {
         "fanout": fanout,
         "residual_descriptors": num_descriptors,
         "num_variables": num_variables,
         "descriptor_length": descriptor_length,
         "prune_unrelated": False,
+        "runs": runs,
         "memo_off_seconds": round(off_seconds, 4),
         "memo_on_seconds": round(on_seconds, 4),
         "speedup": round(off_seconds / on_seconds, 2),
-        "memo": {"hits": memo.hits, "misses": memo.misses},
+        "memo": {"hits": hits, "misses": memoised.stats.memo_misses},
+        "bit_identical": True,
+    }
+
+
+def measure_constraint_assert(entities: int, values: int, runs: int) -> dict:
+    database = random_attribute_level_database(
+        Random(FD_SEED),
+        num_entities=entities,
+        num_values=values,
+        max_alternatives=FD_ALTERNATIVES,
+    )
+    constraint = FunctionalDependency("R", ["VALUE"], ["ID"])
+
+    def run(config):
+        return lambda: database.conditioned(constraint, config)[1]
+
+    off_seconds, off = timed_runs(run(MEMO_OFF), runs)
+    on_seconds, on = timed_runs(run(MEMO_ON), runs)
+
+    def summary_key(summary):
+        return (
+            summary.confidence,
+            summary.new_variables,
+            summary.dropped_variables,
+            summary.rewritten_tuples,
+            signature(summary.result),
+        )
+
+    assert summary_key(on) == summary_key(off), "constraint assert diverged"
+    eliminated_on = len(on.result.stats.eliminated_variables)
+    eliminated_off = len(off.result.stats.eliminated_variables)
+    assert eliminated_on < eliminated_off, (
+        f"the memo saved no elimination: {eliminated_on} on, {eliminated_off} off"
+    )
+    return {
+        "constraint": "FunctionalDependency('R', ['VALUE'], ['ID'])",
+        "database": {
+            "seed": FD_SEED,
+            "num_entities": entities,
+            "num_values": values,
+            "max_alternatives": FD_ALTERNATIVES,
+        },
+        "runs": runs,
+        "memo_off_seconds": round(off_seconds, 4),
+        "memo_on_seconds": round(on_seconds, 4),
+        "speedup": round(off_seconds / on_seconds, 2),
+        "confidence": on.confidence.hex(),
+        "new_variables": len(on.new_variables),
+        "dropped_variables": len(on.dropped_variables),
+        "rewritten_tuples": on.rewritten_tuples,
+        "eliminated_variables": {"memo_on": eliminated_on, "memo_off": eliminated_off},
+        "memo": {
+            "hits": on.result.stats.memo_hits,
+            "misses": on.result.stats.memo_misses,
+        },
         "bit_identical": True,
     }
 
@@ -224,72 +231,61 @@ def measure_sibling_branches(
 def main(argv: list[str] | None = None) -> Path:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--quick", action="store_true",
-        help="smaller workload for CI smoke (the 2x floor still holds)",
+        "--quick",
+        action="store_true",
+        help="smaller workloads for CI smoke (the deterministic gate still holds)",
     )
     parser.add_argument("--out", type=Path, default=REPO_ROOT / REPORT_NAME)
     arguments = parser.parse_args(argv)
 
     quick = arguments.quick
-    repetitions = 6 if quick else REPETITIONS
-    condition_descriptors = 32 if quick else CONDITION_DESCRIPTORS
     sibling_descriptors = 12 if quick else 20
     sibling_variables = 10 if quick else 12
     sibling_length = 3 if quick else 4
+    fd_entities = 12 if quick else FD_ENTITIES
+    fd_values = 48 if quick else FD_VALUES
 
     print(
-        f"1) repeated assert: {repetitions} calls over "
-        f"{condition_descriptors} condition descriptors, memo on vs off"
-    )
-    repeated = measure_repeated_assert(repetitions, condition_descriptors)
-    print(
-        f"   off {repeated['memo_off_seconds']:.2f}s  on "
-        f"{repeated['memo_on_seconds']:.2f}s  -> {repeated['speedup']}x "
-        f"({repeated['memo']['hits']} hits, bit-identical)"
-    )
-
-    print(
-        f"2) sibling branches: fanout {SIBLING_FANOUT} over "
-        f"{sibling_descriptors} residual descriptors, one cold run each"
+        f"1) sibling branches: fanout {SIBLING_FANOUT} over "
+        f"{sibling_descriptors} residual descriptors, median of {RUNS} runs"
     )
     sibling = measure_sibling_branches(
-        SIBLING_FANOUT, sibling_descriptors, sibling_variables, sibling_length
+        SIBLING_FANOUT, sibling_descriptors, sibling_variables, sibling_length, RUNS
     )
     print(
-        f"   off {sibling['memo_off_seconds']:.2f}s  on "
-        f"{sibling['memo_on_seconds']:.2f}s  -> {sibling['speedup']}x "
+        f"   off {sibling['memo_off_seconds']:.3f}s  on "
+        f"{sibling['memo_on_seconds']:.3f}s  -> {sibling['speedup']}x "
         f"({sibling['memo']['hits']} hits, bit-identical)"
     )
 
-    # The memo is a single-threaded win: the floor holds regardless of how
-    # many cores the machine has, so it is always enforced.
-    assert repeated["speedup"] >= TARGET_SPEEDUP, (
-        f"repeated-assert target missed: {repeated['speedup']}x < "
-        f"{TARGET_SPEEDUP}x"
+    print(
+        f"2) constraint assert: FD VALUE -> ID over {fd_entities} entities, "
+        f"median of {RUNS} runs"
     )
-    print(f"speedup floor ok: {repeated['speedup']}x >= {TARGET_SPEEDUP}x")
+    constraint = measure_constraint_assert(fd_entities, fd_values, RUNS)
+    eliminated = constraint["eliminated_variables"]
+    print(
+        f"   off {constraint['memo_off_seconds']:.3f}s  on "
+        f"{constraint['memo_on_seconds']:.3f}s  -> {constraint['speedup']}x "
+        f"({eliminated['memo_on']} eliminations against "
+        f"{eliminated['memo_off']}, bit-identical)"
+    )
 
     payload = {
-        "title": "Conditioning-subproblem memo vs the unmemoised recursion",
+        "title": "Per-run conditioning memo vs the unmemoised recursion",
         "quick": quick,
         "machine": {"usable_cpus": usable_cpus()},
-        "target": {
-            "speedup": TARGET_SPEEDUP,
-            "scenario": "repeated_assert",
+        "gate": {
             "enforced": True,
-            "note": (
-                "the memo needs no spare cores, so the floor is enforced "
-                "on every machine"
-            ),
+            "checks": [
+                "memoised results bit-identical to unmemoised ones",
+                "sibling hits >= fanout - 1",
+                "the constraint assert eliminates fewer variables memoised",
+            ],
+            "note": "deterministic; the recorded times are medians, not gated",
         },
-        "workload": {
-            "figure": "11a-style",
-            "num_variables": NUM_VARIABLES,
-            "alternatives": ALTERNATIVES,
-            "descriptor_length": DESCRIPTOR_LENGTH,
-        },
-        "repeated_assert": repeated,
         "sibling_branches": sibling,
+        "constraint_assert": constraint,
     }
     arguments.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {arguments.out}")

@@ -34,15 +34,19 @@ instance distribution required by Theorem 5.3: conditioning on a disjunction
 express — the paper's own Example 5.2 output assigns tuple ``a1`` posterior
 probability ≈ 0.689 where the true conditional probability is ≈ 0.466.
 
-The default engine therefore renormalises only through variable elimination
+The engine therefore renormalises only through variable elimination
 (⊕-nodes), which is provably correct (and verified against brute force in the
 test suite), and recovers most of the lost efficiency by (a) passing tuples
 only into branches they are consistent with, (b) returning tuples unchanged as
-soon as they share no variable with the remaining condition, and (c)
-delegating confidence-only subproblems (no tuples left to rewrite) to the fast
-INDVE probability engine.  The literal Figure 8 ⊗-rule remains available via
-``literal_independence_rule=True`` for comparison; it reproduces the paper's
-printed Example 5.2 output exactly.
+soon as they share no variable with the remaining condition, (c) delegating
+confidence-only subproblems (no tuples left to rewrite) to the fast INDVE
+probability engine, and (d) memoising solved subproblems for the length of
+one run, so that sibling ⊕-branches leaving the same residual problem solve
+it once (``ExactConfig.condition_memoize`` is the ablation knob).  The
+literal Figure 8 ⊗-rule is kept as a test oracle
+(``tests/core/figure8_oracle.py``), which reproduces the paper's printed
+Example 5.2 output exactly through this module's rule-3 merge and ΔW
+assembly.
 """
 
 from __future__ import annotations
@@ -52,19 +56,8 @@ from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.decompose import (
-    Budget,
-    DecompositionStats,
-    connected_components,
-    deduplicate,
-    make_memo,
-    recursion_guard,
-    remove_subsumed,
-    split_on_variable,
-    to_internal,
-)
+from repro.core.decompose import Budget, DecompositionStats
 from repro.core.descriptors import WSDescriptor, as_descriptor
-from repro.core.heuristics import count_occurrences, make_heuristic
 from repro.core.interned import (
     InternedEngine,
     PackedDescriptor,
@@ -110,7 +103,8 @@ class ConditioningResult:
         ``new variable -> original variable`` for every variable created by
         the renormalisation.
     stats:
-        Decomposition statistics of the underlying recursion.
+        Decomposition statistics of the underlying recursion, including the
+        run's conditioning-memo ``memo_hits`` / ``memo_misses``.
     """
 
     confidence: float
@@ -129,8 +123,7 @@ def condition_wsset(
     prune_unrelated: bool = True,
     drop_singleton_new_variables: bool = True,
     merge_equal_new_variables: bool = True,
-    literal_independence_rule: bool = False,
-    memo: ConditioningMemo | None = None,
+    memo: None = None,
 ) -> ConditioningResult:
     """Condition a set of tuple descriptors on a condition ws-set (Figure 8).
 
@@ -148,7 +141,8 @@ def condition_wsset(
         The prior world table (it is not modified).
     config:
         Engine configuration (INDVE/VE, heuristic, ...); defaults to INDVE
-        with the minlog heuristic.
+        with the minlog heuristic.  ``config.condition_memoize`` (on by
+        default) memoises solved subproblems for the length of this run.
     prune_unrelated:
         Return tuple descriptors unchanged as soon as they share no variable
         with the remaining condition (their presence condition is independent
@@ -161,107 +155,100 @@ def condition_wsset(
     merge_equal_new_variables:
         Simplification rule 3: new variables derived from the same original
         variable with identical weighted alternatives are merged.
-    literal_independence_rule:
-        Use the ⊗-case of Figure 8 exactly as printed (pass all tuples to
-        every independent component and union the results).  This reproduces
-        the paper's Example 5.2 output but does *not* preserve the posterior
-        instance distribution in general — see the module docstring.  Off by
-        default; when set, the plain-dict transcription of Figure 8
-        (:class:`_ConditioningEngine`) runs instead of the packed-int
-        recursion (:class:`_InternedConditioningEngine`), which has no
-        ⊗-rule.
     memo:
-        A :class:`ConditioningMemo` shared across calls — usually the
-        handle-level cache from
-        :meth:`~repro.core.engine.EngineHandle.conditioning_memo` — so that
-        repeated asserts over an unchanged (or mostly unchanged) prior reuse
-        solved subproblems.  ``None`` with ``config.condition_memoize`` on
-        (the default) uses a private per-run memo, which still captures
-        repeats across sibling branches; ``config.condition_memoize=False``
-        disables memoisation entirely (the ablation knob).  The literal
-        Figure 8 recursion ignores it.
+        Unused: the memo belongs to the run.  The keyword remains for callers
+        that pass :meth:`~repro.core.engine.EngineHandle.conditioning_memo`
+        (always ``None``) through.
     """
-    # Imported here (not at module level) to keep repro.core importable on its
-    # own: repro.db.database imports this module in turn.
-    from repro.db.world_table import WorldTable
-
     config = config or ExactConfig()
-    pairs = list(tuples.items()) if isinstance(tuples, dict) else list(tuples)
-    every = tagged = [(tag, as_descriptor(descriptor)) for tag, descriptor in pairs]
-    unrelated: list = []
-    if prune_unrelated:
-        # The top-level split of cond(), ahead of any interning: a tuple
-        # sharing no variable with the condition is independent of it and
-        # comes back unchanged, so the engines never see (or pay for) it.
-        disjoint = condition.variables().isdisjoint
-        tagged = []
-        for pair in every:
-            (unrelated if disjoint(pair[1]) else tagged).append(pair)
+    every, tagged, unrelated = _split_unrelated(condition, tuples, prune_unrelated)
+    engine = _InternedConditioningEngine(
+        world_table,
+        config,
+        prune_unrelated=prune_unrelated,
+        drop_singleton_new_variables=drop_singleton_new_variables,
+    )
+    interned_condition = deduplicate_interned(engine.space.intern_wsset(condition))
+    if config.simplify_subsumed:
+        interned_condition = remove_subsumed_interned(interned_condition)
+    with _span(
+        "conditioning",
+        tuples=len(tagged),
+        condition_descriptors=len(interned_condition),
+    ):
+        confidence, rewritten_packed = engine.run(
+            interned_condition, engine.intern_tuples(tagged)
+        )
+    # As intern_tuples does for the related ones: a descriptor assigning a
+    # value outside its variable's domain denotes no world; drop it.
+    variable_ids, value_ids = engine.space.variable_ids, engine.space.value_ids
+    alive = []
+    for pair in unrelated:
+        for variable, value in pair[1].items():
+            variable_id = variable_ids.get(variable)
+            if variable_id is not None and value not in value_ids[variable_id]:
+                break
+        else:
+            alive.append(pair)
+    return _conditioning_result(
+        engine,
+        confidence,
+        engine.externalize_tuples(rewritten_packed),
+        every,
+        alive,
+        merge_equal_new_variables=merge_equal_new_variables,
+    )
 
+
+def _split_unrelated(condition: WSSet, tuples, prune_unrelated: bool):
+    """The head of a conditioning run: ``(every, related, unrelated)`` pairs.
+
+    Raises :class:`~repro.errors.ZeroProbabilityConditionError` for an empty
+    condition.  With ``prune_unrelated`` this is the top-level split of
+    cond(), ahead of any interning: a tuple sharing no variable with the
+    condition is independent of it and comes back unchanged, so the engine
+    never sees (or pays for) it.
+    """
     if condition.is_empty:
         raise ZeroProbabilityConditionError(
             "the condition denotes the empty world-set; the posterior is undefined"
         )
+    pairs = list(tuples.items()) if isinstance(tuples, dict) else list(tuples)
+    every = [(tag, as_descriptor(descriptor)) for tag, descriptor in pairs]
+    if not prune_unrelated:
+        return every, every, []
+    disjoint = condition.variables().isdisjoint
+    related: list = []
+    unrelated: list = []
+    for pair in every:
+        (unrelated if disjoint(pair[1]) else related).append(pair)
+    return every, related, unrelated
 
-    if not literal_independence_rule:
-        engine = _InternedConditioningEngine(
-            world_table,
-            config,
-            prune_unrelated=prune_unrelated,
-            drop_singleton_new_variables=drop_singleton_new_variables,
-            memo=memo,
-        )
-        interned_condition = deduplicate_interned(
-            engine.space.intern_wsset(condition)
-        )
-        if config.simplify_subsumed:
-            interned_condition = remove_subsumed_interned(interned_condition)
-        with _span(
-            "conditioning",
-            tuples=len(tagged),
-            condition_descriptors=len(interned_condition),
-        ):
-            confidence, rewritten_packed = engine.run(
-                interned_condition, engine.intern_tuples(tagged)
-            )
-        if confidence <= 0.0:
-            raise ZeroProbabilityConditionError(
-                "the condition has probability zero; the posterior is undefined"
-            )
-        rewritten_internal = engine.externalize_tuples(rewritten_packed)
-        # As intern_tuples does for the related ones: a descriptor assigning
-        # a value outside its variable's domain denotes no world; drop it.
-        variable_ids, value_ids = engine.space.variable_ids, engine.space.value_ids
-        alive = []
-        for pair in unrelated:
-            for variable, value in pair[1].items():
-                variable_id = variable_ids.get(variable)
-                if variable_id is not None and value not in value_ids[variable_id]:
-                    break
-            else:
-                alive.append(pair)
-        unrelated = alive
-    else:
-        engine = _ConditioningEngine(
-            world_table,
-            config,
-            prune_unrelated=prune_unrelated,
-            drop_singleton_new_variables=drop_singleton_new_variables,
-        )
 
-        descriptors = deduplicate(to_internal(condition))
-        if config.simplify_subsumed:
-            descriptors = remove_subsumed(descriptors)
-        internal_tuples = [
-            (tag, dict(descriptor.items())) for tag, descriptor in tagged
-        ]
+def _conditioning_result(
+    engine,
+    confidence: float,
+    rewritten_internal: list,
+    every: list,
+    unrelated: list,
+    *,
+    merge_equal_new_variables: bool,
+) -> ConditioningResult:
+    """The tail of a conditioning run: rule 3, ΔW and the per-tag rewrites.
 
-        with recursion_guard():
-            confidence, rewritten_internal = engine.run(descriptors, internal_tuples)
-        if confidence <= 0.0:
-            raise ZeroProbabilityConditionError(
-                "the condition has probability zero; the posterior is undefined"
-            )
+    ``engine`` supplies ``new_variable_rows()``, ``variable_sources`` and
+    ``stats``; ``rewritten_internal`` holds its ``(tag, dict)`` rewrites and
+    ``unrelated`` the pairs that pass through unchanged.  Raises
+    :class:`~repro.errors.ZeroProbabilityConditionError` when the condition
+    has probability zero.
+    """
+    if confidence <= 0.0:
+        raise ZeroProbabilityConditionError(
+            "the condition has probability zero; the posterior is undefined"
+        )
+    # Imported here (not at module level) to keep repro.core importable on its
+    # own: repro.db.database imports this module in turn.
+    from repro.db.world_table import WorldTable
 
     delta_rows = engine.new_variable_rows()
     variable_sources = dict(engine.variable_sources)
@@ -298,395 +285,6 @@ def condition_wsset(
     )
 
 
-class _ConditioningEngine:
-    """Figure 8 as printed: ComputeTree ∘ cond over plain dicts, ⊗-rule included.
-
-    Entered only by ``literal_independence_rule=True``.  At an ⊗-node every
-    independent component is conditioned on its own and the rewritten tuples
-    are unioned without re-weighting (see the module docstring for why that
-    rule is not sound); confidence-only subproblems are delegated to the
-    probability engine.
-    """
-
-    def __init__(
-        self,
-        world_table: WorldTable,
-        config: ExactConfig,
-        *,
-        prune_unrelated: bool,
-        drop_singleton_new_variables: bool,
-    ) -> None:
-        self.world_table = world_table
-        self.config = config
-        self.heuristic = make_heuristic(config.heuristic)
-        self.budget = Budget(config.max_calls, config.time_limit)
-        self.stats = DecompositionStats()
-        self.prune_unrelated = prune_unrelated
-        self.drop_singleton_new_variables = drop_singleton_new_variables
-        # One probability engine shared across every delegated confidence-only
-        # subproblem of this conditioning run: the budget covers the whole run
-        # and the engine's memo cache persists across the delegated calls
-        # (many branches leave identical residual condition ws-sets).
-        self.confidence_engine = InternedEngine(
-            world_table, config, budget=self.budget, record_elimination_order=False
-        )
-        # new variable -> {value: unnormalised weight}; normalised at the end.
-        self._new_variables: dict = {}
-        self.variable_sources: dict = {}
-        self._fresh_counter = 0
-
-    # -- public entry point ---------------------------------------------
-    def run(self, descriptors, tuples):
-        return self._cond(descriptors, list(tuples), depth=0)
-
-    # -- recursion --------------------------------------------------------
-    def _cond(self, descriptors, tuples, depth):
-        self.budget.tick()
-        self.stats.recursive_calls += 1
-        self.stats.max_depth = max(self.stats.max_depth, depth)
-
-        if not descriptors:
-            self.stats.bottom_nodes += 1
-            return 0.0, []
-        if any(not descriptor for descriptor in descriptors):
-            # The ∅ leaf: the whole (remaining) world-set survives, no
-            # re-weighting is necessary and the tuples pass through unchanged.
-            self.stats.leaf_nodes += 1
-            return 1.0, list(tuples)
-
-        if self.config.subsumption_every_step:
-            descriptors = remove_subsumed(descriptors)
-
-        if self.config.use_independent_partitioning:
-            components = connected_components(descriptors)
-            if len(components) > 1:
-                return self._cond_independent(components, tuples, depth)
-
-        if self.prune_unrelated:
-            condition_variables: set = set()
-            for descriptor in descriptors:
-                condition_variables.update(descriptor)
-            related = [
-                (tag, d) for tag, d in tuples if condition_variables & d.keys()
-            ]
-            unrelated = [
-                (tag, d) for tag, d in tuples if not (condition_variables & d.keys())
-            ]
-            if not related:
-                # Nothing left to rewrite below this point: only the branch
-                # confidence matters, so delegate to the shared exact engine.
-                confidence = self.confidence_engine.compute(descriptors)
-                return confidence, unrelated
-            confidence, rewritten = self._cond_eliminate(descriptors, related, depth)
-            if confidence == 0.0:
-                return 0.0, []
-            return confidence, rewritten + unrelated
-
-        return self._cond_eliminate(descriptors, tuples, depth)
-
-    def _cond_independent(self, components, tuples, depth):
-        """⊗-node: condition each independent component; no re-weighting."""
-        self.stats.independent_nodes += 1
-        complement = 1.0
-        rewritten = []
-        if self.prune_unrelated:
-            component_variables = []
-            for component in components:
-                variables = set()
-                for descriptor in component:
-                    variables.update(descriptor)
-                component_variables.append(variables)
-            claimed: set[int] = set()
-            for component, variables in zip(components, component_variables):
-                child_tuples = []
-                for index, (tag, descriptor) in enumerate(tuples):
-                    if variables & descriptor.keys():
-                        child_tuples.append((tag, descriptor))
-                        claimed.add(index)
-                child_confidence, child_rewritten = self._cond(
-                    component, child_tuples, depth + 1
-                )
-                complement *= 1.0 - child_confidence
-                rewritten.extend(child_rewritten)
-            # Tuples touching none of the components pass through unchanged.
-            rewritten.extend(
-                pair for index, pair in enumerate(tuples) if index not in claimed
-            )
-        else:
-            for component in components:
-                child_confidence, child_rewritten = self._cond(
-                    component, list(tuples), depth + 1
-                )
-                complement *= 1.0 - child_confidence
-                rewritten.extend(child_rewritten)
-        return 1.0 - complement, rewritten
-
-    def _cond_eliminate(self, descriptors, tuples, depth):
-        """⊕-node: eliminate a variable, renormalise its surviving branches."""
-        occurrences = count_occurrences(descriptors)
-        if self.prune_unrelated and tuples:
-            # Prefer eliminating variables the remaining tuples depend on, so
-            # that the rewriting spine stays short and the rest of the
-            # condition can be delegated to the confidence-only engine.
-            tuple_variables: set = set()
-            for _, descriptor in tuples:
-                tuple_variables.update(descriptor)
-            shared = {
-                variable: counts
-                for variable, counts in occurrences.items()
-                if variable in tuple_variables
-            }
-            if shared:
-                occurrences = shared
-        variable = self.heuristic.select_variable(
-            occurrences, len(descriptors), self.world_table
-        )
-        self.stats.eliminated_variables.append(variable)
-        self.stats.variable_nodes += 1
-        by_value, unmentioned = split_on_variable(descriptors, variable)
-
-        branch_results = []  # (value, prior weight, branch confidence, rewritten tuples)
-        for value in self.world_table.domain(variable):
-            weight = self.world_table.probability(variable, value)
-            if weight == 0.0:
-                continue
-            if value in by_value:
-                subset = deduplicate(by_value[value] + unmentioned)
-            else:
-                subset = list(unmentioned)
-            if not subset:
-                # ⊥ branch: no surviving world assigns this value.
-                continue
-            branch_tuples = [
-                (tag, descriptor)
-                for tag, descriptor in tuples
-                if descriptor.get(variable, value) == value
-            ]
-            branch_confidence, branch_rewritten = self._cond(
-                subset, branch_tuples, depth + 1
-            )
-            branch_results.append((value, weight, branch_confidence, branch_rewritten))
-
-        node_confidence = sum(
-            weight * branch_confidence
-            for _, weight, branch_confidence, _ in branch_results
-        )
-        if node_confidence == 0.0:
-            return 0.0, []
-
-        surviving = [
-            (value, weight, branch_confidence, branch_rewritten)
-            for value, weight, branch_confidence, branch_rewritten in branch_results
-            if branch_confidence > 0.0
-        ]
-
-        if self.drop_singleton_new_variables and len(surviving) == 1:
-            # Simplification rule 2: a single surviving alternative would get
-            # weight one; drop the new variable entirely and just strip the
-            # eliminated variable from the rewritten descriptors.
-            _, _, _, branch_rewritten = surviving[0]
-            rewritten = [
-                (tag, {k: v for k, v in descriptor.items() if k != variable})
-                for tag, descriptor in branch_rewritten
-            ]
-            return node_confidence, rewritten
-
-        new_variable = self._fresh_variable(variable)
-        distribution = {}
-        rewritten = []
-        for value, weight, branch_confidence, branch_rewritten in surviving:
-            distribution[value] = weight * branch_confidence / node_confidence
-            for tag, descriptor in branch_rewritten:
-                updated = {k: v for k, v in descriptor.items() if k != variable}
-                updated[new_variable] = value
-                rewritten.append((tag, updated))
-        self._new_variables[new_variable] = distribution
-        self.variable_sources[new_variable] = variable
-        return node_confidence, rewritten
-
-    # -- new-variable bookkeeping ----------------------------------------
-    def _fresh_variable(self, source):
-        """A fresh variable name derived from ``source`` (``x`` → ``x'``, ``x''``, ...)."""
-        self._fresh_counter += 1
-        if isinstance(source, str):
-            candidate = source + "'"
-            while candidate in self.world_table or candidate in self._new_variables:
-                candidate += "'"
-            return candidate
-        candidate = (source, "prime", self._fresh_counter)
-        while candidate in self.world_table or candidate in self._new_variables:
-            self._fresh_counter += 1
-            candidate = (source, "prime", self._fresh_counter)
-        return candidate
-
-    def new_variable_rows(self) -> dict:
-        """``new variable -> {value: weight}`` for all created variables."""
-        return {variable: dict(dist) for variable, dist in self._new_variables.items()}
-
-
-DEFAULT_CONDITION_MEMO_LIMIT = 1 << 14
-"""Entry bound of handle-level conditioning memos when the config sets none."""
-
-
-class ConditioningMemo:
-    """A bounded cache of solved conditioning subproblems.
-
-    Entries map the exact interned signature of a recursion node — the
-    canonical residual condition descriptors *and* the full content of the
-    remaining tuple records (tags, packed sorted int assignments, alien
-    assignments) — to the node's result ``(variable_mask, confidence,
-    rewrite-tree chunks, new-variable allocations, bytes estimate)``.  Keys
-    are content-based, never identity-based, so hits happen both across
-    sibling branches within one run and, when one memo is shared through an
-    :class:`~repro.core.engine.EngineHandle`, across calls.  Hit replay
-    re-allocates fresh variables live and rebinds the structurally shared
-    rewrite trees instead of deep-copying, which keeps results bit-identical
-    to the unmemoised recursion (see
-    ``_InternedConditioningEngine._replay``).
-
-    ``variable_mask`` covers every world-table variable whose domain or
-    weights the cached subcomputation depended on; :meth:`refresh` uses it
-    for bitmask-selective invalidation mirroring the handle's circuit cache,
-    so a ``set_distribution`` re-weighting only evicts intersecting entries.
-    An entry is a pure function of the masked space content plus its key, so
-    surviving a weight change of *other* variables is sound.
-
-    Thread-safety: binding (:meth:`refresh`/:meth:`attune`) replaces the
-    entry dict rather than mutating it, so a conditioning run that captured
-    the previous dict keeps writing into an orphaned memo — wasted work at
-    worst, never a poisoned cache.  Counter updates and stats reads are
-    plain attribute accesses guarded by the GIL.
-    """
-
-    __slots__ = (
-        "limit",
-        "entries",
-        "space",
-        "options",
-        "hits",
-        "misses",
-        "_retired_evictions",
-    )
-
-    def __init__(self, limit: int | None = DEFAULT_CONDITION_MEMO_LIMIT) -> None:
-        self.limit = limit
-        self.entries: dict = make_memo(limit)
-        self.space: object | None = None
-        self.options: tuple | None = None
-        self.hits = 0
-        self.misses = 0
-        self._retired_evictions = 0
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def evictions(self) -> int:
-        """Capacity evictions over the memo's lifetime (invalidations excluded)."""
-        return self._retired_evictions + getattr(self.entries, "evictions", 0)
-
-    def bytes_estimate(self) -> int:
-        """Rough retained-size estimate, the sum of per-entry estimates."""
-        # list() snapshots the values under the GIL so a concurrent store or
-        # eviction cannot break the sum (handle stats reads are lock-free).
-        return sum(entry[4] for entry in list(self.entries.values()))
-
-    def clear(self) -> None:
-        """Drop every entry and unbind (the cold-cache invalidation path)."""
-        self._replace_entries({})
-        self.space = None
-        self.options = None
-
-    def refresh(self, space) -> None:
-        """Re-bind to ``space``, selectively evicting stale entries.
-
-        Binding to the same space object is a no-op.  Across spaces, entries
-        survive iff the packed encoding is unchanged (same shift, same
-        variable-id assignment up to appended variables) and their variable
-        mask does not intersect any variable whose domain or weights changed
-        — the circuit-cache discipline of ``EngineHandle._refresh_circuits``
-        applied to conditioning subproblems.
-        """
-        old = self.space
-        if space is old:
-            return
-        survivors: dict = {}
-        if old is not None and self.entries:
-            changed = _changed_variable_mask(old, space)
-            if changed is not None:
-                survivors = {
-                    key: entry
-                    for key, entry in self.entries.items()
-                    if not (entry[0] & changed)
-                }
-        self._replace_entries(survivors)
-        self.space = space
-
-    def attune(self, space, options: tuple) -> dict:
-        """Bind for a run and return the entry dict the engine should use.
-
-        ``options`` captures every engine knob that can change the
-        recursion's structure or floating-point results (pruning, rule 2,
-        heuristic, subsumption); a mismatch clears the memo rather than
-        risking cross-configuration hits.
-        """
-        self.refresh(space)
-        if self.options != options:
-            if self.options is not None:
-                self._replace_entries({})
-            self.options = options
-        return self.entries
-
-    def _replace_entries(self, survivors: dict) -> None:
-        self._retired_evictions += getattr(self.entries, "evictions", 0)
-        entries: dict = make_memo(self.limit)
-        for key, entry in survivors.items():
-            entries[key] = entry
-        self.entries = entries
-
-
-def _changed_variable_mask(old, new) -> int | None:
-    """Bitmask of old-space variable ids whose meaning changed in ``new``.
-
-    ``None`` means the packed encoding itself moved (different shift) and no
-    entry can survive.  Within one successor family (an executed ``assert``)
-    ids are never re-weighted or reassigned, so exactly the orphaned ones
-    changed.  Across a fresh rebuild a variable-id reassignment marks every
-    id from the first mismatch onward as changed: packed assignments of
-    later ids no longer denote the same (variable, value) pairs.  Variables
-    appended in ``new`` past the old space's end cannot appear in old entries
-    and are ignored.
-    """
-    if new.shift != old.shift:
-        return None
-    if new.shares_ids_with(old):
-        changed = 0
-        for variable in old.variable_ids.keys() - new.variable_ids.keys():
-            changed |= 1 << old.variable_ids[variable]
-        return changed
-    old_variables = old.variables
-    new_variables = new.variables
-    old_values = old.values
-    new_values = new.values
-    old_weights = old.weights
-    new_weights = new.weights
-    limit = len(old_variables)
-    changed = 0
-    for variable_id in range(limit):
-        if (
-            variable_id >= len(new_variables)
-            or old_variables[variable_id] != new_variables[variable_id]
-        ):
-            changed |= ((1 << (limit - variable_id)) - 1) << variable_id
-            break
-        if (
-            old_values[variable_id] != new_values[variable_id]
-            or old_weights[variable_id] != new_weights[variable_id]
-        ):
-            changed |= 1 << variable_id
-    return changed
-
-
 class _CondFrame:
     """One suspended ⊕-node of the interned conditioning engine's stack.
 
@@ -694,11 +292,11 @@ class _CondFrame:
     branch_tuples)``; ``results`` collects the children's ``(confidence,
     rewritten)`` pairs in the same order; ``unrelated`` are the tuples pruned
     at this node, appended unchanged once the node's confidence is known.
-    ``memo_key``/``entry_mask``/``alloc_start`` carry what ``_finish`` needs
-    to store the node's result in the conditioning memo: its signature, its
-    variable bitmask, and the first extended-variable index the subtree may
-    allocate (the slice from there to the end at fold time is exactly the
-    subtree's new-variable allocations, since the recursion is depth-first).
+    ``memo_key``/``alloc_start`` carry what ``_finish`` needs to store the
+    node's result in the run's memo: its signature and the first
+    extended-variable index the subtree may allocate (the slice from there to
+    the end at fold time is exactly the subtree's new-variable allocations,
+    since the recursion is depth-first).
     """
 
     __slots__ = (
@@ -709,20 +307,10 @@ class _CondFrame:
         "unrelated",
         "depth",
         "memo_key",
-        "entry_mask",
         "alloc_start",
     )
 
-    def __init__(
-        self,
-        variable_id,
-        branches,
-        unrelated,
-        depth,
-        memo_key=None,
-        entry_mask=0,
-        alloc_start=0,
-    ):
+    def __init__(self, variable_id, branches, unrelated, depth, memo_key, alloc_start):
         self.variable_id = variable_id
         self.branches = branches
         self.index = 0
@@ -730,7 +318,6 @@ class _CondFrame:
         self.unrelated = unrelated
         self.depth = depth
         self.memo_key = memo_key
-        self.entry_mask = entry_mask
         self.alloc_start = alloc_start
 
 
@@ -777,7 +364,6 @@ class _InternedConditioningEngine:
         *,
         prune_unrelated: bool,
         drop_singleton_new_variables: bool,
-        memo: ConditioningMemo | None = None,
     ) -> None:
         self.world_table = world_table
         self.config = config
@@ -806,39 +392,17 @@ class _InternedConditioningEngine:
         # source variable id -> number of primes already handed out, so fresh
         # string names extend from the last one instead of rescanning.
         self._prime_counts: dict[int, int] = {}
-        # Conditioning-subproblem memo: hits skip whole subtrees of the
-        # recursion.  A caller-supplied memo (usually the handle-level cache)
-        # carries entries across runs; otherwise a private per-run memo still
-        # captures repeats across sibling branches.  ``id(record) -> key``
-        # gives each interned tuple record its content key (``None`` marks a
-        # record whose tag or alien values are unhashable, which opts the
-        # nodes containing it out of memoisation).
+        # Conditioning-subproblem memo, owned by this run: hits skip whole
+        # subtrees of the recursion (sibling ⊕-branches often leave the same
+        # residual problem).  Keys are exact content signatures — the sorted
+        # residual condition descriptors plus every remaining tuple record's
+        # content key — and values ``(confidence, rewrite-tree chunks,
+        # new-variable allocations)``.  ``id(record) -> key`` gives each
+        # interned tuple record its content key (``None`` marks a record
+        # whose tag or alien values are unhashable, which opts the nodes
+        # containing it out of memoisation).
         self._record_keys: dict[int, tuple | None] = {}
-        if not config.condition_memoize:
-            memo = None
-        elif memo is None:
-            memo = ConditioningMemo(config.condition_memo_limit)
-        self._memo = memo
-        self._memo_entries: dict | None = (
-            memo.attune(self.space, self._memo_options()) if memo is not None else None
-        )
-
-    def _memo_options(self) -> tuple:
-        """The engine knobs a memo entry's result depends on (see ``attune``)."""
-        config = self.config
-        heuristic = (
-            config.heuristic
-            if isinstance(config.heuristic, str)
-            else repr(config.heuristic)
-        )
-        return (
-            self.prune_unrelated,
-            self.drop_singleton_new_variables,
-            heuristic,
-            config.use_independent_partitioning,
-            config.simplify_subsumed,
-            config.subsumption_every_step,
-        )
+        self._memo: dict | None = {} if config.condition_memoize else None
 
     # -- interning --------------------------------------------------------
     def intern_tuples(self, tagged) -> list[tuple]:
@@ -859,7 +423,7 @@ class _InternedConditioningEngine:
         value_ids = space.value_ids
         shift = space.shift
         record_keys = self._record_keys
-        keyed = self._memo_entries is not None
+        keyed = self._memo is not None
         interned = []
         for tag, descriptor in tagged:
             packed: list[int] = []
@@ -985,26 +549,19 @@ class _InternedConditioningEngine:
         if self.config.subsumption_every_step:
             descriptors = remove_subsumed_interned(descriptors)
 
-        entries = self._memo_entries
+        memo = self._memo
         memo_key = None
-        entry_mask = 0
-        condition_mask = 0
-        if entries is not None or self.prune_unrelated:
-            condition_mask = self._condition_mask_of(descriptors)
-        if entries is not None:
+        if memo is not None:
             memo_key = self._memo_key(descriptors, tuples)
             if memo_key is not None:
-                memo = self._memo
-                entry = entries.get(memo_key)
+                entry = memo.get(memo_key)
                 if entry is not None:
-                    memo.hits += 1
+                    stats.memo_hits += 1
                     return self._replay(entry)
-                memo.misses += 1
-                entry_mask = condition_mask
-                for t in tuples:
-                    entry_mask |= t[2]
+                stats.memo_misses += 1
 
         if self.prune_unrelated:
+            condition_mask = self._condition_mask_of(descriptors)
             related = [t for t in tuples if t[2] & condition_mask]
             if not related:
                 # Nothing left to rewrite below this point: only the branch
@@ -1012,17 +569,15 @@ class _InternedConditioningEngine:
                 confidence = self.confidence_engine.compute_interned(descriptors)
                 chunks = [("leaf", tuples)]
                 if memo_key is not None:
-                    self._store(memo_key, entry_mask, confidence, chunks, ())
+                    memo[memo_key] = (confidence, chunks, ())
                 return confidence, chunks
             unrelated = [t for t in tuples if not (t[2] & condition_mask)]
             self._push_eliminate(
-                descriptors, related, unrelated, depth, stack, memo_key, entry_mask
+                descriptors, related, unrelated, depth, stack, memo_key
             )
             return None
 
-        self._push_eliminate(
-            descriptors, tuples, [], depth, stack, memo_key, entry_mask
-        )
+        self._push_eliminate(descriptors, tuples, [], depth, stack, memo_key)
         return None
 
     def _condition_mask_of(self, descriptors) -> int:
@@ -1059,36 +614,21 @@ class _InternedConditioningEngine:
             tuple_keys.append(key)
         return (tuple(sorted(descriptors)), tuple(tuple_keys))
 
-    def _store(self, memo_key, entry_mask, confidence, chunks, allocations):
-        condition_key, tuple_keys = memo_key
-        cost = 120 + 56 * len(tuple_keys) + 72 * len(chunks)
-        for descriptor in condition_key:
-            cost += 40 + 16 * len(descriptor)
-        for _source_id, _old_id, distribution in allocations:
-            cost += 88 + 48 * len(distribution)
-        self._memo_entries[memo_key] = (
-            entry_mask,
-            confidence,
-            chunks,
-            allocations,
-            cost,
-        )
-
     def _replay(self, entry):
         """Re-materialise a cached subproblem bit-identically.
 
         Fresh variables are re-allocated *live* in the stored order: the
-        naming walk consults the current world table and the run's own
+        naming walk consults the world table and the run's own
         ``_new_names``, so replayed names match exactly what the unmemoised
         recursion would have produced at this point, and the cached
         distributions — never mutated after the ``_finish`` that filled them
         — are shared rather than copied.  The op spine is then rebuilt
         iteratively (deep spines would blow the recursion limit) with the
         remapped new-variable ids, while leaf chunks are shared verbatim:
-        records are immutable, and content-equal records externalise
-        identically, so sharing across runs is safe.
+        records are immutable, so sharing them between sibling subtrees is
+        safe.
         """
-        _mask, confidence, chunks, allocations, _cost = entry
+        confidence, chunks, allocations = entry
         if not allocations:
             return confidence, chunks
         base = self._base
@@ -1119,9 +659,7 @@ class _InternedConditioningEngine:
                     stack.append((sub, fresh))
         return confidence, rebound
 
-    def _push_eliminate(
-        self, descriptors, tuples, unrelated, depth, stack, memo_key=None, entry_mask=0
-    ):
+    def _push_eliminate(self, descriptors, tuples, unrelated, depth, stack, memo_key):
         """⊕-node: pick a variable, prepare its branches, push the frame."""
         space = self.space
         shift = space.shift
@@ -1187,7 +725,6 @@ class _InternedConditioningEngine:
                 unrelated,
                 depth,
                 memo_key,
-                entry_mask,
                 len(self._extended_names),
             )
         )
@@ -1210,7 +747,7 @@ class _InternedConditioningEngine:
             if frame.memo_key is not None:
                 # A proven-zero subtree allocates no variables (every branch
                 # folded to zero, recursively), so the entry is just the fact.
-                self._store(frame.memo_key, frame.entry_mask, 0.0, [], ())
+                self._memo[frame.memo_key] = (0.0, [], ())
             return 0.0, []
 
         if self.drop_singleton_new_variables and len(surviving) == 1:
@@ -1233,7 +770,7 @@ class _InternedConditioningEngine:
             # The extended-variable slice from ``alloc_start`` is exactly the
             # subtree's allocations (depth-first recursion), in allocation
             # order; replay walks them through ``_fresh_variable`` again so
-            # the entry stays valid whatever names a later run has taken.
+            # the entry stays valid whatever names were taken since.
             allocations = tuple(
                 (
                     self._extended_sources[k],
@@ -1242,9 +779,7 @@ class _InternedConditioningEngine:
                 )
                 for k in range(frame.alloc_start, len(self._extended_names))
             )
-            self._store(
-                frame.memo_key, frame.entry_mask, node_confidence, chunks, allocations
-            )
+            self._memo[frame.memo_key] = (node_confidence, chunks, allocations)
         return node_confidence, chunks
 
     # -- new-variable bookkeeping ----------------------------------------

@@ -82,6 +82,9 @@ class DecompositionStats:
     closed_form_nodes: int = 0
     max_depth: int = 0
     eliminated_variables: list = field(default_factory=list)
+    #: Conditioning only: subproblems answered from / added to the run's memo.
+    memo_hits: int = 0
+    memo_misses: int = 0
 
     def node_count(self) -> int:
         """Total number of ws-tree nodes produced (or that would be produced)."""

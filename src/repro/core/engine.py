@@ -53,10 +53,6 @@ import time
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
-from repro.core.conditioning import (
-    DEFAULT_CONDITION_MEMO_LIMIT,
-    ConditioningMemo,
-)
 from repro.core.decompose import Budget
 from repro.core.interned import InternedEngine
 from repro.core.probability import ExactConfig
@@ -112,15 +108,11 @@ class EngineStats:
     answered from circuits, and ``circuit_compile_time`` /
     ``circuit_eval_time`` their summed wall-clock seconds.
 
-    The ``cond_memo_*`` family describes the handle-level
-    :class:`~repro.core.conditioning.ConditioningMemo` shared across
-    conditioning runs (see :meth:`EngineHandle.conditioning_memo`):
-    subproblem lookups answered from / added to the cache
-    (``cond_memo_hits`` / ``cond_memo_misses``), entries dropped by the
-    bounded cache's capacity eviction (``cond_memo_evictions`` —
-    bitmask-selective invalidations are not counted), and a rough retained
-    size in bytes (``cond_memo_bytes_estimate``).  All zero when
-    ``condition_memoize`` is off or no conditioning ran through the handle.
+    ``cond_memo_hits`` / ``cond_memo_misses`` sum the per-run conditioning
+    memo's subproblem lookups answered from / added to it, over every
+    conditioning run driven through the session that owns the handle
+    (:meth:`EngineHandle.count_conditioning`).  Both stay zero when
+    ``condition_memoize`` is off or no conditioning ran through the session.
     """
 
     computations: int = 0
@@ -145,8 +137,6 @@ class EngineStats:
     circuit_eval_time: float = 0.0
     cond_memo_hits: int = 0
     cond_memo_misses: int = 0
-    cond_memo_evictions: int = 0
-    cond_memo_bytes_estimate: int = 0
 
     @property
     def memo_hit_rate(self) -> float:
@@ -181,9 +171,8 @@ class EngineStats:
 
         Counters (work done: computations, frames, memo hits, wall time, …)
         sum across engines; point-in-time gauges (``memo_size``,
-        ``executor``, ``workers``, ``worker_utilisation``,
-        ``cond_memo_bytes_estimate``) take the *last* snapshot's value —
-        the registry convention of
+        ``executor``, ``workers``, ``worker_utilisation``) take the *last*
+        snapshot's value — the registry convention of
         :meth:`repro.obs.metrics.MetricsRegistry.merge`.  Folding zero
         snapshots yields the zero stats.
         """
@@ -209,8 +198,7 @@ _STATS_FIELDS = tuple(spec.name for spec in fields(EngineStats))
 #: :class:`EngineStats` fields that are point-in-time readings (gauge
 #: semantics: last writer wins when merging), not accumulating counters.
 _STATS_GAUGE_FIELDS = frozenset(
-    {"memo_size", "executor", "workers", "worker_utilisation",
-     "cond_memo_bytes_estimate"}
+    {"memo_size", "executor", "workers", "worker_utilisation"}
 )
 
 
@@ -264,10 +252,9 @@ class EngineHandle:
         self._circuit_evals = 0
         self._circuit_compile_time = 0.0
         self._circuit_eval_time = 0.0
-        # Conditioning-subproblem memo shared across runs; like the circuit
-        # cache it survives _retire() and is selectively revalidated against
-        # the current interned space on every conditioning_memo() access.
-        self._cond_memo: ConditioningMemo | None = None
+        # Per-run conditioning-memo counters summed by count_conditioning().
+        self._cond_memo_hits = 0
+        self._cond_memo_misses = 0
         # Latency histograms (engine compute seconds, worker component
         # seconds merged back from the process pool).  Sessions record their
         # per-method request histograms here too, so one registry per handle
@@ -320,20 +307,17 @@ class EngineHandle:
     def invalidate(self) -> None:
         """Drop the current engine (and its memo); it is rebuilt lazily.
 
-        Compiled circuits and the conditioning memo are dropped too — this is
-        the explicit "cold everything" entry point.  A world-table
-        *replacement* (conditioning) does **not** come through here: it goes
-        through :meth:`rebind`, which keeps the engine memo across an
-        executed ``assert``, and the circuit cache and conditioning memo are
-        then selectively revalidated against the new interned space (an
-        entry survives iff the change did not touch its variables).
+        Compiled circuits are dropped too — this is the explicit "cold
+        everything" entry point.  A world-table *replacement* (conditioning)
+        does **not** come through here: it goes through :meth:`rebind`, which
+        keeps the engine memo across an executed ``assert``, and the circuit
+        cache is then selectively revalidated against the new interned space
+        (a circuit survives iff the change did not touch its variables).
         """
         with self._lock:
             self._retire()
             self._circuit_cache.clear()
             self._circuit_space = None
-            if self._cond_memo is not None:
-                self._cond_memo.clear()
 
     def close(self) -> None:
         """Shut down the worker pool and disable parallel evaluation.
@@ -375,44 +359,29 @@ class EngineHandle:
 
     def engine(self) -> InternedEngine:
         """The current engine, rebuilt if the world table was mutated."""
-        version = self._world_table.version
-        if self._engine is None or version != self._engine_version:
-            self._retire()
-            self._engine = InternedEngine(
-                self._world_table, self.config, record_elimination_order=False
-            )
-            self._engine_version = version
-        return self._engine
-
-    def conditioning_memo(self) -> ConditioningMemo | None:
-        """The handle-level conditioning-subproblem memo, freshly revalidated.
-
-        ``None`` when the config disables it (``condition_memoize=False``).
-        Every access re-binds the memo to the *current* interned space —
-        rebuilding the engine first if the world table was mutated — which
-        makes this the single invalidation choke-point for conditioning
-        state: a ``set_distribution``
-        re-weighting bumps the table version, the rebuilt space is diffed
-        against the one the entries were keyed under, and only entries whose
-        variable bitmask intersects the changed variables are evicted (the
-        circuit-cache discipline).  A world-table *replacement* (an executed
-        ``assert``) flows through :meth:`rebind` and lands here too: the next
-        access diffs against the posterior table's space, so a stale
-        pre-assert posterior can never be served.
-        """
-        config = self.config
-        if not config.condition_memoize:
-            return None
         with self._lock:
-            memo = self._cond_memo
-            if memo is None:
-                limit = config.condition_memo_limit
-                if limit is None:
-                    limit = DEFAULT_CONDITION_MEMO_LIMIT
-                memo = self._cond_memo = ConditioningMemo(limit)
-            space = self.engine().space
-            memo.refresh(space)
-            return memo
+            version = self._world_table.version
+            if self._engine is None or version != self._engine_version:
+                self._retire()
+                self._engine = InternedEngine(
+                    self._world_table, self.config, record_elimination_order=False
+                )
+                self._engine_version = version
+            return self._engine
+
+    def conditioning_memo(self) -> None:
+        """``None``: the conditioning memo belongs to each run, not the handle.
+
+        Kept so that callers passing it on as ``condition_wsset(memo=...)``
+        still work.
+        """
+        return None
+
+    def count_conditioning(self, stats) -> None:
+        """Add one conditioning run's memo counters to the handle's stats."""
+        with self._lock:
+            self._cond_memo_hits += stats.memo_hits
+            self._cond_memo_misses += stats.memo_misses
 
     # ------------------------------------------------------------------
     # Computation
@@ -808,7 +777,6 @@ class EngineHandle:
                 self._workers * self._parallel_wall_time
             )
         backend = self._backend
-        cond_memo = self._cond_memo
         return EngineStats(
             computations=self._computations,
             frames=frames,
@@ -830,12 +798,8 @@ class EngineHandle:
             circuit_evals=self._circuit_evals,
             circuit_compile_time=self._circuit_compile_time,
             circuit_eval_time=self._circuit_eval_time,
-            cond_memo_hits=cond_memo.hits if cond_memo is not None else 0,
-            cond_memo_misses=cond_memo.misses if cond_memo is not None else 0,
-            cond_memo_evictions=cond_memo.evictions if cond_memo is not None else 0,
-            cond_memo_bytes_estimate=(
-                cond_memo.bytes_estimate() if cond_memo is not None else 0
-            ),
+            cond_memo_hits=self._cond_memo_hits,
+            cond_memo_misses=self._cond_memo_misses,
         )
 
     def __repr__(self) -> str:

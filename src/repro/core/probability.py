@@ -68,21 +68,14 @@ class ExactConfig:
         a limit, turning the memo into a
         :class:`~repro.core.decompose.BoundedMemo` with clear-half eviction.
     condition_memoize:
-        Memoise the conditioning recursion itself (on by default): identical
-        condition-plus-tuple subproblems — keyed by the exact interned
-        signature of the residual condition *and* the remaining tuple
-        records — are answered from a
-        :class:`~repro.core.conditioning.ConditioningMemo` instead of being
-        re-decomposed, both across sibling branches within one ``assert`` and
-        across calls when a handle-level memo is shared
-        (:meth:`~repro.core.engine.EngineHandle.conditioning_memo`).  Cached
-        hits re-allocate their fresh variables live and rebind the shared
-        rewrite trees, so results are bit-identical to the unmemoised run.
-        ``False`` is the ablation knob.
-    condition_memo_limit:
-        Optional entry bound of the conditioning memo (``None`` keeps
-        per-run memos unbounded; handle-level memos fall back to
-        :data:`~repro.core.engine.DEFAULT_CONDITION_MEMO_LIMIT`).
+        Memoise the conditioning recursion itself (on by default): within
+        one conditioning run, identical condition-plus-tuple subproblems —
+        keyed by the exact interned signature of the residual condition
+        *and* the remaining tuple records — are solved once, so sibling
+        ⊕-branches leaving the same residual problem share it.  The memo
+        lives and dies with the run.  Cached hits re-allocate their fresh
+        variables live and rebind the shared rewrite trees, so results are
+        bit-identical to the unmemoised run.  ``False`` is the ablation knob.
     max_calls, time_limit:
         Optional budget limits forwarded to :class:`~repro.core.decompose.Budget`.
     """
@@ -94,15 +87,12 @@ class ExactConfig:
     memoize: bool = True
     memo_limit: int | None = None
     condition_memoize: bool = True
-    condition_memo_limit: int | None = None
     max_calls: int | None = None
     time_limit: float | None = None
 
     def __post_init__(self) -> None:
         if self.memo_limit is not None and self.memo_limit < 2:
             raise ValueError("memo_limit must be at least 2")
-        if self.condition_memo_limit is not None and self.condition_memo_limit < 2:
-            raise ValueError("condition_memo_limit must be at least 2")
 
     @classmethod
     def indve(cls, heuristic: "str | Heuristic" = "minlog", **kwargs) -> "ExactConfig":

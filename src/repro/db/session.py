@@ -523,47 +523,48 @@ class Session(ConfidenceAPI):
         return self._handle.what_if(ws_set, variable, ps, value=value)
 
     # ------------------------------------------------------------------
-    # Conditioning through the shared handle (memoised assert)
+    # Conditioning through the shared handle
     # ------------------------------------------------------------------
     def conditioned(self, condition, **conditioning_options):
         """The posterior database for ``condition``, without mutating the prior.
 
         Same contract as
-        :meth:`~repro.db.database.ProbabilisticDatabase.conditioned`, but the
-        recursion runs against the handle-level
-        :class:`~repro.core.conditioning.ConditioningMemo`, so repeating a
-        what-if assert (or one sharing subproblems with an earlier one) over
-        an unchanged prior replays cached rewrite trees instead of
-        re-decomposing.  Results are bit-identical to the unmemoised path.
+        :meth:`~repro.db.database.ProbabilisticDatabase.conditioned`, run
+        with the session's config, so ``condition_memoize`` governs the
+        run's own subproblem memo; its hit and miss counts are added to
+        :meth:`statistics` (``cond_memo_hits`` / ``cond_memo_misses``).
         """
         database = self._require_database()
         self.refresh()
-        memo = self._handle.conditioning_memo()
-        if memo is not None:
-            conditioning_options.setdefault("memo", memo)
-        return database.conditioned(condition, self.config, **conditioning_options)
+        # Build the engine now, so that the posterior table an assert
+        # installs extends it (an engine extension) instead of retiring it.
+        self._handle.engine()
+        posterior, summary = database.conditioned(
+            condition, self.config, **conditioning_options
+        )
+        self._handle.count_conditioning(summary.result.stats)
+        return posterior, summary
 
     def assert_condition(self, condition, **conditioning_options):
         """Assert ``condition`` on the session's database, in place.
 
-        Routes through the same handle-level memo as :meth:`conditioned`,
-        then immediately rebinds the handle to the replaced (posterior)
-        world table — the one invalidation choke-point — so no later
-        computation or memo access can see pre-assert state.  Python-level
-        work is that of the rows sharing a variable with the condition:
-        every other row, index list and domain dict is shared with the
-        prior (only C-level dict copies grow with the database), and the
-        engine keeps its memo (the posterior's interned ids extend the
-        prior's), so reads of anything the assert did not reach stay warm.
+        Runs like :meth:`conditioned`, then immediately rebinds the handle
+        to the replaced (posterior) world table — the one invalidation
+        choke-point — so no later computation can see pre-assert state.
+        Python-level work is that of the rows sharing a variable with the
+        condition: every other row, index list and domain dict is shared
+        with the prior (only C-level dict copies grow with the database),
+        and the engine keeps its memo (the posterior's interned ids extend
+        the prior's), so reads of anything the assert did not reach stay
+        warm.
         """
         database = self._require_database()
         self.refresh()
-        memo = self._handle.conditioning_memo()
-        if memo is not None:
-            conditioning_options.setdefault("memo", memo)
+        self._handle.engine()
         summary = database.assert_condition(
             condition, self.config, **conditioning_options
         )
+        self._handle.count_conditioning(summary.result.stats)
         self.refresh()
         return summary
 

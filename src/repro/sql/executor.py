@@ -187,9 +187,9 @@ def _execute_assert(
 ) -> QueryResult:
     plan = plan_select(statement.query, database)
     condition = plan.relation.descriptors()
-    # Route through the session so the assert hits the handle-level
-    # conditioning memo and the handle is rebound to the posterior table
-    # immediately (the invalidation choke-point).
+    # Route through the session so the handle is rebound to the posterior
+    # table immediately (the invalidation choke-point) and the run's memo
+    # counters reach the session statistics.
     summary = session.assert_condition(condition)
     return QueryResult(
         kind="assert",

@@ -19,6 +19,9 @@ from repro.db.world_table import WorldTable
 from repro.errors import ZeroProbabilityConditionError
 from repro.workloads.random_instances import random_world_table, random_wsset
 
+# The literal Figure 8 recursion lives beside this file as a test oracle.
+from figure8_oracle import condition_literal
+
 
 def posterior_tuple_marginals(result, tuples, world_table):
     """Marginal presence probability of each tuple tag in the conditioned database."""
@@ -131,19 +134,18 @@ class TestExample52:
     ):
         """Reproduction finding: the printed ⊗-rule of Figure 8 is unsound.
 
-        With ``literal_independence_rule=True`` the engine produces exactly
-        the U' of the paper's Example 5.2 (up to the rule-2/3 simplifications),
+        The literal Figure 8 oracle produces exactly the U' of the paper's
+        Example 5.2 (up to the rule-2/3 simplifications),
         but the induced posterior marginal of tuple ``a1`` is ≈ 0.689 whereas
         the true conditional probability is ≈ 0.466 — so the default engine
         intentionally deviates from Figure 8 here (see the module docstring of
         ``repro.core.conditioning``).
         """
-        literal = condition_wsset(
+        literal = condition_literal(
             figure3_wsset,
             self.tuples(),
             figure3_world_table,
             prune_unrelated=False,
-            literal_independence_rule=True,
         )
         assert literal.confidence == pytest.approx(0.7578)
         marginals = posterior_tuple_marginals(
@@ -165,16 +167,15 @@ class TestExample52:
         """The x-renormalisation of Figure 9: x'→1 gets .1/.308, x'→2 gets .208/.308.
 
         The ΔW weights of Figure 9 arise from the paper's literal recursion, so
-        this test runs the engine in literal-Figure-8 mode.
+        this test runs the literal Figure 8 oracle.
         """
-        result = condition_wsset(
+        result = condition_literal(
             figure3_wsset,
             self.tuples(),
             figure3_world_table,
             prune_unrelated=False,
             drop_singleton_new_variables=False,
             merge_equal_new_variables=False,
-            literal_independence_rule=True,
         )
         by_source = {}
         for variable, source in result.variable_sources.items():
@@ -326,3 +327,51 @@ class TestRandomisedCorrectness:
             for descriptor in descriptors
         )
         assert probability(rewritten_condition, combined) == pytest.approx(1.0)
+
+
+class TestFigure8Oracle:
+    """The literal oracle differs from the engine only in its ⊗-rule."""
+
+    @staticmethod
+    def case(seed):
+        rng = random.Random(11000 + seed)
+        world_table = random_world_table(rng, num_variables=5, max_domain_size=3)
+        condition = random_wsset(rng, world_table, num_descriptors=4, max_length=2)
+        tuples = [
+            (f"t{i}", descriptor)
+            for i, descriptor in enumerate(
+                random_wsset(rng, world_table, num_descriptors=4, max_length=2)
+            )
+        ]
+        return world_table, condition, tuples
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_oracle_confidence_matches_engine(self, seed):
+        # The ⊗-rule changes how tuples are rewritten, not P(condition).
+        world_table, condition, tuples = self.case(seed)
+        try:
+            sound = condition_wsset(
+                condition, tuples, world_table, prune_unrelated=False
+            )
+        except ZeroProbabilityConditionError:
+            pytest.skip("sampled an unsatisfiable condition")
+        literal = condition_literal(
+            condition, tuples, world_table, prune_unrelated=False
+        )
+        assert literal.confidence == pytest.approx(sound.confidence, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_oracle_without_independent_partitioning_is_sound(self, seed):
+        # Under plain VE there are no ⊗-nodes, so the printed recursion obeys
+        # Theorem 5.3 like the engine does.
+        world_table, condition, tuples = self.case(seed)
+        try:
+            result = condition_literal(
+                condition, tuples, world_table, ExactConfig.ve()
+            )
+        except ZeroProbabilityConditionError:
+            pytest.skip("sampled an unsatisfiable condition")
+        expected = brute_force_tuple_marginals(condition, tuples, world_table)
+        actual = posterior_tuple_marginals(result, tuples, world_table)
+        for tag in expected:
+            assert actual[tag] == pytest.approx(expected[tag], abs=1e-9), tag

@@ -1,17 +1,17 @@
-"""Property tests of the conditioning-subproblem memo (PR 8 tentpole).
+"""Property tests of the conditioning-subproblem memo.
 
-The central guarantee: memoised conditioning is **bit-identical** to the
-unmemoised recursion — same confidence, same rewritten descriptors, same new
-variables with the same float weights — within one run (sibling-branch hits),
-across calls through a shared :class:`ConditioningMemo`, under tiny memo
-limits that force evictions, and across configurations.  On top of that: the
-memoised path still agrees with brute force,
-the handle-level cache invalidates selectively on re-weighting, and an
+The memo lives for one conditioning run.  The central guarantee: memoised
+conditioning is **bit-identical** to the unmemoised recursion — same
+confidence, same rewritten descriptors, same new variables with the same
+float weights — across configurations, including runs whose sibling branches
+replay cached subtrees.  On top of that: the memoised path still agrees with
+brute force, a session sums the runs' hit counts into its statistics, and an
 interleaved assert/confidence/what_if session never serves stale posteriors.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -20,14 +20,11 @@ from repro.core.bruteforce import (
     brute_force_posterior_worlds,
     brute_force_probability,
 )
-from repro.core.conditioning import (
-    ConditioningMemo,
-    condition_wsset,
-    conditioned_world_table,
-)
+from repro.core.conditioning import condition_wsset, conditioned_world_table
 from repro.core.descriptors import WSDescriptor
 from repro.core.probability import ExactConfig, probability
 from repro.core.wsset import WSSet
+from repro.db.database import ProbabilisticDatabase
 from repro.db.session import Session
 from repro.db.world_table import WorldTable
 from repro.errors import ZeroProbabilityConditionError
@@ -39,16 +36,15 @@ from repro.workloads.random_instances import (
 
 MEMO_OFF = ExactConfig(condition_memoize=False)
 
-#: ≥5 configurations spanning memo limits, subsumption and heuristics.  The
-#: conditioning recursion always runs in-process ("serial" in the test ids);
-#: the options key must keep entries from crossing between structurally
-#: different recursions (subsumption, heuristic).
+#: Configurations spanning subsumption, heuristics, plain VE and unsimplified
+#: input.  The conditioning recursion always runs in-process ("serial" in the
+#: test ids).
 CONFIGS = [
     ExactConfig(),
-    ExactConfig(condition_memo_limit=2),
-    ExactConfig(condition_memo_limit=64),
     ExactConfig(subsumption_every_step=True),
-    ExactConfig(heuristic="minmax", condition_memo_limit=8),
+    ExactConfig(heuristic="minmax"),
+    ExactConfig.ve(),
+    ExactConfig(simplify_subsumed=False),
 ]
 
 
@@ -105,38 +101,35 @@ def sibling_heavy_case(fanout=4, parts=3):
 
 class TestBitIdentity:
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: (
-        f"serial-limit{c.condition_memo_limit}"
+        "serial"
         f"{'-subs' if c.subsumption_every_step else ''}"
         f"{'-' + c.heuristic if c.heuristic != 'minlog' else ''}"
+        f"{'' if c.use_independent_partitioning else '-ve'}"
+        f"{'' if c.simplify_subsumed else '-unsimplified'}"
     ))
     @pytest.mark.parametrize("seed", range(8))
     def test_memoised_equals_unmemoised_across_configs(self, seed, config):
         world_table, condition, tuples = random_case(61000 + seed)
-        off_config = ExactConfig(
-            subsumption_every_step=config.subsumption_every_step,
-            heuristic=config.heuristic,
-            condition_memoize=False,
-        )
+        off_config = dataclasses.replace(config, condition_memoize=False)
         try:
             off = condition_wsset(condition, tuples, world_table, off_config)
         except ZeroProbabilityConditionError:
             with pytest.raises(ZeroProbabilityConditionError):
                 condition_wsset(condition, tuples, world_table, config)
             return
-        memo = ConditioningMemo(config.condition_memo_limit)
-        first = condition_wsset(condition, tuples, world_table, config, memo=memo)
-        second = condition_wsset(condition, tuples, world_table, config, memo=memo)
+        first = condition_wsset(condition, tuples, world_table, config)
+        second = condition_wsset(condition, tuples, world_table, config)
         assert signature(first) == signature(off)
         assert signature(second) == signature(off)
-        # The repeated call answers from the cache, not by luck.
-        assert memo.hits >= 1
+        # The memoised runs consulted their memo; the ablation never did.
+        assert first.stats.memo_hits + first.stats.memo_misses >= 1
+        assert off.stats.memo_hits == off.stats.memo_misses == 0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_memoised_matches_brute_force_marginals(self, seed):
         world_table, condition, tuples = random_case(67000 + seed)
-        memo = ConditioningMemo()
         try:
-            interned = condition_wsset(condition, tuples, world_table, memo=memo)
+            interned = condition_wsset(condition, tuples, world_table)
         except ZeroProbabilityConditionError:
             pytest.skip("sampled an unsatisfiable condition")
         assert interned.confidence == pytest.approx(
@@ -156,97 +149,57 @@ class TestBitIdentity:
 
     def test_sibling_branches_hit_within_one_run(self):
         world_table, condition, tuples = sibling_heavy_case()
-        memo = ConditioningMemo()
-        on = condition_wsset(condition, tuples, world_table, memo=memo)
+        on = condition_wsset(condition, tuples, world_table)
         off = condition_wsset(condition, tuples, world_table, MEMO_OFF)
         assert signature(on) == signature(off)
-        assert memo.hits >= 1  # identical sibling subproblems replayed
-
-    def test_tiny_limit_forces_evictions_without_changing_results(self):
-        world_table, condition, tuples = random_case(71000, num_variables=7)
-        memo = ConditioningMemo(2)
-        on = condition_wsset(condition, tuples, world_table, memo=memo)
-        off = condition_wsset(condition, tuples, world_table, MEMO_OFF)
-        assert signature(on) == signature(off)
-        assert memo.evictions > 0
-        assert len(memo) <= 2
+        assert on.stats.memo_hits >= 1  # identical sibling subproblems replayed
+        # Unpruned, the replayed subtrees allocate new variables, and without
+        # rule 3 they all stay visible: a replay that reused the first
+        # sibling's ids instead of fresh ones would show here.
+        unmerged = dict(prune_unrelated=False, merge_equal_new_variables=False)
+        unmerged_on = condition_wsset(condition, tuples, world_table, **unmerged)
+        unmerged_off = condition_wsset(
+            condition, tuples, world_table, MEMO_OFF, **unmerged
+        )
+        assert signature(unmerged_on) == signature(unmerged_off)
 
     def test_deep_spine_replays_iteratively(self):
-        # The 1200-variable single-branch spine of the interned suite, run
-        # twice through one memo: the second run is a single root hit whose
-        # replay must rebuild a 1200-deep op spine without recursion.
+        # The 1200-variable single-branch spine of the interned suite behind
+        # a 4-way fan-out variable: ``w`` is eliminated first and every
+        # sibling branch after the first is a single hit whose replay must
+        # rebuild a 1200-deep op spine without recursion.
         count = 1200
         world_table = WorldTable()
-        assignments = {}
+        world_table.add_variable("w", {j: 0.25 for j in range(4)})
+        spine = {}
         for index in range(count):
             world_table.add_variable(f"x{index}", {0: 0.9999, 1: 0.0001})
-            assignments[f"x{index}"] = 0
-        condition = WSSet([assignments])
-        tuples = [("t", WSDescriptor(assignments))]
-        memo = ConditioningMemo()
-        first = condition_wsset(condition, tuples, world_table, memo=memo)
-        second = condition_wsset(condition, tuples, world_table, memo=memo)
-        assert memo.hits >= 1
-        assert first.confidence == second.confidence == pytest.approx(0.9999**count)
-        assert second.rewritten["t"] == [WSDescriptor({})]
-        assert signature(first) == signature(second)
+            spine[f"x{index}"] = 0
+        condition = WSSet([{"w": j, **spine} for j in range(4)])
+        tuples = [("t", WSDescriptor(spine))]
+        result = condition_wsset(condition, tuples, world_table, prune_unrelated=False)
+        assert result.stats.eliminated_variables[0] == "w"
+        assert result.stats.memo_hits >= 3
+        assert result.confidence == pytest.approx(0.9999**count)
+        assert result.rewritten["t"] == [WSDescriptor({"w'": j}) for j in range(4)]
 
-    def test_alien_tuple_variables_round_trip_through_cache(self, figure2_world_table):
-        condition = WSSet([{"j": 1}])
+    def test_alien_tuple_variables_round_trip_through_cache(self):
+        # ``b`` is in the world table but not in the condition, ``ghost`` in
+        # neither: without pruning the tuple rides through every sibling
+        # branch of ``w``, replayed ones included, and keeps both.
+        world_table, condition, _ = sibling_heavy_case()
+        world_table.add_variable("b", {4: 0.3, 7: 0.7})
         tuples = [("t", WSDescriptor({"b": 4, "ghost": 9}))]
-        memo = ConditioningMemo()
-        for _ in range(2):
-            result = condition_wsset(
-                condition, tuples, figure2_world_table, memo=memo
-            )
-            (descriptor,) = result.rewritten["t"]
-            assert descriptor.get("ghost") == 9
-            assert descriptor.get("b") == 4
-        assert memo.hits >= 1
-
-
-class TestSelectiveInvalidation:
-    def test_reweighting_unrelated_variable_keeps_entries(self):
-        world_table, condition, tuples = sibling_heavy_case()
-        world_table.add_variable("lonely", {0: 0.5, 1: 0.5})
-        memo = ConditioningMemo()
-        off = condition_wsset(condition, tuples, world_table, MEMO_OFF)
-        condition_wsset(condition, tuples, world_table, memo=memo)
-        entries_before = len(memo)
-        assert entries_before > 0
-        world_table.set_distribution("lonely", {0: 0.1, 1: 0.9})
-        memo.refresh(world_table.interned())
-        assert len(memo) == entries_before  # no entry touches "lonely"
-        hits_before = memo.hits
-        replayed = condition_wsset(condition, tuples, world_table, memo=memo)
-        assert memo.hits > hits_before
-        assert signature(replayed) == signature(off)
-
-    def test_reweighting_covered_variable_evicts_and_recomputes(self):
-        world_table, condition, tuples = sibling_heavy_case()
-        memo = ConditioningMemo()
-        condition_wsset(condition, tuples, world_table, memo=memo)
-        assert len(memo) > 0
-        world_table.set_distribution("x0", {0: 0.3, 1: 0.7})
-        memo.refresh(world_table.interned())
-        # Every stored subproblem either covers x0 or was the root; all the
-        # x0-dependent ones must be gone.
-        on = condition_wsset(condition, tuples, world_table, memo=memo)
-        off = condition_wsset(condition, tuples, world_table, MEMO_OFF)
-        assert signature(on) == signature(off)
-
-    def test_option_mismatch_never_crosses(self):
-        world_table, condition, tuples = sibling_heavy_case()
-        memo = ConditioningMemo()
-        plain = condition_wsset(condition, tuples, world_table, memo=memo)
-        pruned_off = condition_wsset(
-            condition, tuples, world_table, memo=memo, prune_unrelated=False
-        )
+        result = condition_wsset(condition, tuples, world_table, prune_unrelated=False)
         off = condition_wsset(
             condition, tuples, world_table, MEMO_OFF, prune_unrelated=False
         )
-        assert signature(pruned_off) == signature(off)
-        assert pruned_off.confidence == plain.confidence
+        assert signature(result) == signature(off)
+        assert result.rewritten["t"]
+        for descriptor in result.rewritten["t"]:
+            assert descriptor.get("ghost") == 9
+            assert descriptor.get("b") == 4
+        assert result.stats.memo_hits >= 1
 
 
 def db_condition(database, count=3):
@@ -266,27 +219,26 @@ def table_rows(world_table):
 
 
 class TestSessionIntegration:
-    def test_cross_call_hits_surface_in_engine_stats(self):
-        rng = random.Random(424)
-        database = random_tuple_independent_database(rng, num_tuples=7)
+    def test_per_run_hits_surface_in_engine_stats(self):
+        world_table, condition, tuples = sibling_heavy_case()
+        database = ProbabilisticDatabase(world_table)
+        relation = database.create_relation("R", ("ID",))
+        for tag, descriptor in tuples:
+            relation.add(descriptor, (tag,))
         with Session(database) as session:
-            condition = db_condition(database)
-            first_db, first_summary = session.conditioned(condition)
-            second_db, second_summary = session.conditioned(condition)
+            first_db, first = session.conditioned(condition)
+            second_db, second = session.conditioned(condition)
             stats = session.statistics()
-        assert stats.cond_memo_hits >= 1
-        assert stats.cond_memo_misses >= 1
-        assert stats.cond_memo_bytes_estimate > 0
-        assert first_summary.confidence == second_summary.confidence
+        runs = (first.result.stats, second.result.stats)
+        assert first.result.stats.memo_hits >= 1
+        assert stats.cond_memo_hits == sum(run.memo_hits for run in runs)
+        assert stats.cond_memo_misses == sum(run.memo_misses for run in runs)
+        assert first.confidence == second.confidence
         assert table_rows(first_db.world_table) == table_rows(second_db.world_table)
         payload = stats.as_dict()
-        for key in (
-            "cond_memo_hits",
-            "cond_memo_misses",
-            "cond_memo_evictions",
-            "cond_memo_bytes_estimate",
-        ):
-            assert key in payload
+        assert {"cond_memo_hits", "cond_memo_misses"} <= payload.keys()
+        assert "cond_memo_evictions" not in payload
+        assert "cond_memo_bytes_estimate" not in payload
 
     def test_memo_off_config_disables_the_handle_memo(self):
         rng = random.Random(425)
@@ -298,7 +250,6 @@ class TestSessionIntegration:
             stats = session.statistics()
         assert stats.cond_memo_hits == 0
         assert stats.cond_memo_misses == 0
-        assert stats.cond_memo_bytes_estimate == 0
 
     def test_interleaved_assert_confidence_what_if_never_stale(self):
         # The stale-memo hazard regression: assert mutates the database (new
@@ -315,7 +266,7 @@ class TestSessionIntegration:
                 return control.confidence(target).value
 
         assert session.confidence("R").value == fresh_confidence("R")
-        session.conditioned(condition)  # warm the memo
+        session.conditioned(condition)  # a what-if assert first
         session.assert_condition(condition)
         assert session.confidence("R").value == fresh_confidence("R")
 
@@ -345,3 +296,39 @@ class TestSessionIntegration:
                 "R", variable, ps
             )
         session.close()
+
+
+class TestOneMemoScope:
+    """The memo belongs to one run: nothing is configured or kept elsewhere."""
+
+    def test_condition_memo_limit_option_is_gone(self):
+        with pytest.raises(TypeError):
+            ExactConfig(condition_memo_limit=8)
+
+    def test_literal_independence_rule_option_is_gone(self):
+        world_table, condition, tuples = sibling_heavy_case()
+        with pytest.raises(TypeError):
+            condition_wsset(
+                condition, tuples, world_table, literal_independence_rule=True
+            )
+
+    def test_each_run_starts_with_an_empty_memo(self):
+        world_table, condition, tuples = sibling_heavy_case()
+        first = condition_wsset(condition, tuples, world_table)
+        second = condition_wsset(condition, tuples, world_table)
+        assert first.stats.memo_hits >= 1
+        assert (second.stats.memo_hits, second.stats.memo_misses) == (
+            first.stats.memo_hits,
+            first.stats.memo_misses,
+        )
+
+    def test_handle_conditioning_memo_is_none_and_passes_through(self):
+        world_table, condition, tuples = sibling_heavy_case()
+        database = ProbabilisticDatabase(world_table)
+        with Session(database) as session:
+            memo = session.handle.conditioning_memo()
+        assert memo is None
+        passed = condition_wsset(condition, tuples, world_table, memo=memo)
+        plain = condition_wsset(condition, tuples, world_table)
+        assert signature(passed) == signature(plain)
+        assert passed.stats.memo_hits == plain.stats.memo_hits

@@ -77,8 +77,7 @@ def test_newer_counter_families_are_covered():
     # codec historically lagged behind on are spelled out.
     names = {field.name for field in dataclasses.fields(EngineStats)}
     assert {
-        "cond_memo_hits", "cond_memo_misses", "cond_memo_evictions",
-        "cond_memo_bytes_estimate",
+        "cond_memo_hits", "cond_memo_misses",
         "circuits_compiled", "circuit_cache_hits", "circuit_evals",
         "circuit_compile_time", "circuit_eval_time",
         "executor", "workers", "parallel_computations", "parallel_components",

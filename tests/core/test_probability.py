@@ -112,7 +112,7 @@ class TestConfigurations:
         assert config.label == "indve(minmax)"
         assert config.use_independent_partitioning
 
-    @pytest.mark.parametrize("field", ["memo_limit", "condition_memo_limit"])
+    @pytest.mark.parametrize("field", ["memo_limit"])
     def test_memo_limits_are_validated_at_construction(self, field):
         # Not on the first request of a server booted with the config.
         with pytest.raises(ValueError, match=f"{field} must be at least 2"):
