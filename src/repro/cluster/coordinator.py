@@ -216,7 +216,7 @@ class ClusterCoordinator(ConfidenceAPI):
         ]
         self._on_shard_failure = on_shard_failure
         self._map: ShardMap | None = None
-        self.metrics = MetricsRegistry()
+        self.registry = MetricsRegistry()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -273,17 +273,17 @@ class ClusterCoordinator(ConfidenceAPI):
         try:
             route = self._route(request.target)
             if not route.split:
-                self.metrics.counter("repro_cluster_whole_routed_total").inc()
+                self.registry.counter("repro_cluster_whole_routed_total").inc()
                 return await self._timed(
                     route.whole_shard,
                     "query",
                     replace(request, target=route.whole_target),
                 )
-            self.metrics.counter("repro_cluster_split_routed_total").inc()
+            self.registry.counter("repro_cluster_split_routed_total").inc()
             results = await self._split_results(request, route)
             return self._merge_results(request, results, time.monotonic() - started)
         finally:
-            self.metrics.histogram(
+            self.registry.histogram(
                 "repro_cluster_request_seconds", op="confidence"
             ).record(time.monotonic() - started)
 
@@ -363,7 +363,7 @@ class ClusterCoordinator(ConfidenceAPI):
                     merged.append(self._merge_results(request, ordered, elapsed))
             return merged
         finally:
-            self.metrics.histogram(
+            self.registry.histogram(
                 "repro_cluster_request_seconds", op="confidence_many"
             ).record(time.monotonic() - started)
 
@@ -535,7 +535,7 @@ class ClusterCoordinator(ConfidenceAPI):
                 for point in sweep
             ]
         finally:
-            self.metrics.histogram(
+            self.registry.histogram(
                 "repro_cluster_request_seconds", op="what_if"
             ).record(time.monotonic() - started)
 
@@ -594,7 +594,7 @@ class ClusterCoordinator(ConfidenceAPI):
                 for values in ordered
             ]
         finally:
-            self.metrics.histogram(
+            self.registry.histogram(
                 "repro_cluster_request_seconds", op="confidence_batch"
             ).record(time.monotonic() - started)
 
@@ -635,16 +635,16 @@ class ClusterCoordinator(ConfidenceAPI):
             EngineStats.from_dict(stats["engine"]) for stats in per_shard.values()
         )
 
-    async def metrics_snapshot(self) -> dict:
+    async def metrics(self) -> dict:
         """One merged metrics snapshot: every shard plus the coordinator."""
         answers = await asyncio.gather(
             *(self._timed(shard, "metrics") for shard in range(len(self._links)))
         )
         for link in self._links:
-            self.metrics.counter(
+            self.registry.counter(
                 "repro_cluster_shard_retries_total", shard=link.address
             ).set(link.retries)
-        return merge_snapshots(*answers, self.metrics.snapshot())
+        return merge_snapshots(*answers, self.registry.snapshot())
 
     # ------------------------------------------------------------------
     # Routing
@@ -718,11 +718,11 @@ class ClusterCoordinator(ConfidenceAPI):
         try:
             return await link.call(method, *args, **kwargs)
         except ShardUnavailableError:
-            self.metrics.counter(
+            self.registry.counter(
                 "repro_cluster_shard_failures_total", shard=link.address
             ).inc()
             raise
         finally:
-            self.metrics.histogram(
+            self.registry.histogram(
                 "repro_cluster_shard_request_seconds", shard=link.address
             ).record(time.monotonic() - started)

@@ -1,19 +1,22 @@
-"""The unified confidence API: one protocol, one codec, one entry point.
+"""The unified confidence API: one protocol, two adapters, one codec, one entry point.
 
-Six sessions answer the same calls: in-process
-:class:`~repro.db.session.Session` / :class:`~repro.db.session.AsyncSession`,
-served :class:`~repro.server.client.ServerSession` /
-:class:`~repro.server.client.AsyncServerSession`, and the cluster's
-:class:`~repro.cluster.coordinator.ClusterCoordinator` /
-:class:`~repro.cluster.session.ClusterSession`.  This module pins down what
-they have in common:
+Three backends answer the same calls: the in-process
+:class:`~repro.db.session.Session`, the served
+:class:`~repro.server.client.ServerSession` /
+:class:`~repro.server.client.AsyncServerSession`, and the cluster's async
+:class:`~repro.cluster.coordinator.ClusterCoordinator`.  This module pins
+down what they have in common:
 
 * :class:`ConfidenceAPI` — the protocol every session subclasses.  Each
-  session implements the primitive calls (``query``, ``confidence_many``,
-  ``confidence_batch``, ``what_if``, ``statistics``, ``close``); the derived
-  ones — ``confidence``, ``certain_tuples``, ``possible_tuples`` — live here
-  once.  The async sessions implement the primitives as awaitables, and
-  :func:`_then` lets the derived bodies chain onto either flavour;
+  session implements the :data:`PRIMITIVES` and ``close``; the derived
+  calls — ``confidence``, ``certain_tuples``, ``possible_tuples`` — live
+  here once, and :func:`_then` chains them onto blocking and async
+  primitives alike;
+* :class:`AsyncAdapter` / :class:`BlockingAdapter` — one adapter per
+  direction, forwarding every public call of the session it wraps:
+  :class:`~repro.db.session.AsyncSession` is the async adapter over a
+  ``Session``, :class:`~repro.cluster.session.ClusterSession` the blocking
+  one over a ``ClusterCoordinator``;
 * :func:`target_to_payload` / :func:`target_from_payload` — the one wire
   codec for confidence targets, shared by ``ConfidenceRequest`` and the
   server protocol (``repro.db.session`` re-exports the names);
@@ -26,6 +29,10 @@ they have in common:
 
 from __future__ import annotations
 
+import asyncio
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from inspect import isawaitable
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
@@ -125,9 +132,10 @@ class ConfidenceAPI(Protocol):
 
     def what_if(
         self, target: "WSSet | URelation | str", variable, ps: "Sequence[float]",
-        *, value=None,
+        *, value=None, deadline_ms: float | None = None,
     ) -> list[float]:
-        """The target's confidence at each point of a probability sweep."""
+        """The target's confidence at each point of a probability sweep
+        (a served ``deadline_ms`` bounds only the server's admission wait)."""
         ...
 
     def statistics(self) -> "EngineStats":
@@ -137,6 +145,128 @@ class ConfidenceAPI(Protocol):
     def close(self) -> "None | Awaitable[None]":
         """Release the session's resources."""
         ...
+
+
+#: The calls every session implements and both adapters forward; the rest of
+#: :class:`ConfidenceAPI` derives from them, except each session's own ``close``.
+PRIMITIVES = ("query", "confidence_many", "confidence_batch", "what_if", "statistics")
+
+
+# ----------------------------------------------------------------------
+# One adapter per direction
+# ----------------------------------------------------------------------
+class _Adapter(ConfidenceAPI):
+    """A session running each call of the session it wraps through ``_run``.
+
+    The :data:`PRIMITIVES` are bound on each adapter class, since the
+    :class:`ConfidenceAPI` stubs would shadow ``__getattr__``; any other
+    public method comes back wrapped in ``_run``, and a plain attribute
+    (``shard_map``, ``addresses``, …) unchanged.
+    """
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        attribute = getattr(self._target, name)
+        return partial(self._run, attribute) if callable(attribute) else attribute
+
+
+class AsyncAdapter(_Adapter):
+    """A blocking session as an async one: each call runs on one worker thread.
+
+    Calls serialise there, keeping a shared engine consistent without
+    parking one pool thread per queued call as a lock around
+    ``asyncio.to_thread`` would: a large ``gather`` queues in the executor.
+    With ``owns_target``, :meth:`close` closes the wrapped session too.
+    """
+
+    def __init__(
+        self, target, *, owns_target: bool = False, thread_name: str = "repro-async"
+    ) -> None:
+        self._target = target
+        self._owns_target = owns_target
+        self._executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix=thread_name
+        )
+
+    async def _run(self, function, /, *args, **kwargs):
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(
+            self._executor, partial(function, *args, **kwargs)
+        )
+
+    def close(self) -> None:
+        """Let queued calls complete and join the worker thread."""
+        self._executor.shutdown()
+        if self._owns_target:
+            self._target.close()
+
+
+class BlockingAdapter(_Adapter):
+    """An async session as a blocking one: each call runs on a private loop.
+
+    Calls reach the loop's daemon thread by ``run_coroutine_threadsafe``, so
+    I/O inside one call (a cluster's shard fan-out) stays concurrent while
+    the caller blocks.  Build the target first: one that rejects its
+    arguments then leaves no thread behind.
+    """
+
+    def __init__(self, target, *, thread_name: str = "repro-blocking-loop") -> None:
+        self._target = target
+        self._closed = False
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self._loop.run_forever, name=thread_name, daemon=True
+        )
+        self._thread.start()
+
+    def _run(self, function, /, *args, **kwargs):
+        if self._closed:
+            raise RuntimeError("session is closed")
+        return asyncio.run_coroutine_threadsafe(
+            function(*args, **kwargs), self._loop
+        ).result()
+
+    def close(self) -> None:
+        """Close the wrapped session on its loop, then stop the loop thread."""
+        if self._closed:
+            return
+        try:
+            self._run(self._target.close)
+        finally:
+            self._closed = True
+            self._loop.call_soon_threadsafe(self._loop.stop)
+            self._thread.join(timeout=5)
+            self._loop.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+def _forward(name: str, coroutine: bool):
+    """The adapter method ``name``: the wrapped session's ``name`` via ``_run``."""
+    if coroutine:
+
+        async def method(self, *args, **kwargs):
+            return await self._run(getattr(self._target, name), *args, **kwargs)
+
+    else:
+
+        def method(self, *args, **kwargs):
+            return self._run(getattr(self._target, name), *args, **kwargs)
+
+    method.__name__ = name
+    method.__doc__ = getattr(ConfidenceAPI, name).__doc__
+    return method
+
+
+for _name in PRIMITIVES:
+    setattr(AsyncAdapter, _name, _forward(_name, coroutine=True))
+    setattr(BlockingAdapter, _name, _forward(_name, coroutine=False))
+del _name
 
 
 # ----------------------------------------------------------------------

@@ -20,22 +20,15 @@ Batched queries (:meth:`Session.confidence_batch`) compute the per-tuple
 engine, so sub-ws-sets common to several value tuples are solved once.  The
 SQL executor runs through a session as well (:meth:`Session.execute` /
 :meth:`Session.execute_script`), giving multi-statement scripts and repeated
-``conf()`` queries the same warm state.  :class:`AsyncSession` is the async
-executor surface: the same interface with coroutine methods (a worker
-thread behind a non-blocking cache probe, :meth:`Session.cached`) plus a
-``gather``-style :meth:`AsyncSession.confidence_many`.
-
-:func:`repro.sql.executor.execute` with a bare config keeps working as a thin
-wrapper that opens a transient session per call.
+``conf()`` queries the same warm state.  :class:`AsyncSession` is the
+:class:`~repro.db.api.AsyncAdapter` over a session, with a non-blocking
+cache probe (:meth:`Session.cached`) in front of its worker thread.
 
 The confidence server (:mod:`repro.server`) drives one :class:`Session`
 from a pool of threads: exact computations serialise on the engine handle's
-internal lock (one interned space, one memo cache for every connection),
-while the sampling methods interleave freely.  The wire codecs —
-:meth:`ConfidenceRequest.to_payload` / :meth:`ConfidenceRequest.from_payload`
-and the matching pair on :class:`ConfidenceResult` — turn requests and
-results into JSON-safe dictionaries (ws-set targets become sorted
-assignment-pair lists).
+lock (one interned space, one memo cache for every connection), while the
+sampling methods interleave freely.  ``to_payload`` / ``from_payload`` on
+:class:`ConfidenceRequest` and :class:`ConfidenceResult` are the wire codecs.
 """
 
 from __future__ import annotations
@@ -43,7 +36,6 @@ from __future__ import annotations
 import asyncio
 import time
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -55,7 +47,7 @@ from repro.core.wsset import WSSet
 # with the server protocol); the names are re-exported here because earlier
 # releases defined them in this module.
 from repro.db.api import target_from_payload, target_to_payload  # noqa: F401
-from repro.db.api import ConfidenceAPI, confidence_requests
+from repro.db.api import AsyncAdapter, ConfidenceAPI, confidence_requests
 from repro.db.confidence import ConfidenceRow
 from repro.db.urelation import URelation
 from repro.db.world_table import WorldTable
@@ -69,6 +61,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Methods accepted by :attr:`ConfidenceRequest.method`.
 METHODS = ("exact", "karp_luby", "montecarlo", "hybrid")
+
+#: The optional :class:`ConfidenceRequest` fields, as they travel on the wire
+#: (each omitted while unset).
+REQUEST_OPTIONS = (
+    "epsilon", "delta", "seed", "max_calls", "time_limit", "hybrid_scale",
+    "deadline_ms", "trace",
+)
 
 #: Default memo bound installed by sessions when the config leaves memoisation
 #: unbounded: large enough that ordinary workloads never evict, small enough
@@ -166,9 +165,7 @@ class ConfidenceRequest:
                 f"got {self.deadline_ms!r}"
             )
         if not isinstance(self.trace, bool):
-            raise ValueError(
-                f"trace must be a boolean, got {self.trace!r}"
-            )
+            raise ValueError(f"trace must be a boolean, got {self.trace!r}")
 
     def to_payload(self) -> dict:
         """A JSON-serialisable form of this request (the wire representation).
@@ -181,13 +178,10 @@ class ConfidenceRequest:
             "target": target_to_payload(self.target),
             "method": self.method,
         }
-        for name in ("epsilon", "delta", "seed", "max_calls", "time_limit",
-                     "hybrid_scale", "deadline_ms"):
+        for name in REQUEST_OPTIONS:
             value = getattr(self, name)
-            if value is not None:
+            if value is not None and value is not False:
                 payload[name] = value
-        if self.trace:
-            payload["trace"] = True
         return payload
 
     @classmethod
@@ -202,17 +196,14 @@ class ConfidenceRequest:
         """
         if not isinstance(payload, dict):
             raise ValueError(f"confidence request must be an object, got {payload!r}")
-        option_names = ("epsilon", "delta", "seed", "max_calls", "time_limit",
-                        "hybrid_scale", "deadline_ms", "trace")
-        unknown = set(payload) - {"target", "method", *option_names}
+        unknown = set(payload) - {"target", "method", *REQUEST_OPTIONS}
         if unknown:
             raise ValueError(f"unknown confidence request fields {sorted(unknown)}")
-        options = {}
-        for name in option_names:
-            if payload.get(name) is not None:
-                options[name] = payload[name]
-        if "trace" in options and not isinstance(options["trace"], bool):
-            raise ValueError(f"trace must be a boolean, got {options['trace']!r}")
+        options = {
+            name: payload[name]
+            for name in REQUEST_OPTIONS
+            if payload.get(name) is not None
+        }
         return cls(
             target_from_payload(payload["target"]),
             payload.get("method", "exact"),
@@ -285,8 +276,6 @@ class ConfidenceResult:
         )
 
 
-
-
 class Session(ConfidenceAPI):
     """A long-lived confidence service over one probabilistic database.
 
@@ -331,8 +320,7 @@ class Session(ConfidenceAPI):
         self.hybrid_max_calls = hybrid_max_calls
         self.hybrid_time_limit = hybrid_time_limit
         self.hybrid_scale = hybrid_scale
-        # trace=True traces *every* request of this session (a per-request
-        # ConfidenceRequest(trace=True) works either way); the most recent
+        # trace=True traces every request of this session; the most recent
         # span tree is kept on last_trace.
         self._trace = trace
         self.last_trace: dict | None = None
@@ -342,10 +330,8 @@ class Session(ConfidenceAPI):
         else:
             self._database = source
             world_table = source.world_table
-        # workers=N (N >= 1) opts into parallel evaluation of independent
-        # ⊗-components: the session's engine handle owns a process pool of N
-        # workers and merges component probabilities deterministically, so
-        # results are bit-identical to workers=None.
+        # workers=N (N >= 1): the handle evaluates independent ⊗-components
+        # on a pool of N processes, bit-identical to workers=None.
         self._handle = EngineHandle(world_table, config, workers=workers)
 
     # ------------------------------------------------------------------
@@ -387,11 +373,7 @@ class Session(ConfidenceAPI):
         """Aggregate engine statistics over the session's lifetime."""
         return self._handle.snapshot()
 
-    @property
-    def stats(self) -> EngineStats:
-        """Alias of :meth:`statistics`: memo hit rate (``stats.memo_hit_rate``),
-        frames, wall time, worker pool size and utilisation, …"""
-        return self._handle.snapshot()
+    stats = property(statistics, doc="Alias of :meth:`statistics`.")
 
     @property
     def workers(self) -> int:
@@ -436,11 +418,10 @@ class Session(ConfidenceAPI):
         statistics, the ``repro_session_request_seconds`` sample — for an
         ``exact`` / ``hybrid`` request on a :class:`WSSet` that the live
         engine resolves in one frame (:meth:`EngineHandle.cached_probability`
-        lists what else declines).  A deadline or a call / time budget does
-        not disqualify a hit, which needs none; traced requests, sampling
-        methods and relation / name targets (O(rows) to collect) always do.
-        :class:`AsyncSession` calls this on the event loop before paying for
-        its thread hop.
+        lists what else declines).  A deadline or budget does not disqualify
+        a hit; traced requests, sampling methods and relation / name targets
+        (O(rows) to collect) always do.  :class:`AsyncSession` calls this on
+        the event loop before paying for its thread hop.
         """
         ws_set = request.target
         if (
@@ -486,15 +467,11 @@ class Session(ConfidenceAPI):
     ) -> "Circuit":
         """Compile the target's lineage into a reusable circuit.
 
-        The returned :class:`~repro.circuit.circuit.Circuit` re-evaluates the
-        target's confidence under arbitrary re-weightings
-        (:meth:`~repro.circuit.circuit.Circuit.evaluate`), answers what-if
-        sweeps (:meth:`~repro.circuit.circuit.Circuit.evaluate_sweep`) and
-        per-weight gradients without decomposing again.  Circuits are cached
-        on the session's engine handle by descriptor structure, so compiling
-        the same (or a structurally identical) target twice is a cache hit;
-        conditioning invalidates only the circuits whose variables it
-        touched.
+        The :class:`~repro.circuit.circuit.Circuit` re-evaluates the target
+        under re-weightings, what-if sweeps and per-weight gradients without
+        decomposing again.  The handle caches circuits by descriptor
+        structure (:meth:`EngineHandle.compile`), and conditioning drops only
+        those whose variables it touched.
         """
         ws_set = self._as_wsset(target)
         self.refresh()
@@ -507,16 +484,16 @@ class Session(ConfidenceAPI):
         ps: "Sequence[float]",
         *,
         value=None,
+        deadline_ms: float | None = None,
     ) -> list[float]:
         """The target's confidence at each point of a what-if sweep.
 
         Point ``i`` answers "what if ``P({variable -> value})`` were
-        ``ps[i]``?" — the variable's other alternatives are rescaled
-        proportionally so the distribution stays normalised.  ``value``
-        defaults to the variable's first alternative (``True`` for
-        ``add_boolean`` variables).  The sweep runs on the compiled circuit
-        (compiling it on first use), so its cost is per-point microseconds,
-        not per-point decompositions.
+        ``ps[i]``?", the variable's other alternatives rescaled
+        proportionally; ``value`` defaults to its first alternative.  The
+        sweep runs on the compiled circuit, at per-point microseconds.  A
+        served ``deadline_ms`` bounds only queueing, and a local session has
+        no queue, so here it is ignored.
         """
         ws_set = self._as_wsset(target)
         self.refresh()
@@ -548,15 +525,12 @@ class Session(ConfidenceAPI):
     def assert_condition(self, condition, **conditioning_options):
         """Assert ``condition`` on the session's database, in place.
 
-        Runs like :meth:`conditioned`, then immediately rebinds the handle
-        to the replaced (posterior) world table — the one invalidation
-        choke-point — so no later computation can see pre-assert state.
-        Python-level work is that of the rows sharing a variable with the
-        condition: every other row, index list and domain dict is shared
-        with the prior (only C-level dict copies grow with the database),
-        and the engine keeps its memo (the posterior's interned ids extend
-        the prior's), so reads of anything the assert did not reach stay
-        warm.
+        Runs like :meth:`conditioned`, then rebinds the handle to the
+        posterior world table at once, so no later computation sees
+        pre-assert state.  Python-level work is that of the rows sharing a
+        variable with the condition (everything else is shared with the
+        prior), and the engine keeps its memo (posterior interned ids extend
+        the prior's), so reads the assert did not reach stay warm.
         """
         database = self._require_database()
         self.refresh()
@@ -572,18 +546,13 @@ class Session(ConfidenceAPI):
     # Batched per-tuple confidence (the conf() aggregate)
     # ------------------------------------------------------------------
     def confidence_batch(
-        self,
-        relation: "URelation | str",
-        method: str = "exact",
-        **options,
+        self, relation: "URelation | str", method: str = "exact", **options
     ) -> list[ConfidenceRow]:
         """``conf()`` of every distinct value tuple, in one grouped pass.
 
         All value tuples of the relation are solved against the *same* engine,
         so sub-ws-sets shared between tuples (common lineage, overlapping
-        descriptor sets) are computed once and served from the memo cache for
-        every further tuple — unlike the historical per-call API, which
-        re-entered a cold engine per tuple.
+        descriptor sets) are computed once and served from the memo cache.
         """
         grouped = self._as_relation(relation).descriptors_by_values()
         targets = list(grouped.values())
@@ -593,13 +562,10 @@ class Session(ConfidenceAPI):
             and self._handle.workers
             and options.get("deadline_ms") is None
         ):
-            # Route the whole batch through the process pool in one dispatch:
-            # the handle interns and memo-checks every tuple group under its
-            # lock, ships the union of uncached components to the worker
-            # pool in a single call, and merges per group — bit-identical to
-            # the per-group loop below, without per-group dispatch latency.
-            # (A deadline keeps the per-group path, which can degrade each
-            # group to a sampled answer inside its budget.)
+            # The whole batch in one pool dispatch (the union of uncached
+            # components, merged per group), bit-identical to the loop
+            # below.  A deadline keeps the loop, which can degrade each
+            # group to a sampled answer inside its budget.
             request = ConfidenceRequest(targets[0], method, **options)
             self.refresh()
             values = self._handle.probability_many(
@@ -798,44 +764,19 @@ class Session(ConfidenceAPI):
         )
 
 
-class AsyncSession(ConfidenceAPI):
-    """Async facade over a :class:`Session` (the async executor surface).
+class AsyncSession(AsyncAdapter):
+    """The :class:`~repro.db.api.AsyncAdapter` over a :class:`Session`.
 
-    Every method mirrors its synchronous counterpart.  :meth:`query` and
-    :meth:`confidence` first ask :meth:`Session.cached` on the calling (event
-    loop) thread: the hand-off to a thread costs several times a cached
-    answer.  Every miss and every other method runs on a dedicated single
-    worker thread, so the event loop stays responsive during long exact
-    computations.  Calls serialise on that worker — the
-    shared engine (one memo cache, one budget) is the whole point of a
-    session, and a one-thread executor keeps its state consistent without
-    parking one pool thread per queued call the way a lock around
-    ``asyncio.to_thread`` would: a large ``gather`` batch queues inside the
-    executor instead of exhausting the interpreter-wide default thread pool.
+    :meth:`query` (so ``confidence``, and :meth:`confidence_many`, which
+    gathers over it) first asks :meth:`Session.cached` on the event loop
+    thread: the hop to the worker thread costs several times a hit.
     """
 
     def __init__(self, session: Session, *, owns_session: bool = False) -> None:
+        # owns_session: db.async_session() hands out only this facade, so its
+        # close() also releases the session's pool; a borrowed one is left.
+        super().__init__(session, owns_target=owns_session, thread_name="repro-session")
         self.session = session
-        # With owns_session (db.async_session() builds the Session internally
-        # and hands out only this facade) close() also releases the session's
-        # ⊗-component worker pool; a borrowed session is left untouched.
-        self._owns_session = owns_session
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-session"
-        )
-
-    async def _run(self, function, /, *args, **kwargs):
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._executor, lambda: function(*args, **kwargs)
-        )
-
-    def close(self) -> None:
-        """Let queued calls complete and join the worker thread; when this
-        facade owns its session, also release its ⊗-component pool."""
-        self._executor.shutdown()
-        if self._owns_session:
-            self.session.close()
 
     async def query(self, request: ConfidenceRequest) -> ConfidenceResult:
         result = self.session.cached(request)
@@ -844,54 +785,11 @@ class AsyncSession(ConfidenceAPI):
         return result
 
     async def confidence_many(
-        self,
-        targets: "Sequence[WSSet | URelation | str | ConfidenceRequest]",
-        method: str = "exact",
-        **options,
+        self, targets, method: str = "exact", **options
     ) -> list[ConfidenceResult]:
         """``asyncio.gather`` over one :meth:`query` task per target."""
         requests = confidence_requests(targets, method, options)
         return list(await asyncio.gather(*map(self.query, requests)))
 
-    async def compile(
-        self,
-        target: "WSSet | URelation | str",
-        *,
-        max_calls: int | None = None,
-        time_limit: float | None = None,
-    ) -> "Circuit":
-        return await self._run(
-            self.session.compile, target, max_calls=max_calls, time_limit=time_limit
-        )
-
-    async def what_if(
-        self,
-        target: "WSSet | URelation | str",
-        variable,
-        ps: "Sequence[float]",
-        *,
-        value=None,
-    ) -> list[float]:
-        return await self._run(
-            self.session.what_if, target, variable, ps, value=value
-        )
-
-    async def confidence_batch(
-        self, relation: "URelation | str", method: str = "exact", **options
-    ) -> list[ConfidenceRow]:
-        return await self._run(
-            self.session.confidence_batch, relation, method, **options
-        )
-
-    async def execute(self, sql: str) -> "QueryResult":
-        return await self._run(self.session.execute, sql)
-
-    async def execute_script(self, sql: str) -> "list[QueryResult]":
-        return await self._run(self.session.execute_script, sql)
-
-    def statistics(self) -> EngineStats:
-        return self.session.statistics()
-
     def __repr__(self) -> str:
         return f"AsyncSession({self.session!r})"
-

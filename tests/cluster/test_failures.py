@@ -11,6 +11,7 @@ and affected slots carry the error object.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -177,3 +178,20 @@ class TestBootstrap:
     def test_invalid_failure_mode_is_rejected(self, cluster):
         with pytest.raises(ValueError):
             cluster.connect(on_shard_failure="retry-forever")
+
+
+def test_rejected_cluster_session_leaks_no_loop_thread():
+    """Arguments the coordinator rejects fail before any loop thread starts."""
+    from repro.cluster import ClusterSession
+
+    def loop_threads():
+        return sum(
+            thread.name == "repro-cluster-loop" for thread in threading.enumerate()
+        )
+
+    before = loop_threads()
+    with pytest.raises(ValueError):
+        ClusterSession([("127.0.0.1", 1)], on_shard_failure="bogus")
+    with pytest.raises(ValueError):
+        ClusterSession([])
+    assert loop_threads() == before

@@ -11,6 +11,7 @@ calls through :meth:`Session.as_async` and :func:`repro.server.connect_async`.
 from __future__ import annotations
 
 import asyncio
+import inspect
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.cluster import LocalCluster
 from repro.cluster.__main__ import build_cluster_database
 from repro.core.engine import EngineStats
 from repro.core.wsset import WSSet
+from repro.db.api import PRIMITIVES, AsyncAdapter, BlockingAdapter, ConfidenceAPI
 from repro.db.session import ConfidenceRequest, ConfidenceResult, Session
 from repro.errors import UnknownVariableError
 from repro.server import connect_async
@@ -115,8 +117,11 @@ class TestConformance:
     def test_what_if_sweep(self, api_session, reference, conformance_db):
         variable = next(iter(conformance_db.world_table.variables))
         points = [0.1, 0.4, 0.8]
-        assert api_session.what_if("HARD", variable, points) == reference.what_if(
-            "HARD", variable, points
+        expected = reference.what_if("HARD", variable, points)
+        assert api_session.what_if("HARD", variable, points) == expected
+        assert (
+            api_session.what_if("HARD", variable, points, deadline_ms=60_000)
+            == expected
         )
 
     @pytest.mark.parametrize("method", ["exact", "karp_luby", "montecarlo", "hybrid"])
@@ -225,6 +230,28 @@ class TestAsyncConformance:
             return await session.what_if("HARD", variable, points)
 
         assert ask_async(call) == reference.what_if("HARD", variable, points)
+
+    def test_statistics_is_awaitable(self, ask_async):
+        async def call(session):
+            await session.confidence("HARD")
+            return await session.statistics()
+
+        stats = ask_async(call)
+        assert isinstance(stats, EngineStats)
+        assert stats.computations > 0
+
+
+def test_adapters_forward_every_primitive():
+    """Every non-derived ConfidenceAPI call is forwarded by both adapters —
+    a coroutine on the async one, a plain call on the blocking one — so a
+    primitive added to the protocol cannot go missing on one backend."""
+    derived = {"confidence", "certain_tuples", "possible_tuples", "close"}
+    members = {name for name in vars(ConfidenceAPI) if not name.startswith("_")}
+    assert set(PRIMITIVES) == members - derived
+    for name in PRIMITIVES:
+        assert inspect.iscoroutinefunction(getattr(AsyncAdapter, name))
+        forward = getattr(BlockingAdapter, name)
+        assert callable(forward) and not inspect.iscoroutinefunction(forward)
 
 
 def test_connect_rejects_nonsense_targets():

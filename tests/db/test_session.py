@@ -296,11 +296,12 @@ def test_async_session_matches_sync_session():
     assert isinstance(async_session, AsyncSession)
 
     async def run():
-        return await async_session.confidence_many(targets)
+        results = await async_session.confidence_many(targets)
+        return results, await async_session.statistics()
 
-    results = asyncio.run(run())
+    results, stats = asyncio.run(run())
     assert [r.value for r in results] == pytest.approx(expected, abs=1e-12)
-    assert async_session.statistics().computations == len(targets)
+    assert stats.computations == len(targets)
 
 
 def test_async_session_executes_sql(ssn_database):
