@@ -178,7 +178,7 @@ def run_scenario(
 
     flat = sorted(second for client in latencies for second in client)
     requests = len(flat)
-    histogram = snapshot["histograms"]['repro_server_op_seconds{op="confidence"}']
+    histogram = snapshot["histograms"]['repro_server_op_seconds{op="confidence_many"}']
     assert histogram["count"] == requests, (
         f"server histogram saw {histogram['count']} confidence requests, "
         f"clients issued {requests}"

@@ -34,7 +34,8 @@ The other entry points:
   replaced per-variable distributions, without re-decomposition;
 * :meth:`Circuit.evaluate_sweep` — one variable's alternative swept over a
   grid of probabilities (the other alternatives rescaled proportionally),
-  vectorised over the grid with numpy when available;
+  vectorised over the grid with numpy when available, bit-identical to the
+  point-by-point fallback;
 * :meth:`Circuit.gradient` — reverse-mode ``∂P/∂w`` for every weight slot the
   circuit touches, one backward pass;
 * :meth:`Circuit.sensitivity` — ``dP/dp`` under the sweep's
@@ -320,7 +321,8 @@ class Circuit:
         With numpy available all points are evaluated in one vectorised
         forward pass (the swept variable's weights become arrays, every other
         node value stays scalar and broadcasts); the fallback evaluates
-        point-by-point and returns the same values within float tolerance.
+        point-by-point in the same accumulation order, so both return the
+        same values bit for bit.
         """
         variable_id, value_id = self._sweep_target(variable, value)
         points = [float(p) for p in ps]

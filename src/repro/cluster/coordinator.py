@@ -10,8 +10,7 @@ the first reachable shard:
   single node's bit for bit;
 * a target spanning shards is evaluated per global component (materialised
   sub-relations for named relations, explicit simplified ws-sets for ad-hoc
-  targets), all components of a shard batched into one ``confidence_many``
-  frame, the shards queried concurrently, and the component values folded
+  targets), and the component values folded
   flat in the engine's global component order
   (:func:`~repro.core.components.merge_component_values`) — reproducing the
   single-node ⊗ merge exactly;
@@ -19,15 +18,18 @@ the first reachable shard:
   and folds the other components in as exact constants, point by point in
   the same global order.
 
+Either way the per-shard work of one call leaves in one scatter: one
+``confidence_many`` frame per shard, the shards queried concurrently.
+
 Failure semantics: every per-shard call retries under the link's
 :class:`~repro.server.client.RetryPolicy` (reconnecting when the connection
 broke); a shard that stays unreachable raises
 :class:`~repro.errors.ShardUnavailableError` naming it.  With
 ``on_shard_failure="fail"`` (the default) that error propagates from any
 operation; with ``"partial"``, ``confidence_many`` instead answers the
-unaffected slots and places the error object in the affected ones — single
-``confidence`` calls and ``what_if`` always raise, an incomplete scalar
-being worse than none.
+unaffected slots and places the error object in the affected ones — a
+single ``query`` / ``confidence`` call raises its slot's error and
+``what_if`` always raises, an incomplete scalar being worse than none.
 
 Every public operation and every per-shard request is timed into the
 coordinator's :class:`~repro.obs.metrics.MetricsRegistry`
@@ -267,34 +269,14 @@ class ClusterCoordinator(ConfidenceAPI):
     # ------------------------------------------------------------------
     # Confidence
     # ------------------------------------------------------------------
-    async def query(self, request: ConfidenceRequest) -> ConfidenceResult:
-        """Answer one request, whole-routed or merged across shards."""
-        started = time.monotonic()
-        try:
-            route = self._route(request.target)
-            if not route.split:
-                self.registry.counter("repro_cluster_whole_routed_total").inc()
-                return await self._timed(
-                    route.whole_shard,
-                    "query",
-                    replace(request, target=route.whole_target),
-                )
-            self.registry.counter("repro_cluster_split_routed_total").inc()
-            results = await self._split_results(request, route)
-            return self._merge_results(request, results, time.monotonic() - started)
-        finally:
-            self.registry.histogram(
-                "repro_cluster_request_seconds", op="confidence"
-            ).record(time.monotonic() - started)
-
     async def confidence_many(
         self, targets: "Iterable", method: str = "exact", **options
     ) -> list[ConfidenceResult]:
         """All targets answered with one ``confidence_many`` frame per shard.
 
-        Sub-requests of every slot — whole-routed targets and the components
-        of split ones alike — are batched by owning shard, dispatched
-        concurrently, redistributed by slot, and merged.  With
+        Every slot is routed — whole to one shard, or split into its global
+        components — and the legs of all slots go out in one
+        :meth:`_scatter`; split slots are merged.  With
         ``on_shard_failure="partial"`` a slot touching an unavailable shard
         carries the :class:`ShardUnavailableError` instance in its position
         instead of failing the whole batch.
@@ -302,92 +284,77 @@ class ClusterCoordinator(ConfidenceAPI):
         started = time.monotonic()
         try:
             requests = confidence_requests(targets, method, options)
-            if not requests:
-                return []
             routes = [self._route(request.target) for request in requests]
-            # (slot, component index | None) tags ride along per shard batch.
-            batches: dict[int, list[tuple[int, int | None, ConfidenceRequest]]] = {}
-            for slot, (request, route) in enumerate(zip(requests, routes)):
+            legs: list[tuple[int, ConfidenceRequest]] = []
+            for request, route in zip(requests, routes):
                 if not route.split:
-                    batches.setdefault(route.whole_shard, []).append(
-                        (slot, None, replace(request, target=route.whole_target))
+                    self.registry.counter("repro_cluster_whole_routed_total").inc()
+                    legs.append(
+                        (route.whole_shard, replace(request, target=route.whole_target))
                     )
                 else:
-                    for index, (shard, target) in enumerate(
-                        route.component_targets
-                    ):
-                        batches.setdefault(shard, []).append(
-                            (
-                                slot,
-                                index,
-                                replace(request, target=target, trace=False),
-                            )
-                        )
-
-            async def ask(shard: int, entries) -> list[ConfidenceResult]:
-                return await self._timed(
-                    shard, "confidence_many", [request for _, _, request in entries]
-                )
-
-            shards = sorted(batches)
-            answers = await asyncio.gather(
-                *(ask(shard, batches[shard]) for shard in shards),
-                return_exceptions=True,
-            )
-
-            slot_failures: dict[int, ShardUnavailableError] = {}
-            slot_parts: dict[int, dict[int | None, ConfidenceResult]] = {}
-            for shard, answer in zip(shards, answers):
-                if isinstance(answer, BaseException):
-                    if (
-                        not isinstance(answer, ShardUnavailableError)
-                        or self._on_shard_failure == "fail"
-                    ):
-                        raise answer
-                    for slot, _, _ in batches[shard]:
-                        slot_failures.setdefault(slot, answer)
-                    continue
-                for (slot, index, _), result in zip(batches[shard], answer):
-                    slot_parts.setdefault(slot, {})[index] = result
-
+                    self.registry.counter("repro_cluster_split_routed_total").inc()
+                    legs.extend(
+                        (shard, replace(request, target=target, trace=False))
+                        for shard, target in route.component_targets
+                    )
+            results = iter(await self._scatter(legs))
             merged: list = []
             elapsed = time.monotonic() - started
-            for slot, (request, route) in enumerate(zip(requests, routes)):
-                if slot in slot_failures:
-                    merged.append(slot_failures[slot])
-                elif not route.split:
-                    merged.append(slot_parts[slot][None])
+            for request, route in zip(requests, routes):
+                if not route.split:
+                    merged.append(next(results))
+                    continue
+                parts = [next(results) for _ in route.component_targets]
+                failed = [part for part in parts if isinstance(part, BaseException)]
+                if failed:
+                    merged.append(failed[0])
                 else:
-                    parts = slot_parts[slot]
-                    ordered = [parts[i] for i in range(len(route.component_targets))]
-                    merged.append(self._merge_results(request, ordered, elapsed))
+                    merged.append(self._merge_results(request, parts, elapsed))
             return merged
         finally:
             self.registry.histogram(
                 "repro_cluster_request_seconds", op="confidence_many"
             ).record(time.monotonic() - started)
 
-    async def _split_results(
-        self, request: ConfidenceRequest, route: _Route
-    ) -> list[ConfidenceResult]:
-        """Per-component results of a split route, in global component order."""
-        batches: dict[int, list[tuple[int, ConfidenceRequest]]] = {}
-        for index, (shard, target) in enumerate(route.component_targets):
-            batches.setdefault(shard, []).append(
-                (index, replace(request, target=target, trace=False))
-            )
+    async def _scatter(
+        self, legs: "Sequence[tuple[int, ConfidenceRequest]]", *, partial: bool = True
+    ) -> list:
+        """The answers to ``(shard, request)`` legs, in leg order.
 
-        async def ask(shard: int, entries) -> list[tuple[int, ConfidenceResult]]:
-            results = await self._timed(
-                shard, "confidence_many", [request for _, request in entries]
-            )
-            return [(index, result) for (index, _), result in zip(entries, results)]
-
-        answered = await asyncio.gather(
-            *(ask(shard, entries) for shard, entries in batches.items())
+        Each shard gets one ``confidence_many`` frame with its legs, all
+        shards concurrently.  A shard that stays unavailable raises — or,
+        under ``on_shard_failure="partial"`` when ``partial`` holds, fills
+        its legs with its :class:`ShardUnavailableError`.
+        """
+        positions: dict[int, list[int]] = {}
+        for position, (shard, _) in enumerate(legs):
+            positions.setdefault(shard, []).append(position)
+        shards = sorted(positions)
+        answers = await asyncio.gather(
+            *(
+                self._timed(
+                    shard,
+                    "confidence_many",
+                    [legs[position][1] for position in positions[shard]],
+                )
+                for shard in shards
+            ),
+            return_exceptions=True,
         )
-        by_index = {index: result for chunk in answered for index, result in chunk}
-        return [by_index[index] for index in range(len(route.component_targets))]
+        results: list = [None] * len(legs)
+        for shard, answer in zip(shards, answers):
+            if isinstance(answer, BaseException):
+                if not (
+                    partial
+                    and self._on_shard_failure == "partial"
+                    and isinstance(answer, ShardUnavailableError)
+                ):
+                    raise answer
+                answer = [answer] * len(positions[shard])
+            for position, result in zip(positions[shard], answer):
+                results[position] = result
+        return results
 
     def _merge_results(
         self,
@@ -446,93 +413,57 @@ class ClusterCoordinator(ConfidenceAPI):
         started = time.monotonic()
         try:
             route = self._route(target)
-            owner = self.shard_map.shard_of(variable)
+            if route.split:
+                components = route.component_targets
+                swept = route.component_of(variable)
+            else:
+                # A swept variable on another shard cannot be referenced by
+                # the target: the sweep is a constant line at the target's
+                # exact confidence (what a single node's circuit answers).
+                components = [(route.whole_shard, route.whole_target)]
+                owner = self.shard_map.shard_of(variable)
+                swept = 0 if owner == route.whole_shard else None
             points = [float(p) for p in ps]
             options = {"deadline_ms": deadline_ms} if deadline_ms else {}
-            if not route.split:
-                if owner == route.whole_shard:
-                    return list(
-                        await self._timed(
-                            route.whole_shard,
-                            "what_if",
-                            route.whole_target,
-                            variable,
-                            points,
-                            value=value,
-                            deadline_ms=deadline_ms,
-                        )
-                    )
-                # The swept variable lives on another shard, so it cannot be
-                # referenced by the target: the sweep is a constant line at
-                # the target's exact confidence (what a single node's
-                # compiled circuit answers for an unreferenced variable).
-                result = await self._timed(
-                    route.whole_shard,
-                    "confidence",
-                    route.whole_target,
-                    "exact",
-                    **options,
+            calls = [
+                self._scatter(
+                    [
+                        (shard, ConfidenceRequest(component, "exact", **options))
+                        for index, (shard, component) in enumerate(components)
+                        if index != swept
+                    ],
+                    partial=False,
                 )
-                return [result.value] * len(points)
-
-            swept = route.component_of(variable)
-            batches: dict[int, list[tuple[int, ConfidenceRequest]]] = {}
-            for index, (shard, component_target) in enumerate(
-                route.component_targets
-            ):
-                if index == swept:
-                    continue
-                batches.setdefault(shard, []).append(
-                    (
-                        index,
-                        ConfidenceRequest(component_target, "exact", **options),
-                    )
-                )
-
-            async def constants_for(shard, entries):
-                results = await self._timed(
-                    shard, "confidence_many", [request for _, request in entries]
-                )
-                return [
-                    (index, result.value)
-                    for (index, _), result in zip(entries, results)
-                ]
-
-            coros = [
-                constants_for(shard, entries) for shard, entries in batches.items()
             ]
             if swept is not None:
-                shard, component_target = route.component_targets[swept]
-                coros.append(
+                shard, component = components[swept]
+                calls.append(
                     self._timed(
                         shard,
                         "what_if",
-                        component_target,
+                        component,
                         variable,
                         points,
                         value=value,
                         deadline_ms=deadline_ms,
                     )
                 )
-            answered = await asyncio.gather(*coros)
-            sweep = answered.pop() if swept is not None else None
-            constants = {
-                index: constant for chunk in answered for index, constant in chunk
-            }
-            total = len(route.component_targets)
+            results, *sweep = await asyncio.gather(*calls)
+            values = (result.value for result in results)
+            constants = [
+                None if index == swept else next(values)
+                for index in range(len(components))
+            ]
             if swept is None:
-                base = merge_component_values(
-                    [constants[index] for index in range(total)]
-                )
-                return [base] * len(points)
+                return [merge_component_values(constants)] * len(points)
             return [
                 merge_component_values(
                     [
-                        point if index == swept else constants[index]
-                        for index in range(total)
+                        point if index == swept else constant
+                        for index, constant in enumerate(constants)
                     ]
                 )
-                for point in sweep
+                for point in sweep[0]
             ]
         finally:
             self.registry.histogram(

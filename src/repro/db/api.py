@@ -9,9 +9,9 @@ down what they have in common:
 
 * :class:`ConfidenceAPI` — the protocol every session subclasses.  Each
   session implements the :data:`PRIMITIVES` and ``close``; the derived
-  calls — ``confidence``, ``certain_tuples``, ``possible_tuples`` — live
-  here once, and :func:`_then` chains them onto blocking and async
-  primitives alike;
+  calls — ``query`` (a one-request ``confidence_many``), ``confidence``,
+  ``certain_tuples``, ``possible_tuples`` — live here once, and
+  :func:`_then` chains them onto blocking and async primitives alike;
 * :class:`AsyncAdapter` / :class:`BlockingAdapter` — one adapter per
   direction, forwarding every public call of the session it wraps:
   :class:`~repro.db.session.AsyncSession` is the async adapter over a
@@ -59,6 +59,14 @@ def _then(value, fn):
     return fn(value)
 
 
+def _only(results: list):
+    """The one result of a one-request batch, raised if it is an error."""
+    (result,) = results
+    if isinstance(result, BaseException):
+        raise result
+    return result
+
+
 def confidence_requests(targets, method: str, options: dict) -> list:
     """A ``confidence_many`` call's requests: each target, or one built for it."""
     from repro.db.session import ConfidenceRequest
@@ -79,13 +87,14 @@ class ConfidenceAPI(Protocol):
     the same meanings; async flavours expose the same names as coroutines.
     Obtain an implementation with :func:`connect` — the call sites stay
     identical whichever backend serves them.  Subclasses implement the
-    primitive calls and inherit ``confidence``, ``certain_tuples`` and
-    ``possible_tuples``.
+    primitive calls and inherit ``query``, ``confidence``,
+    ``certain_tuples`` and ``possible_tuples``.
     """
 
     def query(self, request: "ConfidenceRequest") -> "ConfidenceResult":
-        """Answer one :class:`~repro.db.session.ConfidenceRequest`."""
-        ...
+        """Answer one :class:`~repro.db.session.ConfidenceRequest`: a
+        one-request :meth:`confidence_many`, its error slot raised."""
+        return _then(self.confidence_many([request]), _only)
 
     def confidence(
         self, target: "WSSet | URelation | str", method: str = "exact", **options
@@ -149,7 +158,7 @@ class ConfidenceAPI(Protocol):
 
 #: The calls every session implements and both adapters forward; the rest of
 #: :class:`ConfidenceAPI` derives from them, except each session's own ``close``.
-PRIMITIVES = ("query", "confidence_many", "confidence_batch", "what_if", "statistics")
+PRIMITIVES = ("confidence_many", "confidence_batch", "what_if", "statistics")
 
 
 # ----------------------------------------------------------------------

@@ -157,13 +157,14 @@ class ConfidenceRequest:
         if self.method not in METHODS:
             known = ", ".join(METHODS)
             raise ValueError(f"unknown method {self.method!r}; known methods: {known}")
-        if self.deadline_ms is not None and (
-            not isinstance(self.deadline_ms, (int, float)) or self.deadline_ms <= 0
-        ):
-            raise ValueError(
-                f"deadline_ms must be a positive number of milliseconds, "
-                f"got {self.deadline_ms!r}"
-            )
+        for name in ("deadline_ms", "time_limit", "hybrid_scale", "max_calls"):
+            value = getattr(self, name)
+            kinds = int if name == "max_calls" else (int, float)
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, kinds) or value <= 0
+            ):
+                kind = "integer" if name == "max_calls" else "number"
+                raise ValueError(f"{name} must be a positive {kind}, got {value!r}")
         if not isinstance(self.trace, bool):
             raise ValueError(f"trace must be a boolean, got {self.trace!r}")
 
@@ -407,7 +408,8 @@ class Session(ConfidenceAPI):
     # The unified query interface
     # ------------------------------------------------------------------
     def query(self, request: ConfidenceRequest) -> ConfidenceResult:
-        """Answer one :class:`ConfidenceRequest`."""
+        """Answer one :class:`ConfidenceRequest` (the body of
+        :meth:`confidence_many`, called directly to skip the batch wrapping)."""
         ws_set = self._as_wsset(request.target)
         return self._confidence_wsset(ws_set, request)
 
@@ -767,9 +769,9 @@ class Session(ConfidenceAPI):
 class AsyncSession(AsyncAdapter):
     """The :class:`~repro.db.api.AsyncAdapter` over a :class:`Session`.
 
-    :meth:`query` (so ``confidence``, and :meth:`confidence_many`, which
-    gathers over it) first asks :meth:`Session.cached` on the event loop
-    thread: the hop to the worker thread costs several times a hit.
+    :meth:`confidence_many` (so the derived ``query`` and ``confidence``)
+    first asks :meth:`Session.cached` on the event loop thread, once per
+    request: the hop to the worker thread costs several times a hit.
     """
 
     def __init__(self, session: Session, *, owns_session: bool = False) -> None:
@@ -778,18 +780,20 @@ class AsyncSession(AsyncAdapter):
         super().__init__(session, owns_target=owns_session, thread_name="repro-session")
         self.session = session
 
-    async def query(self, request: ConfidenceRequest) -> ConfidenceResult:
-        result = self.session.cached(request)
-        if result is None:
-            result = await self._run(self.session.query, request)
-        return result
-
     async def confidence_many(
         self, targets, method: str = "exact", **options
     ) -> list[ConfidenceResult]:
-        """``asyncio.gather`` over one :meth:`query` task per target."""
+        """``asyncio.gather`` over one task per target: a cache hit, or
+        :meth:`Session.query` on the worker thread."""
+
+        async def answer(request: ConfidenceRequest) -> ConfidenceResult:
+            result = self.session.cached(request)
+            if result is None:
+                result = await self._run(self.session.query, request)
+            return result
+
         requests = confidence_requests(targets, method, options)
-        return list(await asyncio.gather(*map(self.query, requests)))
+        return list(await asyncio.gather(*map(answer, requests)))
 
     def __repr__(self) -> str:
         return f"AsyncSession({self.session!r})"

@@ -12,8 +12,9 @@ Each wire call is written once, on the shared method table, as
 ``self._request(op, args, deadline_ms, decode)``.  The transports differ only
 in ``_request``: the blocking one returns ``decode(self._call(...))``; the
 async one is a coroutine doing the same, so every method of
-:class:`AsyncServerSession` returns an awaitable.  ``confidence``,
-``certain_tuples`` and ``possible_tuples`` come from ``ConfidenceAPI``.
+:class:`AsyncServerSession` returns an awaitable.  ``query`` (a one-request
+``confidence_many`` frame), ``confidence``, ``certain_tuples`` and
+``possible_tuples`` come from ``ConfidenceAPI``.
 Results are the local dataclasses, and error frames re-raise the matching
 :mod:`repro.errors` exception.
 
@@ -21,8 +22,8 @@ Each connection is strictly request/response; ``confidence_many`` ships all
 its targets in one frame for the server to fan out across its pool.
 ``request_timeout`` bounds each response wait
 (:class:`~repro.errors.RequestTimeoutError`; the desynchronised connection
-is closed).  A ``deadline_ms`` option rides on the frame, where the server
-bounds queueing with it and degrades an overrunning exact computation to a
+is closed).  A ``deadline_ms`` rides on the frame, where the server bounds
+queueing with it and degrades an overrunning exact computation to a
 Karp-Luby answer.  Only the blocking transport retries, under a
 :class:`RetryPolicy` and only for :data:`~repro.server.protocol.IDEMPOTENT_OPS`
 (``execute`` can condition the database, so resending it could apply it
@@ -237,16 +238,6 @@ class _ServedSession(ConfidenceAPI):
         """
         return self._request("shard_map")
 
-    def query(self, request: ConfidenceRequest) -> ConfidenceResult:
-        # The request's deadline also rides at frame level, where the server
-        # bounds the admission wait with it (not just the computation).
-        return self._request(
-            "confidence",
-            request.to_payload(),
-            request.deadline_ms,
-            ConfidenceResult.from_payload,
-        )
-
     def confidence_many(
         self,
         targets: "Iterable[WSSet | URelation | str | ConfidenceRequest]",
@@ -254,12 +245,17 @@ class _ServedSession(ConfidenceAPI):
         **options,
     ) -> list[ConfidenceResult]:
         """All targets in *one* frame, fanned out by the server's pool and
-        answered in target order (an empty batch answers ``[]``)."""
+        answered in target order (an empty batch answers ``[]``).
+
+        The frame's deadline, which bounds the server's admission wait, is
+        the loosest request deadline when every request has one: no request
+        waits past its own, and none is cut short by another's."""
         requests = confidence_requests(targets, method, options)
+        deadlines = [request.deadline_ms for request in requests]
         return self._request(
             "confidence_many",
             {"requests": [request.to_payload() for request in requests]},
-            options.get("deadline_ms"),
+            None if None in deadlines or not deadlines else max(deadlines),
             lambda result: list(map(ConfidenceResult.from_payload, result["results"])),
         )
 

@@ -5,12 +5,12 @@ bytes of UTF-8 JSON encoding one object.  Requests carry the protocol version
 (:data:`PROTOCOL_VERSION`, the only one spoken), a client-chosen correlation
 id, an operation name and its arguments::
 
-    {"v": 4, "id": 7, "op": "confidence", "args": {...}}
+    {"v": 5, "id": 7, "op": "confidence_many", "args": {"requests": [...]}}
 
 Responses echo the id and carry either a result or a structured error::
 
-    {"v": 4, "id": 7, "ok": true,  "result": {...}}
-    {"v": 4, "id": 7, "ok": false, "error": {"code": "budget-exceeded",
+    {"v": 5, "id": 7, "ok": true,  "result": {"results": [...]}}
+    {"v": 5, "id": 7, "ok": false, "error": {"code": "budget-exceeded",
                                              "message": "..."}}
 
 Operations (see ``docs/protocol.md`` for the full schemas):
@@ -31,15 +31,13 @@ Operations (see ``docs/protocol.md`` for the full schemas):
     :func:`repro.obs.metrics.quantile_from_snapshot`), admission-queue
     depth, in-flight and shed/deadline counters.  Like ``health`` it is
     answered without queueing, so it works under full load.
-``confidence``
-    One :class:`~repro.db.session.ConfidenceRequest`
-    (:meth:`~repro.db.session.ConfidenceRequest.to_payload` form, including
-    per-request budgets, seeds and ε/δ) answered with a
-    :class:`~repro.db.session.ConfidenceResult` payload.
 ``confidence_many``
-    A batch of confidence requests answered in one round trip; the server
-    fans the batch out across its pool threads, so with a process pool
-    the requests genuinely overlap.  Results come back in request order.
+    Confidence requests (:meth:`~repro.db.session.ConfidenceRequest.to_payload`
+    form, including per-request budgets, seeds and ε/δ) answered in one
+    round trip with :class:`~repro.db.session.ConfidenceResult` payloads in
+    request order; a single query is a one-request batch.  The server fans
+    the batch out across its pool threads, so with a process pool the
+    requests genuinely overlap.
 ``confidence_batch``
     Per-tuple ``conf()`` of a named relation through
     :meth:`~repro.db.session.Session.confidence_batch`.
@@ -112,7 +110,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: The one protocol version: clients send it on every frame, and the server
 #: answers a frame carrying anything else with ``unsupported-version``.
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 #: Default TCP port of ``python -m repro.server`` (the paper's year).
 DEFAULT_PORT = 2008
@@ -130,7 +128,6 @@ OPS = (
     "stats",
     "metrics",
     "shard_map",
-    "confidence",
     "confidence_many",
     "confidence_batch",
     "what_if",
@@ -155,7 +152,6 @@ IDEMPOTENT_OPS = frozenset(
         "stats",
         "metrics",
         "shard_map",
-        "confidence",
         "confidence_many",
         "confidence_batch",
         "what_if",

@@ -17,7 +17,7 @@ frames on the same connection instead of dropping it, and any
 structured error frame with a stable code.  Only transport-level failures
 (EOF, truncated frames) close a connection — and never the server.
 
-Serving is fault-tolerant (protocol v3):
+Serving is fault-tolerant (since protocol v3):
 
 * **admission control** — computation-bearing operations pass a bounded
   admission queue (:class:`_AdmissionQueue`): at most ``max_inflight``
@@ -27,10 +27,10 @@ Serving is fault-tolerant (protocol v3):
   server stays observable while saturated;
 * **deadlines** — a request frame's ``deadline_ms`` bounds its whole server
   residency.  The admission wait is cut short when the deadline would pass
-  in the queue (``deadline-exceeded``), and for ``confidence``,
-  ``confidence_many`` and ``confidence_batch`` the *remaining* time is
-  folded into the session request, where an overrunning exact computation
-  degrades to a Karp-Luby (ε, δ) answer instead of erroring (see
+  in the queue (``deadline-exceeded``), and for ``confidence_many`` and
+  ``confidence_batch`` the *remaining* time is folded into each session
+  request, where an overrunning exact computation degrades to a Karp-Luby
+  (ε, δ) answer instead of erroring (see
   :meth:`repro.db.session.Session.query`);
 * **graceful drain** — :meth:`stop` stops accepting, lets in-flight requests
   finish (and answer) for a grace period, sheds newly arriving work as
@@ -99,7 +99,6 @@ _BATCH_OPTIONS = (
 #: saturated or draining server must stay observable.
 _ADMITTED_OPS = frozenset(
     {
-        "confidence",
         "confidence_many",
         "confidence_batch",
         "what_if",
@@ -621,7 +620,7 @@ class ConfidenceServer:
     async def _admitted(self, op: str, args: dict, deadline: float | None) -> object:
         """Answer an admitted computation op, deadline folded into the request.
 
-        ``confidence`` / ``confidence_many`` requests — and every group of a
+        ``confidence_many`` requests — and every group of a
         ``confidence_batch`` — carry the *remaining* milliseconds as
         :attr:`~repro.db.session.ConfidenceRequest.deadline_ms` (tightening
         any client-set value), so an overrunning exact computation degrades
@@ -646,20 +645,13 @@ class ConfidenceServer:
                     "deadline expired in the admission queue", deadline_ms=0.0
                 )
             remaining_ms = remaining * 1000.0
-        if op == "confidence":
-            request = self._fold_deadline(
-                ConfidenceRequest.from_payload(args), remaining_ms
-            )
-            async with self._gate:
-                (result,) = await self._confidence_many(op, [request])
-            return result.to_payload()
         if op == "confidence_many":
             requests = [
                 self._fold_deadline(request, remaining_ms)
                 for request in self._many_requests(args)
             ]
             async with self._gate:
-                results = await self._confidence_many(op, requests)
+                results = await self._confidence_many(requests)
             return {"results": [result.to_payload() for result in results]}
         if op == "confidence_batch":
             async with self._gate:
@@ -713,9 +705,7 @@ class ConfidenceServer:
             }
         return payload
 
-    def _log_slow_query(
-        self, op: str, started: float, result: "ConfidenceResult"
-    ) -> None:
+    def _log_slow_query(self, started: float, result: "ConfidenceResult") -> None:
         """Emit one structured JSON line when a request overran the threshold.
 
         The line carries the request's span tree (``result.trace``, forced
@@ -730,7 +720,7 @@ class ConfidenceServer:
             return
         record = {
             "event": "slow_query",
-            "op": op,
+            "op": "confidence_many",
             "ms": round(elapsed_ms, 3),
             "threshold_ms": self._slow_query_ms,
             "method": result.method,
@@ -833,9 +823,7 @@ class ConfidenceServer:
             )
         return [ConfidenceRequest.from_payload(payload) for payload in payloads]
 
-    def _cached(
-        self, op: str, request: ConfidenceRequest
-    ) -> "ConfidenceResult | None":
+    def _cached(self, request: ConfidenceRequest) -> "ConfidenceResult | None":
         """Answer from the warm engine on this (the loop) thread, and count it.
 
         ``None`` means the thread-pool route.  It runs where the hop would:
@@ -844,16 +832,17 @@ class ConfidenceServer:
         result = self._session.cached(request)
         if result is not None:
             self._inline_answers_total += 1
-            self.metrics.counter("repro_server_inline_answers_total", op=op).inc()
+            self.metrics.counter(
+                "repro_server_inline_answers_total", op="confidence_many"
+            ).inc()
         return result
 
     async def _confidence_many(
-        self, op: str, requests: list[ConfidenceRequest]
+        self, requests: list[ConfidenceRequest]
     ) -> list["ConfidenceResult"]:
         """Answer a batch: cached requests inline, the rest across the pool.
 
-        ``confidence`` frames arrive here as one-request batches.  Requests
-        the warm engine answers in one frame are answered right here
+        Requests the warm engine answers in one frame are answered right here
         (:meth:`_cached`); each of the others runs on its own pool thread
         (:meth:`_compute`), so the batch pipelines up to ``pool_size``
         requests; with ``workers=N`` the engine handle releases its lock
@@ -867,10 +856,10 @@ class ConfidenceServer:
         pool threads invisibly, stalling the client's own retries behind
         zombie computations.
         """
-        results = [self._cached(op, request) for request in requests]
+        results = [self._cached(request) for request in requests]
         misses = [index for index, result in enumerate(results) if result is None]
         answers = await asyncio.gather(
-            *(self._compute(op, requests[index]) for index in misses),
+            *(self._compute(requests[index]) for index in misses),
             return_exceptions=True,
         )
         for index, answer in zip(misses, answers):
@@ -879,9 +868,7 @@ class ConfidenceServer:
             results[index] = answer
         return results
 
-    async def _compute(
-        self, op: str, request: ConfidenceRequest
-    ) -> "ConfidenceResult":
+    async def _compute(self, request: ConfidenceRequest) -> "ConfidenceResult":
         """Answer one uncached request on a pool thread, logged when slow.
 
         With a slow-query threshold armed the request is traced server-side
@@ -894,7 +881,7 @@ class ConfidenceServer:
             request = replace(request, trace=True)
         started = time.monotonic()
         result = await self._run(self._session.query, request)
-        self._log_slow_query(op, started, result)
+        self._log_slow_query(started, result)
         if forced_trace:
             result.trace = None
         return result

@@ -162,6 +162,35 @@ class TestSweepAndGradient:
                 expected = circuit.evaluate({variable: override})
                 assert value == pytest.approx(expected, abs=TOLERANCE)
 
+    @pytest.mark.parametrize("seed", [2008, 7331])
+    def test_numpy_sweep_is_bit_identical_to_the_point_by_point_sweep(
+        self, monkeypatch, seed
+    ):
+        # Both paths accumulate every node in the same order, so they agree
+        # to the last bit — here on the what-if targets of the serve_hot
+        # benchmark (20-descriptor windows of a Figure 11a n=16 instance,
+        # 15 points), swept over their first and last variables.
+        pytest.importorskip("numpy")
+        from repro.server.__main__ import build_database
+
+        database = build_database(f"figure11a:n=16,r=2,s=4,w=240,seed={seed}")
+        descriptors = list(database.relation("HARD").descriptors())
+        windows = [WSSet(descriptors[10 * i : 10 * i + 40]) for i in range(20)]
+        points = [(i + 1) / 16 for i in range(15)]
+        with Session(database) as session:
+            circuits = [session.compile(WSSet(list(w)[:20])) for w in windows]
+
+        def sweeps() -> list[list[str]]:
+            return [
+                [value.hex() for value in circuit.evaluate_sweep(variable, points)]
+                for circuit in circuits
+                for variable in (min(circuit.variables), max(circuit.variables))
+            ]
+
+        vectorised = sweeps()
+        monkeypatch.setattr(circuit_module, "_np", None)
+        assert sweeps() == vectorised
+
     def test_sweep_default_value_and_validation(self, world_table, ws_set):
         circuit = Session(world_table).compile(ws_set)
         # value=None sweeps the first domain value.

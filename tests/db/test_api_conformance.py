@@ -245,7 +245,7 @@ def test_adapters_forward_every_primitive():
     """Every non-derived ConfidenceAPI call is forwarded by both adapters —
     a coroutine on the async one, a plain call on the blocking one — so a
     primitive added to the protocol cannot go missing on one backend."""
-    derived = {"confidence", "certain_tuples", "possible_tuples", "close"}
+    derived = {"query", "confidence", "certain_tuples", "possible_tuples", "close"}
     members = {name for name in vars(ConfidenceAPI) if not name.startswith("_")}
     assert set(PRIMITIVES) == members - derived
     for name in PRIMITIVES:

@@ -39,6 +39,12 @@ def inline_counter(session, op: str) -> int:
     return session.metrics()["counters"].get(key, 0)
 
 
+def one_reply(session, args: dict) -> dict:
+    """The raw reply payload of a one-request ``confidence_many`` frame."""
+    (reply,) = session._call("confidence_many", {"requests": [args]})["results"]
+    return reply
+
+
 def answer(payload: dict) -> dict:
     """A reply payload minus its measured times."""
     stripped = {key: value for key, value in payload.items() if key != "wall_time"}
@@ -62,9 +68,9 @@ def test_inline_reply_is_the_worker_reply_field_for_field(running_server, served
     with running_server(database, pool_size=1) as server:
         with connect(server.host, server.port) as session:
             session.query(request)  # cold: computed on the worker
-            worker = session._call("confidence", dict(args, trace=True))
+            worker = one_reply(session, dict(args, trace=True))
             assert inline(session) == 0
-            probed = session._call("confidence", args)
+            probed = one_reply(session, args)
             assert inline(session) == 1
     worker.pop("trace")
     # Same keys in the same order, same values — but for the counters the
@@ -101,16 +107,16 @@ def test_hot_requests_count_inline_per_op_and_the_rest_do_not(running_server, se
             assert session.confidence(queries[0]).value == expected[0]
             assert session.confidence(queries[0], "hybrid").value == expected[0]
             assert inline(session) == 2
-            assert inline_counter(session, "confidence") == 2
+            assert inline_counter(session, "confidence_many") == 2
             # A batch answers its hits inline and fans out only the misses.
             batch = session.confidence_many([queries[1], queries[0], queries[2], queries[0]])
             assert [result.value for result in batch] == [
                 expected[1], expected[0], expected[2], expected[0],
             ]
-            assert inline_counter(session, "confidence_many") == 2
+            assert inline_counter(session, "confidence_many") == 4
             batch = session.confidence_many(queries[:3])
             assert [result.value for result in batch] == expected[:3]
-            assert inline_counter(session, "confidence_many") == 5
+            assert inline_counter(session, "confidence_many") == 7
             assert inline(session) == 7
             # After clear_cache() there is nothing to hit until a worker
             # has rebuilt and refilled the engine.

@@ -25,13 +25,13 @@ class TestMetricsOp:
                     session.confidence("R")
                 session.ping()
                 snapshot = session.metrics()
-        histogram = snapshot["histograms"]['repro_server_op_seconds{op="confidence"}']
+        histogram = snapshot["histograms"]['repro_server_op_seconds{op="confidence_many"}']
         assert histogram["count"] == 3
         p50 = quantile_from_snapshot(histogram, 0.5)
         p90 = quantile_from_snapshot(histogram, 0.9)
         p99 = quantile_from_snapshot(histogram, 0.99)
         assert 0.0 < p50 <= p90 <= p99 <= histogram["max"]
-        assert snapshot["counters"]['repro_server_requests_total{op="confidence"}'] == 3
+        assert snapshot["counters"]['repro_server_requests_total{op="confidence_many"}'] == 3
         # Pressure gauges and mirrored admission counters, refreshed at read
         # time (the request being answered holds the one in-flight slot).
         assert snapshot["gauges"]["repro_server_queue_depth"] == 0.0
@@ -87,7 +87,7 @@ class TestWireTrace:
         with running_server(ssn_database) as server:
             with connect(server.host, server.port) as session:
                 with pytest.raises(ProtocolError, match="trace must be a boolean"):
-                    session._call("confidence", args)
+                    session._call("confidence_many", {"requests": [args]})
 
 
 class TestSlowQueryLog:
@@ -108,7 +108,7 @@ class TestSlowQueryLog:
         assert records
         entry = json.loads(records[0].getMessage())
         assert entry["event"] == "slow_query"
-        assert entry["op"] == "confidence"
+        assert entry["op"] == "confidence_many"
         assert entry["ms"] >= 0.0
         assert entry["trace"]["name"] == "request"
 
@@ -182,7 +182,7 @@ class TestHttpExposition:
         assert status == 200
         assert missing_status == 404
         assert "# TYPE repro_server_op_seconds summary" in body
-        assert 'repro_server_op_seconds_count{op="confidence"} 1' in body
+        assert 'repro_server_op_seconds_count{op="confidence_many"} 1' in body
         assert "# TYPE repro_server_queue_depth gauge" in body
         assert "repro_server_shed_total 0" in body
 

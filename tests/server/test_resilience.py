@@ -105,6 +105,28 @@ class TestSessionDeadlines:
         with pytest.raises(ValueError, match="deadline_ms"):
             ConfidenceRequest("R", deadline_ms=-5)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("deadline_ms", True),
+            ("deadline_ms", "100"),
+            ("time_limit", -1),
+            ("time_limit", 0.0),
+            ("hybrid_scale", -3),
+            ("hybrid_scale", False),
+            ("max_calls", "x"),
+            ("max_calls", 1.5),
+            ("max_calls", True),
+            ("max_calls", 0),
+        ],
+    )
+    def test_budget_fields_must_be_positive_non_bool_numbers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ConfidenceRequest("R", **{field: value})
+        payload = {"target": {"kind": "relation", "name": "R"}, field: value}
+        with pytest.raises(ValueError, match=field):
+            ConfidenceRequest.from_payload(payload)
+
     def test_deadline_round_trips_through_the_wire_codec(self):
         request = ConfidenceRequest("R", deadline_ms=1500.0)
         clone = ConfidenceRequest.from_payload(request.to_payload())
@@ -230,6 +252,42 @@ class TestAdmissionControl:
                 # Shed now, admitted on a later attempt — and the eventual
                 # answer is the correct one.
                 assert session.confidence("R").value == expected
+            thread.join(timeout=10)
+
+    def test_request_deadlines_bound_the_admission_wait_of_a_batch(
+        self, running_server, ssn_database
+    ):
+        with running_server(
+            ssn_database, pool_size=1, max_inflight=1, max_queue=4
+        ) as server:
+            faults.arm("server.dispatch", Fault("delay", seconds=2.0, times=1))
+
+            def blocker():
+                with connect(server.host, server.port) as session:
+                    session.confidence("R")
+
+            thread = threading.Thread(target=blocker, daemon=True)
+            thread.start()
+            _wait_for_consumed_charge("server.dispatch")
+            # The blocker holds the only slot for two seconds; each call
+            # below queues behind it and must give up at its own deadline.
+            calls = [
+                lambda s: s.query(ConfidenceRequest("R", deadline_ms=100)),
+                lambda s: s.confidence_many(["R"], deadline_ms=100),
+                lambda s: s.confidence_many([ConfidenceRequest("R", deadline_ms=100)]),
+                lambda s: s.confidence_many(
+                    [
+                        ConfidenceRequest("R", deadline_ms=50),
+                        ConfidenceRequest("R", deadline_ms=150),
+                    ]
+                ),
+            ]
+            with connect(server.host, server.port) as session:
+                for call in calls:
+                    started = time.monotonic()
+                    with pytest.raises(DeadlineExceededError):
+                        call(session)
+                    assert time.monotonic() - started < 1.0
             thread.join(timeout=10)
 
     def test_health_reports_admission_pressure(self, running_server, ssn_database):

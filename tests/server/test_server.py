@@ -380,8 +380,8 @@ class TestProtocolRobustness:
                 assert response["error"]["code"] == "unknown-op"
 
                 # 6. Bad args shape for a known op.
-                blob = json.dumps({"v": PROTOCOL_VERSION, "id": 6, "op": "confidence",
-                                   "args": {"target": "oops"}}).encode()
+                blob = json.dumps({"v": PROTOCOL_VERSION, "id": 6, "op": "confidence_many",
+                                   "args": {"requests": [{"target": "oops"}]}}).encode()
                 response = self._raw_roundtrip(sock, HEADER.pack(len(blob)) + blob)
                 assert response["error"]["code"] == "malformed-frame"
 
