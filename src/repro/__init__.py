@@ -23,14 +23,7 @@ Quickstart
 
 from repro.core.descriptors import WSDescriptor, EMPTY_DESCRIPTOR
 from repro.core.wsset import WSSet
-from repro.core.wstree import (
-    WSTree,
-    IndependentNode,
-    VariableNode,
-    LeafNode,
-    BottomNode,
-)
-from repro.core.decompose import compute_tree, DecompositionStats
+from repro.core.decompose import DecompositionStats
 from repro.core.heuristics import make_heuristic, available_heuristics
 from repro.core.probability import (
     ExactConfig,
@@ -90,12 +83,6 @@ __all__ = [
     "WSDescriptor",
     "EMPTY_DESCRIPTOR",
     "WSSet",
-    "WSTree",
-    "IndependentNode",
-    "VariableNode",
-    "LeafNode",
-    "BottomNode",
-    "compute_tree",
     "DecompositionStats",
     "make_heuristic",
     "available_heuristics",

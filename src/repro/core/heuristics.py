@@ -14,16 +14,17 @@ heuristics and benchmarks them against each other in Figure 13:
   to evaluate but blind to the number of large branches (Remark 4.6 gives a
   scenario where it is suboptimal).
 
-For ablation experiments three extra strategies are provided: the first
-variable encountered, the most frequently occurring variable, and a seeded
-random choice.
+For ablation experiments two extra strategies are provided: the first
+variable encountered and the most frequently occurring variable.  Every
+strategy is a pure function of the occurrence counts and domain sizes, so
+the same ws-set always eliminates the same variable — which is what lets a
+recorded circuit evaluate bit-identically to the run it records.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -77,13 +78,12 @@ class Heuristic:
 
         ``world_table`` may be any *domain-size provider* — an object with a
         ``domain_size(variable)`` method for the variables keyed in
-        ``occurrences``.  The dict-based recursions (``compute_tree``, the
-        literal Figure 8 conditioning) pass the
-        :class:`~repro.db.world_table.WorldTable` itself (variables are their
-        original names); the interned engine passes its
+        ``occurrences``.  The interned engine passes its
         :class:`~repro.core.interned.InternedSpace` (variables are dense
-        integer ids).  Heuristics therefore must not assume anything about the
-        variable objects beyond hashability.
+        integer ids); the test suite's dict-based Figure 8 oracle passes the
+        :class:`~repro.db.world_table.WorldTable` itself (variables are their
+        original names).  Heuristics therefore must not assume anything about
+        the variable objects beyond hashability.
         """
         best_variable = None
         best_score = math.inf
@@ -103,16 +103,14 @@ class Heuristic:
         return f"{type(self).__name__}()"
 
 
+#: ``1 / ln 2``: turns the natural logarithm into the ``log2`` of Figure 6.
+_INVERSE_LOG_2 = 1.0 / math.log(2.0)
+
+
 class MinLogHeuristic(Heuristic):
     """The minlog heuristic of Figure 6 (log-space cost estimate, base 2)."""
 
     name = "minlog"
-
-    def __init__(self, base: float = 2.0) -> None:
-        if base <= 1.0:
-            raise ValueError("the cost-estimate base must be greater than one")
-        self.base = base
-        self._inverse_log_base = 1.0 / math.log(base)
 
     def estimate(
         self,
@@ -121,9 +119,8 @@ class MinLogHeuristic(Heuristic):
         t_size: int,
         domain_size: int,
     ) -> float:
-        base = self.base
         log = math.log
-        inverse_log_base = self._inverse_log_base
+        inverse_log_2 = _INVERSE_LOG_2
         counts = value_counts.values()
         missing_assignment = len(value_counts) < domain_size or 0 in counts
         estimate = float(t_size) if missing_assignment else 0.0
@@ -131,14 +128,15 @@ class MinLogHeuristic(Heuristic):
         for count in counts:
             if count <= 0:
                 continue
-            # e := e + log_base(1 + base^(size - e)), i.e. log-sum-exp accumulation.
+            # e := e + log2(1 + 2^(size - e)), i.e. log-sum-exp accumulation.
             exponent = count + t_size - estimate
             if exponent > 60:
-                # base**exponent would overflow long before this point matters;
-                # log_base(1 + base**exponent) ≈ exponent for large exponents.
+                # Past 2**53 the 1 is lost to rounding, so log2(1 + 2**exponent)
+                # is the exponent itself; the cutoff also keeps 2**exponent
+                # from overflowing.
                 estimate += exponent
             else:
-                estimate += log(1.0 + base**exponent) * inverse_log_base
+                estimate += log(1.0 + 2.0**exponent) * inverse_log_2
         return estimate
 
 
@@ -189,29 +187,16 @@ class MostFrequentHeuristic(Heuristic):
         return -float(sum(value_counts.values()))
 
 
-class RandomHeuristic(Heuristic):
-    """Ablation baseline: uniformly random variable choice (seeded, reproducible)."""
-
-    name = "random"
-
-    def __init__(self, seed: int = 0) -> None:
-        self._rng = random.Random(seed)
-
-    def estimate(self, variable, value_counts, t_size, domain_size) -> float:
-        return self._rng.random()
-
-
 _HEURISTICS = {
     "minlog": MinLogHeuristic,
     "minmax": MinMaxHeuristic,
     "first": FirstVariableHeuristic,
     "frequency": MostFrequentHeuristic,
-    "random": RandomHeuristic,
 }
 
 
-def make_heuristic(name: "str | Heuristic", **kwargs) -> Heuristic:
-    """Create a heuristic by name (``minlog``, ``minmax``, ``first``, ``frequency``, ``random``).
+def make_heuristic(name: "str | Heuristic") -> Heuristic:
+    """Create a heuristic by name (``minlog``, ``minmax``, ``first``, ``frequency``).
 
     Passing an existing :class:`Heuristic` instance returns it unchanged, so
     API entry points can accept either form.
@@ -223,7 +208,7 @@ def make_heuristic(name: "str | Heuristic", **kwargs) -> Heuristic:
     except KeyError:
         known = ", ".join(sorted(_HEURISTICS))
         raise ValueError(f"unknown heuristic {name!r}; known heuristics: {known}") from None
-    return factory(**kwargs)
+    return factory()
 
 
 def available_heuristics() -> tuple[str, ...]:
@@ -250,17 +235,3 @@ def component_dispatch_cost(component, space) -> int:
     domains = sum(space.domain_size(variable_id) for variable_id in variable_ids)
     return len(component) * max(1, domains)
 
-
-def count_occurrences(descriptors: Sequence[Mapping[Variable, Value]]) -> dict:
-    """Gather ``variable -> value -> count`` statistics in one pass over a ws-set.
-
-    The input descriptors are plain mappings (the internal representation used
-    by the decomposition engine) or :class:`~repro.core.descriptors.WSDescriptor`
-    instances — anything supporting ``.items()``.
-    """
-    occurrences: dict[Variable, dict[Value, int]] = {}
-    for descriptor in descriptors:
-        for variable, value in descriptor.items():
-            by_value = occurrences.setdefault(variable, {})
-            by_value[value] = by_value.get(value, 0) + 1
-    return occurrences

@@ -227,7 +227,7 @@ class InternedSpace:
 
 
 # ----------------------------------------------------------------------
-# Packed ws-set helpers (the interned counterparts of decompose's helpers)
+# Packed ws-set helpers
 # ----------------------------------------------------------------------
 def deduplicate_interned(descriptors: list[PackedDescriptor]) -> list[PackedDescriptor]:
     """Remove exact duplicates, preserving first-occurrence order."""
@@ -726,12 +726,6 @@ class InternedEngine:
         for packed in descriptor:
             product *= weights[packed >> shift][packed & mask]
         return product
-
-    def _merged(
-        self, d1: PackedDescriptor, d2: PackedDescriptor
-    ) -> PackedDescriptor | None:
-        """The conjunction ``d1 ∧ d2`` as a sorted tuple, or ``None`` if mutex."""
-        return merge_interned(d1, d2, self.space.shift)
 
     def _small_probability(self, descriptors: list[PackedDescriptor]) -> float:
         """Exact probability of a ws-set of at most :data:`_CLOSED_FORM_LIMIT` descriptors.

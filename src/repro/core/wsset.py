@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping
 from typing import TYPE_CHECKING
 
+from repro.core.decompose import kept_after_subsumption
 from repro.core.descriptors import EMPTY_DESCRIPTOR, WSDescriptor, as_descriptor
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -198,8 +199,6 @@ class WSSet:
         ``d is contained in d'`` (i.e. ``d`` extends ``d'``).  This is the
         simplification used in Example 3.2 to expose independence.
         """
-        from repro.core.decompose import kept_after_subsumption  # imports this module
-
         kept = kept_after_subsumption([set(d.items()) for d in self._descriptors])
         return WSSet(self._descriptors[index] for index in kept)
 

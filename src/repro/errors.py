@@ -52,10 +52,6 @@ class InconsistentDescriptorError(DescriptorError):
     """An operation required two consistent descriptors but they conflict."""
 
 
-class WSTreeError(ReproError, ValueError):
-    """A world-set tree violates the structural constraints of Definition 4.1."""
-
-
 class SchemaError(ReproError, ValueError):
     """A relational operation was applied to incompatible or unknown schemas."""
 

@@ -8,6 +8,11 @@ and Figure 9 output, but it does not preserve the posterior distribution
 through ⊕-nodes only.  :func:`condition_literal` runs the printed recursion
 over plain dicts and hands its output to the library's own rule-3 merge and
 ΔW assembly, so the two differ only in the recursion.
+
+The dict helpers below (``to_internal`` … ``count_occurrences``) are the
+plain-dict ws-set operations of Figure 4 that the recursion runs on; the
+library's engines use their packed-int counterparts in
+:mod:`repro.core.interned`.
 """
 
 from __future__ import annotations
@@ -20,16 +25,104 @@ from repro.core.conditioning import (
 from repro.core.decompose import (
     Budget,
     DecompositionStats,
-    connected_components,
-    deduplicate,
+    kept_after_subsumption,
     recursion_guard,
-    remove_subsumed,
-    split_on_variable,
-    to_internal,
 )
-from repro.core.heuristics import count_occurrences, make_heuristic
+from repro.core.heuristics import make_heuristic
 from repro.core.interned import InternedEngine
 from repro.core.probability import ExactConfig
+
+
+# ----------------------------------------------------------------------
+# Plain-dict ws-set helpers
+# ----------------------------------------------------------------------
+def to_internal(ws_set) -> list[dict]:
+    """Convert a :class:`~repro.core.wsset.WSSet` into plain-dict descriptors."""
+    return [dict(descriptor.items()) for descriptor in ws_set]
+
+
+def remove_subsumed(descriptors: list[dict]) -> list[dict]:
+    """Drop descriptors that extend (are contained in) another descriptor.
+
+    Among duplicates the first occurrence wins; the output preserves the
+    input order.
+    """
+    if len(descriptors) <= 1:
+        return list(descriptors)
+    kept = kept_after_subsumption([set(d.items()) for d in descriptors])
+    if len(kept) == len(descriptors):
+        return list(descriptors)
+    return [descriptors[index] for index in kept]
+
+
+def deduplicate(descriptors: list[dict]) -> list[dict]:
+    """Remove exact duplicate descriptors, preserving first-occurrence order."""
+    seen: set[frozenset] = set()
+    unique: list[dict] = []
+    for descriptor in descriptors:
+        key = frozenset(descriptor.items())
+        if key not in seen:
+            seen.add(key)
+            unique.append(descriptor)
+    return unique
+
+
+def connected_components(descriptors: list[dict]) -> list[list[dict]]:
+    """Partition a ws-set into variable-disjoint (independent) components.
+
+    The connected components of the graph linking variables that co-occur
+    in a descriptor, found with union-find (Section 4.2).
+    """
+    parent: dict = {}
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:  # path compression
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+
+    for descriptor in descriptors:
+        variables = list(descriptor)
+        for variable in variables:
+            parent.setdefault(variable, variable)
+        first = variables[0]
+        for variable in variables[1:]:
+            union(first, variable)
+
+    groups: dict = {}
+    for descriptor in descriptors:
+        groups.setdefault(find(next(iter(descriptor))), []).append(descriptor)
+    return list(groups.values())
+
+
+def split_on_variable(descriptors: list[dict], variable) -> tuple[dict, list[dict]]:
+    """``(by_value, unmentioned)``: ``S_{x→i}`` per value ``i`` and ``T`` (Figure 4)."""
+    by_value: dict = {}
+    unmentioned: list[dict] = []
+    for descriptor in descriptors:
+        if variable in descriptor:
+            reduced = {k: v for k, v in descriptor.items() if k != variable}
+            by_value.setdefault(descriptor[variable], []).append(reduced)
+        else:
+            unmentioned.append(descriptor)
+    return by_value, unmentioned
+
+
+def count_occurrences(descriptors) -> dict:
+    """``variable -> value -> count`` statistics in one pass over a ws-set."""
+    occurrences: dict = {}
+    for descriptor in descriptors:
+        for variable, value in descriptor.items():
+            by_value = occurrences.setdefault(variable, {})
+            by_value[value] = by_value.get(value, 0) + 1
+    return occurrences
 
 
 def condition_literal(

@@ -1,4 +1,12 @@
-"""Unit tests for the ComputeTree decomposition (Figure 4, Theorem 4.4)."""
+"""The ws-tree the engine builds (Figure 4, Definition 4.1, Theorem 4.4).
+
+The engine's decomposition is recorded as a :class:`~repro.circuit.circuit.
+Circuit`; these tests read the recorded circuit back as a ws-set
+(:func:`circuit_wsset.circuit_wsset`, which also asserts Definition 4.1) and
+check that it denotes exactly the worlds of the input ws-set.  The shared
+budget guard and the plain-dict helpers of the Figure 8 oracle are tested
+here too.
+"""
 
 from __future__ import annotations
 
@@ -7,75 +15,103 @@ import time
 
 import pytest
 
-from repro.core.bruteforce import brute_force_probability
-from repro.core.decompose import (
-    Budget,
-    DecompositionStats,
-    compute_tree,
+from repro.circuit.circuit import CONST, PROD, SUM
+from repro.core.bruteforce import enumerate_worlds
+from repro.core.decompose import Budget
+from repro.core.interned import InternedEngine
+from repro.core.probability import ExactConfig
+from repro.core.wsset import WSSet
+from repro.errors import BudgetExceededError
+from repro.workloads.random_instances import random_world_table, random_wsset
+
+from circuit_wsset import circuit_wsset, record
+from figure8_oracle import (
     connected_components,
     deduplicate,
     remove_subsumed,
     split_on_variable,
     to_internal,
 )
-from repro.core.wsset import WSSet
-from repro.core.wstree import BottomNode, IndependentNode, LeafNode
-from repro.errors import BudgetExceededError
-from repro.workloads.random_instances import random_world_table, random_wsset
+
+HEURISTICS = ("minlog", "minmax", "frequency")
+INDVE_SEEDS = range(12)
+VE_SEEDS = range(1000, 1006)
+
+
+def worlds_of(ws_set: WSSet, world_table) -> set:
+    return {
+        tuple(sorted(world.items()))
+        for world, _ in enumerate_worlds(world_table)
+        if ws_set.is_satisfied_by(world)
+    }
+
+
+def assert_represents(circuit, ws_set, world_table) -> None:
+    """Theorem 4.4: the recorded ws-tree denotes exactly the input's worlds."""
+    expected = worlds_of(ws_set, world_table)
+    assert worlds_of(circuit_wsset(circuit), world_table) == expected
+
+
+def random_instance(seed: int):
+    """Six variables and twelve descriptors: above the closed-form limit."""
+    rng = random.Random(seed)
+    world_table = random_world_table(rng, num_variables=6, max_domain_size=3)
+    ws_set = random_wsset(rng, world_table, num_descriptors=12, max_length=3)
+    return world_table, ws_set
 
 
 class TestBaseCases:
     def test_empty_wsset_gives_bottom(self, figure3_world_table):
-        tree = compute_tree(WSSet.empty(), figure3_world_table)
-        assert isinstance(tree, BottomNode)
+        circuit = record(WSSet.empty(), figure3_world_table, ExactConfig())
+        assert circuit.nodes[circuit.root] == (CONST, 0.0)
+        assert len(circuit_wsset(circuit)) == 0
 
     def test_universal_wsset_gives_leaf(self, figure3_world_table):
-        tree = compute_tree(WSSet.universal(), figure3_world_table)
-        assert isinstance(tree, LeafNode)
+        circuit = record(WSSet.universal(), figure3_world_table, ExactConfig())
+        assert circuit.nodes[circuit.root] == (CONST, 1.0)
+        assert circuit_wsset(circuit) == WSSet.universal()
 
     def test_wsset_containing_empty_descriptor_gives_leaf(self, figure3_world_table):
-        tree = compute_tree(WSSet([{"x": 1}, {}]), figure3_world_table)
-        assert isinstance(tree, LeafNode)
+        circuit = record(WSSet([{"x": 1}, {}]), figure3_world_table, ExactConfig())
+        assert circuit.nodes[circuit.root] == (CONST, 1.0)
 
 
 class TestFigure3:
-    def test_tree_is_equivalent_to_input(self, figure3_wsset, figure3_world_table):
-        tree = compute_tree(figure3_wsset, figure3_world_table)
-        tree.validate(figure3_world_table)
-        assert brute_force_probability(
-            tree.to_wsset(), figure3_world_table
-        ) == pytest.approx(brute_force_probability(figure3_wsset, figure3_world_table))
+    def test_circuit_is_equivalent_to_input(self, figure3_wsset, figure3_world_table):
+        circuit = record(figure3_wsset, figure3_world_table, ExactConfig())
+        assert_represents(circuit, figure3_wsset, figure3_world_table)
 
-    def test_root_is_independent_node(self, figure3_wsset, figure3_world_table):
+    def test_root_splits_into_two_components(self, figure3_wsset, figure3_world_table):
         """S splits into {x,y,z}-descriptors and {u,v}-descriptors (Example 4.3)."""
-        tree = compute_tree(figure3_wsset, figure3_world_table)
-        assert isinstance(tree, IndependentNode)
-        assert len(tree.children) == 2
+        engine = InternedEngine(figure3_world_table, ExactConfig())
+        components = engine.components_of(engine.simplified(figure3_wsset))
+        variables = [
+            {
+                engine.space.unpack(packed)[0]
+                for descriptor in component
+                for packed in descriptor
+            }
+            for component in components
+        ]
+        assert variables == [{"x", "y", "z"}, {"u", "v"}]
 
-    def test_probability_of_tree_matches_example_47(
+    def test_probability_of_circuit_matches_example_47(
         self, figure3_wsset, figure3_world_table
     ):
-        tree = compute_tree(figure3_wsset, figure3_world_table)
-        assert tree.probability(figure3_world_table) == pytest.approx(0.7578)
+        circuit = record(figure3_wsset, figure3_world_table, ExactConfig())
+        assert circuit.evaluate() == pytest.approx(0.7578)
 
-    def test_ve_only_tree_is_still_equivalent(self, figure3_wsset, figure3_world_table):
-        tree = compute_tree(
-            figure3_wsset, figure3_world_table, use_independent_partitioning=False
-        )
-        tree.validate(figure3_world_table)
-        assert tree.probability(figure3_world_table) == pytest.approx(0.7578)
-
-    def test_stats_are_collected(self, figure3_wsset, figure3_world_table):
-        stats = DecompositionStats()
-        compute_tree(figure3_wsset, figure3_world_table, stats=stats)
-        assert stats.recursive_calls > 0
-        assert stats.independent_nodes >= 1
-        assert stats.variable_nodes >= 2
-        assert stats.node_count() >= 5
-        assert stats.max_depth >= 2
+    def test_ve_only_circuit_is_still_equivalent(
+        self, figure3_wsset, figure3_world_table
+    ):
+        circuit = record(figure3_wsset, figure3_world_table, ExactConfig.ve())
+        assert_represents(circuit, figure3_wsset, figure3_world_table)
+        assert circuit.evaluate() == pytest.approx(0.7578)
 
 
 class TestHelpers:
+    """The plain-dict helpers the Figure 8 oracle runs on."""
+
     def test_to_internal_and_deduplicate(self):
         internal = to_internal(WSSet([{"x": 1}, {"x": 1}, {"y": 2}]))
         assert deduplicate(internal + [{"x": 1}]) == [{"x": 1}, {"y": 2}]
@@ -127,16 +163,11 @@ class TestHelpers:
     def test_connected_components(self):
         descriptors = [{"x": 1, "y": 2}, {"y": 1}, {"z": 3}, {"w": 1, "q": 2}]
         components = connected_components(descriptors)
-        as_sets = sorted(
-            [
-                sorted(frozenset(d.items()) for d in component)
-                for component in components
-            ],
-            key=repr,
-        )
-        assert len(components) == 3
-        assert sum(len(component) for component in components) == 4
-        assert as_sets is not None
+        assert components == [
+            [{"x": 1, "y": 2}, {"y": 1}],
+            [{"z": 3}],
+            [{"w": 1, "q": 2}],
+        ]
 
     def test_split_on_variable(self):
         descriptors = [{"x": 1, "y": 2}, {"x": 2}, {"z": 3}]
@@ -146,15 +177,16 @@ class TestHelpers:
 
 
 class TestBudget:
-    def test_budget_limits_recursion(self, figure3_wsset, figure3_world_table):
+    def test_budget_limits_recording(self):
+        world_table, ws_set = random_instance(1)
         with pytest.raises(BudgetExceededError):
-            compute_tree(figure3_wsset, figure3_world_table, budget=Budget(max_calls=2))
+            record(ws_set, world_table, ExactConfig(), Budget(max_calls=2))
 
-    def test_budget_allows_enough_calls(self, figure3_wsset, figure3_world_table):
-        tree = compute_tree(
-            figure3_wsset, figure3_world_table, budget=Budget(max_calls=10_000)
-        )
-        assert tree.probability(figure3_world_table) == pytest.approx(0.7578)
+    def test_budget_allows_enough_calls(self):
+        world_table, ws_set = random_instance(1)
+        circuit = record(ws_set, world_table, ExactConfig(), Budget(max_calls=10_000))
+        expected = InternedEngine(world_table, ExactConfig()).compute_wsset(ws_set)
+        assert circuit.evaluate() == expected
 
     def test_time_limit_checked_on_first_call(self):
         """The wall clock is enforced from the very first tick, not call 256."""
@@ -171,37 +203,44 @@ class TestBudget:
         with pytest.raises(BudgetExceededError):
             budget.tick()
 
-    def test_tight_time_limit_fires_in_compute_tree(
+    def test_tight_time_limit_fires_while_recording(
         self, figure3_wsset, figure3_world_table
     ):
         with pytest.raises(BudgetExceededError):
-            compute_tree(
-                figure3_wsset, figure3_world_table, budget=Budget(time_limit=1e-12)
+            record(
+                figure3_wsset,
+                figure3_world_table,
+                ExactConfig(),
+                Budget(time_limit=1e-12),
             )
 
 
 class TestRandomisedEquivalence:
-    """Theorem 4.4 on random instances: the tree represents the same world-set."""
+    """Theorem 4.4 on random instances: the circuit represents the same worlds."""
 
-    @pytest.mark.parametrize("seed", range(12))
-    @pytest.mark.parametrize("heuristic", ["minlog", "minmax", "frequency"])
-    def test_tree_equivalence(self, seed, heuristic):
-        rng = random.Random(seed)
-        world_table = random_world_table(rng, num_variables=4, max_domain_size=3)
-        ws_set = random_wsset(rng, world_table, num_descriptors=5, max_length=3)
-        tree = compute_tree(ws_set, world_table, heuristic=heuristic)
-        tree.validate(world_table)
-        assert brute_force_probability(tree.to_wsset(), world_table) == pytest.approx(
-            brute_force_probability(ws_set, world_table)
-        )
+    @pytest.mark.parametrize("seed", INDVE_SEEDS)
+    @pytest.mark.parametrize("heuristic", HEURISTICS)
+    def test_circuit_equivalence(self, seed, heuristic):
+        world_table, ws_set = random_instance(seed)
+        circuit = record(ws_set, world_table, ExactConfig(heuristic=heuristic))
+        assert_represents(circuit, ws_set, world_table)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_tree_equivalence_without_partitioning(self, seed):
-        rng = random.Random(1000 + seed)
-        world_table = random_world_table(rng, num_variables=4, max_domain_size=3)
-        ws_set = random_wsset(rng, world_table, num_descriptors=5, max_length=3)
-        tree = compute_tree(ws_set, world_table, use_independent_partitioning=False)
-        tree.validate(world_table)
-        assert brute_force_probability(tree.to_wsset(), world_table) == pytest.approx(
-            brute_force_probability(ws_set, world_table)
-        )
+    @pytest.mark.parametrize("seed", VE_SEEDS)
+    def test_circuit_equivalence_without_partitioning(self, seed):
+        world_table, ws_set = random_instance(seed)
+        circuit = record(ws_set, world_table, ExactConfig.ve())
+        assert_represents(circuit, ws_set, world_table)
+
+    def test_the_cases_record_sum_and_prod_nodes(self):
+        """The checks above reach ⊕ and ⊗ nodes, not only closed forms."""
+        cases = [
+            (seed, ExactConfig(heuristic=heuristic))
+            for seed in INDVE_SEEDS
+            for heuristic in HEURISTICS
+        ]
+        cases += [(seed, ExactConfig.ve()) for seed in VE_SEEDS]
+        kinds = set()
+        for seed, config in cases:
+            world_table, ws_set = random_instance(seed)
+            kinds.update(node[0] for node in record(ws_set, world_table, config).nodes)
+        assert {SUM, PROD} <= kinds

@@ -23,11 +23,7 @@ import repro
 from repro.core.bruteforce import brute_force_probability
 from repro.core.components import split_components
 from repro.core.conditioning import condition_wsset, conditioned_world_table
-from repro.core.decompose import (
-    connected_components,
-    kept_after_subsumption,
-    to_internal,
-)
+from repro.core.decompose import kept_after_subsumption
 from repro.core.descriptors import WSDescriptor
 from repro.core.interned import (
     InternedEngine,
@@ -50,7 +46,9 @@ from repro.errors import BudgetExceededError, UnknownVariableError
 from repro.workloads.hard import HardCaseParameters, generate_hard_instance
 from repro.workloads.random_instances import random_world_table, random_wsset
 
-ALL_HEURISTICS = ("minlog", "minmax", "first", "frequency", "random")
+from figure8_oracle import connected_components, to_internal
+
+ALL_HEURISTICS = repro.available_heuristics()
 
 
 @pytest.fixture

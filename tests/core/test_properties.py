@@ -2,9 +2,10 @@
 
 Strategies generate small random world tables, ws-sets and tuple descriptors;
 the properties assert the cross-algorithm agreements that the paper's theorems
-promise: Proposition 3.4 (set-operation semantics), Theorem 4.4 (ComputeTree
-equivalence), Figure 7 / Theorem 6.3 (exact probability computation), and
-Theorem 5.3 (conditioning preserves the renormalised instance distribution).
+promise: Proposition 3.4 (set-operation semantics), Theorem 4.4 (the recorded
+ws-tree is equivalent to its ws-set), Figure 7 / Theorem 6.3 (exact probability
+computation), and Theorem 5.3 (conditioning preserves the renormalised
+instance distribution).
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.bruteforce import brute_force_probability, enumerate_worlds
 from repro.core.conditioning import condition_wsset, conditioned_world_table
-from repro.core.decompose import compute_tree
 from repro.core.descriptors import WSDescriptor
 from repro.core.elimination import descriptor_elimination_probability, mutex_normal_form
 from repro.core.probability import ExactConfig, probability
 from repro.core.wsset import WSSet
 from repro.db.world_table import WorldTable
 from repro.errors import ZeroProbabilityConditionError
+
+from circuit_wsset import circuit_wsset, record
 
 MAX_EXAMPLES = 60
 
@@ -42,11 +44,17 @@ def world_tables(draw, min_variables: int = 2, max_variables: int = 4):
 
 @st.composite
 def wssets(
-    draw, table: WorldTable, max_descriptors: int = 5, allow_empty: bool = False
+    draw,
+    table: WorldTable,
+    max_descriptors: int = 5,
+    allow_empty: bool = False,
+    min_descriptors: int = 1,
 ):
     """A random ws-set over ``table``."""
     variables = list(table.variables)
-    descriptor_count = draw(st.integers(0 if allow_empty else 1, max_descriptors))
+    descriptor_count = draw(
+        st.integers(0 if allow_empty else min_descriptors, max_descriptors)
+    )
     descriptors = []
     for _ in range(descriptor_count):
         length = draw(st.integers(1, min(3, len(variables))))
@@ -127,15 +135,15 @@ class TestExactProbabilityProperties:
 
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
     @given(data=st.data())
-    def test_compute_tree_is_equivalent_and_valid(self, data):
-        table = data.draw(world_tables())
-        ws_set = data.draw(wssets(table))
-        tree = compute_tree(ws_set, table)
-        tree.validate(table)
-        assert tree.probability(table) == pytest.approx(
+    def test_recorded_circuit_is_equivalent_and_valid(self, data):
+        # Five descriptors or fewer always record one closed-form node.
+        table = data.draw(world_tables(min_variables=4, max_variables=6))
+        ws_set = data.draw(wssets(table, max_descriptors=12, min_descriptors=6))
+        circuit = record(ws_set, table, ExactConfig())
+        assert circuit.evaluate() == pytest.approx(
             brute_force_probability(ws_set, table)
         )
-        assert worlds_of(tree.to_wsset(), table) == worlds_of(ws_set, table)
+        assert worlds_of(circuit_wsset(circuit), table) == worlds_of(ws_set, table)
 
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
     @given(data=st.data())
