@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.core.interned import inclusion_exclusion_value
 from repro.db.world_table import PROBABILITY_TOLERANCE
 from repro.errors import (
     InvalidDistributionError,
@@ -72,8 +73,13 @@ if TYPE_CHECKING:  # pragma: no cover
 CONST = 0  # (CONST, value)
 IE = 1  # (IE, terms) with terms = ((positive, packed_slots), ...)
 SUM = 2  # (SUM, var_id, certain, branches, absent_ids, absent_child)
-#          — see CircuitRecorder for the field semantics
 PROD = 3  # (PROD, children)
+# A SUM node eliminates variable ``var_id``.  ``certain`` holds the value ids
+# some descriptor assigns alone (their branch is ∅, probability one);
+# ``branches`` pairs each other mentioned value id with its child node;
+# ``absent_ids`` are the value ids no descriptor mentions, and
+# ``absent_child`` the ``T`` node they share (``None`` when ``T`` is empty or
+# no value is absent).  Every id list ascends, zero-weight values included.
 
 
 def _absent_fold(weights_row, absent_ids) -> float:
@@ -239,16 +245,7 @@ class Circuit:
                     acc += _absent_fold(row, absent_ids) * values[absent_child]
                 values[index] = acc
             elif kind == IE:
-                total = 0.0
-                for positive, slots in node[1]:
-                    product = 1.0
-                    for packed in slots:
-                        product *= rows[packed >> shift][packed & mask]
-                    if positive:
-                        total += product
-                    else:
-                        total -= product
-                values[index] = total
+                values[index] = inclusion_exclusion_value(node[1], rows, shift, mask)
             elif kind == PROD:
                 complement = 1.0
                 for child in node[1]:
@@ -318,11 +315,13 @@ class Circuit:
         with the variable's other alternatives rescaled proportionally to
         keep the distribution normalised.  ``value`` defaults to the
         variable's first alternative (``True`` for ``add_boolean`` variables).
-        With numpy available all points are evaluated in one vectorised
-        forward pass (the swept variable's weights become arrays, every other
-        node value stays scalar and broadcasts); the fallback evaluates
-        point-by-point in the same accumulation order, so both return the
-        same values bit for bit.
+        With numpy available all points are evaluated in one forward pass
+        whose swept-variable weights are arrays: node values are scalars
+        until they depend on the swept variable and arrays of ``len(ps)``
+        afterwards, broadcasting turns every ``+=`` / ``*=`` elementwise, so
+        a thousand-point sweep is a handful of vector operations per node.
+        The fallback evaluates point-by-point in the same accumulation order,
+        so both return the same values bit for bit.
         """
         variable_id, value_id = self._sweep_target(variable, value)
         points = [float(p) for p in ps]
@@ -334,14 +333,17 @@ class Circuit:
                     f"sweep probabilities must lie in [0, 1], got {p}"
                 )
         with _span("circuit_sweep", points=len(points), nodes=len(self.nodes)):
+            rows = list(self.space.weights)
             if _np is None:
                 results = []
                 for p in points:
-                    rows = list(self.space.weights)
                     rows[variable_id] = self._sweep_row(variable_id, value_id, p)
                     results.append(self._forward(rows)[self.root])
                 return results
-            return self._vector_sweep(variable_id, value_id, points)
+            rows[variable_id] = self._sweep_columns(variable_id, value_id, points)
+            root = _np.asarray(self._forward(rows)[self.root], dtype=_np.float64)
+            # A 0-d root: the swept variable never fed the root's cone.
+            return [float(entry) for entry in _np.broadcast_to(root, len(points))]
 
     def _sweep_columns(self, variable_id: int, value_id: int, points):
         """Per-value-id weight arrays of the swept variable (numpy path)."""
@@ -357,75 +359,6 @@ class Circuit:
             columns = [share for _ in baseline]
         columns[value_id] = ps
         return columns
-
-    def _vector_sweep(
-        self, variable_id: int, value_id: int, points: list[float]
-    ) -> list[float]:
-        """One forward pass with the swept variable's weights as arrays.
-
-        Node values are scalars until they depend on the swept variable and
-        arrays of ``len(points)`` afterwards; numpy broadcasting makes the
-        mixed arithmetic free of special cases: a thousand-point sweep is a
-        handful of vector operations per circuit node.
-        """
-        space = self.space
-        shift = space.shift
-        mask = space.mask
-        columns = self._sweep_columns(variable_id, value_id, points)
-        swept_absent: dict[tuple, object] = {}
-        values: list = [0.0] * len(self.nodes)
-        for index, node in enumerate(self.nodes):
-            kind = node[0]
-            if kind == SUM:
-                _, var_id, certain, branches, absent_ids, absent_child = node
-                if var_id == variable_id:
-                    acc = 0.0
-                    for vid in certain:
-                        acc = acc + columns[vid]
-                    for vid, child in branches:
-                        acc = acc + columns[vid] * values[child]
-                    if absent_child is not None:
-                        coefficient = swept_absent.get(absent_ids)
-                        if coefficient is None:
-                            coefficient = 0.0
-                            for vid in absent_ids:
-                                coefficient = coefficient + columns[vid]
-                            swept_absent[absent_ids] = coefficient
-                        acc = acc + coefficient * values[absent_child]
-                    values[index] = acc
-                    continue
-                row = space.weights[var_id]
-                acc = 0.0
-                for vid in certain:
-                    acc += row[vid]
-                for vid, child in branches:
-                    acc = acc + row[vid] * values[child]
-                if absent_child is not None:
-                    acc = acc + _absent_fold(row, absent_ids) * values[absent_child]
-                values[index] = acc
-            elif kind == IE:
-                total = 0.0
-                for positive, slots in node[1]:
-                    product = 1.0
-                    for packed in slots:
-                        var_id = packed >> shift
-                        if var_id == variable_id:
-                            product = product * columns[packed & mask]
-                        else:
-                            product = product * space.weights[var_id][packed & mask]
-                    total = total + product if positive else total - product
-                values[index] = total
-            elif kind == PROD:
-                complement = 1.0
-                for child in node[1]:
-                    complement = complement * (1.0 - values[child])
-                values[index] = 1.0 - complement
-            else:  # CONST
-                values[index] = node[1]
-        root = _np.asarray(values[self.root], dtype=_np.float64)
-        if root.ndim == 0:  # the swept variable never fed the root's cone
-            root = _np.full(len(points), float(root))
-        return [float(entry) for entry in root]
 
     # ------------------------------------------------------------------
     # Gradients / sensitivities

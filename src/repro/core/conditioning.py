@@ -684,24 +684,19 @@ class _InternedConditioningEngine:
         )
         stats.eliminated_variables.append(space.variables[variable_id])
         stats.variable_nodes += 1
-        by_value, unmentioned = split_on_variable_interned(
-            descriptors, variable_id, shift
+        weights = space.weights[variable_id]
+        split, unmentioned = split_on_variable_interned(
+            descriptors, variable_id, shift, len(weights)
         )
 
         var_bit = 1 << variable_id
         low = variable_id << shift
         branches = []
-        for value_id, weight in enumerate(space.weights[variable_id]):
+        for value_id, weight in enumerate(weights):
             if weight == 0.0:
                 continue
-            branch = by_value.get(value_id)
-            if branch is not None:
-                if unmentioned:
-                    branch_set = set(branch)
-                    subset = branch + [t for t in unmentioned if t not in branch_set]
-                else:
-                    subset = branch
-            else:
+            subset = split[value_id]
+            if subset is None:
                 subset = unmentioned
             if not subset:
                 # ⊥ branch: no surviving world assigns this value.

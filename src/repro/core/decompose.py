@@ -4,10 +4,12 @@ ComputeTree (Figure 4) turns a ws-set into a ws-tree by two rules:
 independent partitioning (an ⊗-node over variable-disjoint components) and
 variable elimination (an ⊕-node with one branch per domain value, values
 absent from the ws-set sharing one translation of ``T``).  The repository
-runs that recursion once, in :class:`~repro.core.interned.InternedEngine`,
-fused with the probability computation of Figure 7;
-:class:`~repro.circuit.recorder.CircuitRecorder` records the same recursion
-as a :class:`~repro.circuit.circuit.Circuit`, which is the explicit ws-tree.
+writes that recursion once, as :meth:`InternedEngine._expand
+<repro.core.interned.InternedEngine._expand>`, and folds it two ways: the
+engine folds values (the probability computation of Figure 7), and its
+subclass :class:`~repro.circuit.recorder.CircuitRecorder` folds node ids
+into a :class:`~repro.circuit.circuit.Circuit`, the explicit ws-tree.
+Conditioning (Figure 8) reuses the walk's ⊕ split.
 
 This module holds what the engine, the recorder and conditioning share: the
 :class:`Budget` resource guard, the :class:`BoundedMemo` cache, the

@@ -328,27 +328,47 @@ def connected_components_interned(
     return [component for component in members if component]
 
 
-def split_on_variable_interned(
-    descriptors: list[PackedDescriptor], variable_id: int, shift: int
-) -> tuple[dict[int, list[PackedDescriptor]], list[PackedDescriptor]]:
-    """Split on a variable: ``(by_value_id, unmentioned)`` as in Figure 4.
+#: The branch ws-set ``{∅}`` of a value some descriptor assigns alone.
+CERTAIN: tuple = ((),)
 
-    ``by_value_id[i]`` holds the descriptors containing the assignment with
-    that assignment removed (tuples stay sorted); ``unmentioned`` is ``T``.
+
+def split_on_variable_interned(
+    descriptors: list[PackedDescriptor], variable_id: int, shift: int, domain_size: int
+) -> tuple[list, list[PackedDescriptor]]:
+    """Figure 4's ⊕ split on a variable: ``(branches, unmentioned)``.
+
+    ``unmentioned`` is ``T``.  ``branches[i]`` is value ``i``'s branch ws-set
+    ``S_{x→i} ∪ T`` — the descriptors assigning ``x → i`` with that
+    assignment removed (tuples stay sorted), then ``T`` minus duplicates —
+    or :data:`CERTAIN` when some descriptor is ``{x → i}`` alone, or ``None``
+    when no descriptor mentions the value (the absent values share ``T``).
     """
     low = variable_id << shift
     high = (variable_id + 1) << shift
-    by_value: dict[int, list[PackedDescriptor]] = {}
+    branches: list = [None] * domain_size
     unmentioned: list[PackedDescriptor] = []
     for descriptor in descriptors:
         for index, packed in enumerate(descriptor):
             if low <= packed < high:
                 reduced = descriptor[:index] + descriptor[index + 1 :]
-                by_value.setdefault(packed - low, []).append(reduced)
+                branch = branches[packed - low]
+                if branch is None:
+                    branches[packed - low] = [reduced]
+                else:
+                    branch.append(reduced)
                 break
         else:
             unmentioned.append(descriptor)
-    return by_value, unmentioned
+    for value_id, branch in enumerate(branches):
+        if branch is None:
+            continue
+        if () in branch:
+            branches[value_id] = CERTAIN
+        elif unmentioned:
+            # Each side is duplicate-free; only cross-duplicates go.
+            seen = set(branch)
+            branch.extend([t for t in unmentioned if t not in seen])
+    return branches, unmentioned
 
 
 def count_occurrences_interned(
@@ -398,6 +418,55 @@ def merge_interned(
     merged.extend(d1[i:])
     merged.extend(d2[j:])
     return tuple(merged)
+
+
+def inclusion_exclusion(
+    descriptors: list[PackedDescriptor], shift: int
+) -> list[tuple[bool, PackedDescriptor]]:
+    """The inclusion-exclusion terms ``(positive, conjunction)`` of a ws-set.
+
+    One term per descriptor subset with a consistent conjunction, in
+    ascending subset order (it fixes the accumulation order of the value
+    fold), by a subset dynamic program: ``conjunction[S] = conjunction[S \\
+    lowbit] ∧ d_lowbit``.  ``positive`` is the subset's parity.
+    """
+    count = len(descriptors)
+    if count == 1:
+        return [(True, descriptors[0])]
+    conjunction: list[PackedDescriptor | None] = [None] * (1 << count)
+    terms = []
+    for subset in range(1, 1 << count):
+        low = subset & -subset
+        rest = subset ^ low
+        conjoined = descriptors[low.bit_length() - 1]
+        if rest:
+            prev = conjunction[rest]
+            if prev is None:
+                continue
+            conjoined = merge_interned(prev, conjoined, shift)
+            if conjoined is None:
+                continue
+        conjunction[subset] = conjoined
+        terms.append((bool(subset.bit_count() & 1), conjoined))
+    return terms
+
+
+def inclusion_exclusion_value(terms, rows, shift: int, mask: int):
+    """``Σ ± Π w`` over :func:`inclusion_exclusion` terms, ``w`` from ``rows``.
+
+    The engine's closed form and a circuit's ``IE`` node both run this fold,
+    so they agree to the bit at equal weights.
+    """
+    total = 0.0
+    for positive, conjunction in terms:
+        product = 1.0
+        for packed in conjunction:
+            product *= rows[packed >> shift][packed & mask]
+        if positive:
+            total += product
+        else:
+            total -= product
+    return total
 
 
 # ----------------------------------------------------------------------
@@ -523,13 +592,12 @@ class InternedEngine:
         """The variable the engine would eliminate next at a ⊕-node.
 
         This is the full selection dispatch of :meth:`_expand` — single
-        candidate short-circuit, configured heuristic otherwise — shared with
-        the circuit recorder and the interned conditioning engine, so recorded
-        decompositions are structurally identical to evaluated ones and
-        conditioning eliminates what the engine would.  The choice depends
-        only on occurrence counts and domain sizes, never on the weights
-        themselves, which is what makes a recorded circuit valid under
-        arbitrary re-weightings.
+        candidate short-circuit, configured heuristic otherwise — which the
+        circuit recorder runs as part of the same walk and the interned
+        conditioning engine calls, so conditioning eliminates what the engine
+        would.  The choice depends only on occurrence counts and domain
+        sizes, never on the weights themselves, which is what makes a
+        recorded circuit valid under arbitrary re-weightings.
         """
         if len(occurrences) == 1:
             return next(iter(occurrences))
@@ -618,10 +686,12 @@ class InternedEngine:
         stack: list[_Frame],
         from_independent: bool,
     ):
-        """Resolve a ws-set to a value, or push a frame and return ``None``.
+        """Resolve a ws-set to a fold result, or push a frame and return ``None``.
 
-        ``stack=None`` is the hit probe (:meth:`cached_wsset`): where a frame
-        would be pushed the call is taken back and ``None`` returned.
+        The one decomposition walk: the value fold returns probabilities, the
+        recorder's (:mod:`repro.circuit.recorder`) node ids.  ``stack=None``
+        is the hit probe (:meth:`cached_wsset`): where a frame would be
+        pushed the call is taken back and ``None`` returned.
 
         ``from_independent`` marks the children of a ⊗-node: they are maximal
         connected components of an already-simplified ws-set, so re-running
@@ -638,15 +708,15 @@ class InternedEngine:
 
         if not descriptors:
             stats.bottom_nodes += 1
-            return 0.0
+            return self._constant(0.0)
         if () in descriptors:  # the nullary descriptor: the ∅ leaf
             stats.leaf_nodes += 1
-            return 1.0
+            return self._constant(1.0)
 
         if len(descriptors) <= _CLOSED_FORM_LIMIT:
             # Inclusion-exclusion closed form: no elimination tree needed.
             stats.closed_form_nodes += 1
-            return self._small_probability(descriptors)
+            return self._closed_form(descriptors)
 
         if self._subsumption_every_step and not from_independent:
             descriptors = remove_subsumed_interned(descriptors)
@@ -677,91 +747,48 @@ class InternedEngine:
         if self.record_elimination_order:
             stats.eliminated_variables.append(space.variables[variable_id])
         stats.variable_nodes += 1
-        by_value, unmentioned = split_on_variable_interned(
-            descriptors, variable_id, shift
+        branches, unmentioned = split_on_variable_interned(
+            descriptors, variable_id, shift, len(space.weights[variable_id])
+        )
+        stack.append(self._sum_frame(variable_id, branches, unmentioned, key, depth))
+        return None
+
+    # -- the value fold -----------------------------------------------------
+    # ``_expand`` is the one walk; these three methods are where a fold
+    # differs.  The engine folds values; CircuitRecorder folds node ids.
+    def _constant(self, value: float) -> float:
+        """A leaf: ``0.0`` for ⊥, ``1.0`` for ∅."""
+        return value
+
+    def _closed_form(self, descriptors: list[PackedDescriptor]) -> float:
+        """A ws-set of at most :data:`_CLOSED_FORM_LIMIT` descriptors, exactly:
+        a few dozen float multiplications instead of a decomposition subtree."""
+        space = self.space
+        shift = space.shift
+        return inclusion_exclusion_value(
+            inclusion_exclusion(descriptors, shift), space.weights, shift, space.mask
         )
 
+    def _sum_frame(self, variable_id, branches, unmentioned, key, depth) -> _Frame:
+        """The ⊕-frame of a split, zero-weight values skipped; the absent
+        values share ``T`` (Figure 4, footnote) with their summed weight."""
         children: list[list[PackedDescriptor]] = []
         weights: list[float] = []
         certain_weight = 0.0
         absent_weight = 0.0
-        for value_id, weight in enumerate(space.weights[variable_id]):
+        for branch, weight in zip(branches, self.space.weights[variable_id]):
             if weight == 0.0:
                 continue
-            branch = by_value.get(value_id)
-            if branch is not None:
-                if () in branch:
-                    # A descriptor consisted solely of this assignment: the
-                    # branch ws-set contains ∅ and has probability one.
-                    certain_weight += weight
-                else:
-                    if unmentioned:
-                        # Branch and T are each duplicate-free; only
-                        # cross-duplicates need filtering.
-                        branch_set = set(branch)
-                        branch = branch + [
-                            t for t in unmentioned if t not in branch_set
-                        ]
-                    children.append(branch)
-                    weights.append(weight)
-            else:
-                # Values absent from the ws-set share the single subproblem T
-                # (Figure 4, footnote); fold their weights into one branch.
+            if branch is None:
                 absent_weight += weight
+            elif branch is CERTAIN:
+                certain_weight += weight
+            else:
+                children.append(branch)
+                weights.append(weight)
         if absent_weight > 0.0 and unmentioned:
             children.append(unmentioned)
             weights.append(absent_weight)
         frame = _Frame(_SUM, children, weights, key, depth)
         frame.acc = certain_weight
-        stack.append(frame)
-        return None
-
-    # -- closed forms -----------------------------------------------------
-    def _descriptor_weight(self, descriptor: PackedDescriptor) -> float:
-        """``P(d)``: the product of the assignment probabilities."""
-        shift = self.space.shift
-        mask = self.space.mask
-        weights = self.space.weights
-        product = 1.0
-        for packed in descriptor:
-            product *= weights[packed >> shift][packed & mask]
-        return product
-
-    def _small_probability(self, descriptors: list[PackedDescriptor]) -> float:
-        """Exact probability of a ws-set of at most :data:`_CLOSED_FORM_LIMIT` descriptors.
-
-        Inclusion-exclusion over descriptor conjunctions, computed by a
-        subset dynamic program (``conjunction[S] = conjunction[S \\ lowbit] ∧
-        d_lowbit``); mutex conjunctions contribute nothing.  This cuts the
-        entire bottom of the decomposition tree down to a few dozen float
-        multiplications, with absolute error far below the 1e-9 agreement
-        tolerance of the test suite.
-        """
-        count = len(descriptors)
-        weight = self._descriptor_weight
-        if count == 1:
-            return weight(descriptors[0])
-        shift = self.space.shift
-
-        def merged(d1, d2):
-            return merge_interned(d1, d2, shift)
-        conjunction: list[PackedDescriptor | None] = [None] * (1 << count)
-        total = 0.0
-        for subset in range(1, 1 << count):
-            low = subset & -subset
-            rest = subset ^ low
-            if rest == 0:
-                d = descriptors[low.bit_length() - 1]
-            else:
-                prev = conjunction[rest]
-                if prev is None:
-                    continue
-                d = merged(prev, descriptors[low.bit_length() - 1])
-                if d is None:
-                    continue
-            conjunction[subset] = d
-            if subset.bit_count() & 1:
-                total += weight(d)
-            else:
-                total -= weight(d)
-        return total
+        return frame

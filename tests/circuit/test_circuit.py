@@ -12,7 +12,9 @@ from __future__ import annotations
 import pytest
 
 import repro.circuit.circuit as circuit_module
+from repro.circuit.recorder import CircuitRecorder
 from repro.core.engine import EngineHandle
+from repro.core.interned import InternedEngine
 from repro.core.probability import ExactConfig
 from repro.core.wsset import WSSet
 from repro.db.database import ProbabilisticDatabase
@@ -111,6 +113,52 @@ class TestEvaluate:
             Session(reference).confidence(ws).value, abs=TOLERANCE
         )
 
+    def test_zero_weight_values_at_a_sum_node_stay_evaluable(self):
+        # At a ⊕-node the engine skips zero-weight values — a mentioned one's
+        # branch, and T when every absent value weighs zero — while the
+        # circuit records both, so that a re-weighting can revive either.
+        table = WorldTable()
+        table.add_variable("x", {1: 0.6, 2: 0.0, 3: 0.4, 4: 0.0})
+        for name in "abcd":
+            table.add_variable(name, {1: 0.5, 2: 0.5})
+        ws = WSSet(
+            [
+                {"x": 1, "a": 1},
+                {"x": 2, "b": 1},
+                {"x": 3, "c": 1},
+                {"x": 1, "d": 2},
+                {"a": 2, "b": 2},
+                {"b": 2, "c": 2},
+                {"c": 1, "d": 1},
+            ]
+        )
+        session = Session(table)
+        circuit = session.compile(ws)
+        space = circuit.space
+        x_id = space.variable_ids["x"]
+        x2, x4 = space.value_ids[x_id][2], space.value_ids[x_id][4]
+        (node,) = [
+            node
+            for node in circuit.nodes
+            if node[0] == circuit_module.SUM and node[1] == x_id
+        ]
+        _, _, _, branches, absent_ids, absent_child = node
+        assert x2 in dict(branches)  # the zero-weight mentioned value
+        assert absent_ids == (x4,) and absent_child is not None  # and T
+        assert circuit.evaluate().hex() == session.confidence(ws).value.hex()
+
+        revivals = [{1: 0.6, 2: 0.2, 3: 0.2, 4: 0.0}, {1: 0.6, 2: 0.0, 3: 0.2, 4: 0.2}]
+        for revived in revivals:
+            reference = WorldTable()
+            reference.add_variable("x", revived)
+            for name in "abcd":
+                reference.add_variable(name, {1: 0.5, 2: 0.5})
+            expected = Session(reference).confidence(ws).value
+            assert circuit.evaluate({"x": revived}) == pytest.approx(
+                expected, abs=TOLERANCE
+            )
+            assert expected != session.confidence(ws).value
+
     def test_override_validation(self, world_table, ws_set):
         circuit = Session(world_table).compile(ws_set)
         with pytest.raises(UnknownVariableError):
@@ -123,6 +171,43 @@ class TestEvaluate:
             circuit.evaluate({"x": {1: -0.2, 2: 1.2}})
         with pytest.raises(InvalidDistributionError):
             circuit.evaluate({"x": {1: 0.5}})  # partial domain
+
+
+class TestOneWalk:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ExactConfig(),
+            ExactConfig(memoize=False),
+            ExactConfig(use_independent_partitioning=False),
+            ExactConfig(subsumption_every_step=True),
+        ],
+        ids=["default", "no-memo", "ve-only", "subsume-every-step"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_recorded_nodes_are_the_evaluated_frames(self, config, seed):
+        # Recording and evaluating run the one walk: with every weight
+        # positive (nothing for the engine to skip) each ⊕-frame the engine
+        # folds is one SUM node and each ⊗-frame one PROD node.
+        instance = generate_hard_instance(
+            HardCaseParameters(
+                num_variables=16,
+                alternatives=2,
+                descriptor_length=4,
+                num_descriptors=24,
+                seed=seed,
+            )
+        )
+        ws = instance.ws_set
+        engine = InternedEngine(instance.world_table, config)
+        value = engine.compute_wsset(ws)
+        recorder = CircuitRecorder(InternedEngine(instance.world_table, config))
+        circuit = recorder.record(recorder.simplified(ws))
+        kinds = [node[0] for node in circuit.nodes]
+        assert kinds.count(circuit_module.SUM) == engine.stats.variable_nodes > 0
+        assert kinds.count(circuit_module.PROD) == engine.stats.independent_nodes
+        assert recorder.stats.recursive_calls == engine.stats.recursive_calls
+        assert circuit.evaluate() == value
 
 
 class TestSweepAndGradient:

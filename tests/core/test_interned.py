@@ -26,6 +26,7 @@ from repro.core.conditioning import condition_wsset, conditioned_world_table
 from repro.core.decompose import kept_after_subsumption
 from repro.core.descriptors import WSDescriptor
 from repro.core.interned import (
+    CERTAIN,
     InternedEngine,
     InternedSpace,
     connected_components_interned,
@@ -137,14 +138,25 @@ class TestInternedHelpers:
         d1 = space.intern_items([("x", 1), ("y", 2)])
         d2 = space.intern_items([("x", 2)])
         d3 = space.intern_items([("z", 1)])
-        by_value, unmentioned = split_on_variable_interned(
-            [d1, d2, d3], x_id, space.shift
+        x1, x2, x3 = (space.value_ids[x_id][value] for value in (1, 2, 3))
+        y2 = space.intern_items([("y", 2)])
+        branches, unmentioned = split_on_variable_interned(
+            [d1, d2, d3], x_id, space.shift, space.domain_size(x_id)
         )
-        assert by_value == {
-            space.value_ids[x_id][1]: [space.intern_items([("y", 2)])],
-            space.value_ids[x_id][2]: [()],
-        }
+        assert len(branches) == 3
+        # {x -> 2} alone: the branch holds ∅, the shared certain marker.
+        assert branches[x2] is CERTAIN
+        # A mentioned value: S_{x->1} with the assignment removed, then T.
+        assert branches[x1] == [y2, d3]
+        # No descriptor mentions x -> 3: its branch is T, left to the caller.
+        assert branches[x3] is None
         assert unmentioned == [d3]
+        # A reduced descriptor already in T is not repeated.
+        d4 = space.intern_items([("x", 1), ("z", 1)])
+        branches, _ = split_on_variable_interned(
+            [d1, d4, d3], x_id, space.shift, space.domain_size(x_id)
+        )
+        assert branches[x1] == [y2, d3]
 
     def test_count_occurrences(self, space):
         d1 = space.intern_items([("x", 1), ("y", 2)])
