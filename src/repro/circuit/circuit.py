@@ -39,10 +39,7 @@ The other entry points:
 * :meth:`Circuit.gradient` — reverse-mode ``∂P/∂w`` for every weight slot the
   circuit touches, one backward pass;
 * :meth:`Circuit.sensitivity` — ``dP/dp`` under the sweep's
-  reparameterisation (the scalar derivative a what-if user wants);
-* :meth:`Circuit.rebind` — survive a world-table replacement (conditioning)
-  when the circuit's variables kept their distributions, retargeting packed
-  ids when the id space shifted.
+  reparameterisation (the scalar derivative a what-if user wants).
 """
 
 from __future__ import annotations
@@ -102,15 +99,7 @@ class Circuit:
     forward pass and the gradient a single backward pass.
     """
 
-    __slots__ = (
-        "space",
-        "nodes",
-        "root",
-        "source",
-        "key",
-        "variable_ids",
-        "var_mask",
-    )
+    __slots__ = ("space", "nodes", "root", "source", "variable_ids")
 
     def __init__(
         self,
@@ -126,17 +115,8 @@ class Circuit:
         #: The simplified interned ws-set this circuit was recorded from, in
         #: entry order (dedup + subsumption already applied).
         self.source = source
-        #: Cache key: the order-insensitive canonical form of :attr:`source`.
-        self.key: tuple = tuple(sorted(source))
         #: Dense ids of every variable the circuit reads a weight of.
         self.variable_ids = variable_ids
-        #: Bitmask with bit ``variable_id`` set for each used variable; the
-        #: cache invalidation test "does conditioning touch this circuit?"
-        #: is one integer AND against the touched-variable mask.
-        mask = 0
-        for variable_id in variable_ids:
-            mask |= 1 << variable_id
-        self.var_mask = mask
 
     # ------------------------------------------------------------------
     # Introspection
@@ -476,85 +456,3 @@ class Circuit:
             else:
                 total -= partial / (len(baseline) - 1)
         return total
-
-    # ------------------------------------------------------------------
-    # Rebinding across world-table replacements
-    # ------------------------------------------------------------------
-    def rebind(self, new_space: "InternedSpace") -> bool:
-        """Retarget the circuit at a new interned space, if still valid.
-
-        Returns ``True`` when every variable the circuit reads exists in the
-        new space with an **identical** domain and distribution (conditioning
-        did not touch it) — retargeting packed ids in place when the dense
-        id assignment or the packing shift changed.  Returns ``False`` when
-        any used variable was touched; the caller must drop the circuit and
-        recompile.
-        """
-        old = self.space
-        if new_space is old:
-            return True
-        variable_map: dict[int, int] = {}
-        for variable_id in self.variable_ids:
-            variable = old.variables[variable_id]
-            new_id = new_space.variable_ids.get(variable)
-            if new_id is None:
-                return False
-            if old.values[variable_id] != new_space.values[new_id]:
-                return False
-            if old.weights[variable_id] != new_space.weights[new_id]:
-                return False
-            variable_map[variable_id] = new_id
-        if new_space.shift == old.shift and all(
-            new_id == variable_id for variable_id, new_id in variable_map.items()
-        ):
-            # Same packing, same ids: adopt the new space wholesale.
-            self.space = new_space
-            return True
-        self._retarget(new_space, variable_map)
-        return True
-
-    def _retarget(
-        self, new_space: "InternedSpace", variable_map: dict[int, int]
-    ) -> None:
-        """Rewrite packed ids for a changed id assignment or shift.
-
-        Value ids are stable (identical domains keep their insertion order),
-        so only the variable part of each packed slot moves.  IE slot tuples
-        are re-sorted under the new packing so their products run in the
-        order a fresh engine over the new space would use.
-        """
-        old_shift = self.space.shift
-        old_mask = self.space.mask
-        new_shift = new_space.shift
-
-        def repack(packed: int) -> int:
-            return (variable_map[packed >> old_shift] << new_shift) | (
-                packed & old_mask
-            )
-
-        nodes = self.nodes
-        for index, node in enumerate(nodes):
-            kind = node[0]
-            if kind == IE:
-                nodes[index] = (
-                    IE,
-                    tuple(
-                        (positive, tuple(sorted(repack(p) for p in slots)))
-                        for positive, slots in node[1]
-                    ),
-                )
-            elif kind == SUM:
-                nodes[index] = (SUM, variable_map[node[1]], *node[2:])
-        self.source = tuple(
-            tuple(sorted(repack(packed) for packed in descriptor))
-            for descriptor in self.source
-        )
-        self.key = tuple(sorted(self.source))
-        self.variable_ids = frozenset(
-            variable_map[variable_id] for variable_id in self.variable_ids
-        )
-        mask = 0
-        for variable_id in self.variable_ids:
-            mask |= 1 << variable_id
-        self.var_mask = mask
-        self.space = new_space

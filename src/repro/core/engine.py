@@ -53,7 +53,7 @@ import time
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
-from repro.core.decompose import Budget
+from repro.core.decompose import Budget, make_memo
 from repro.core.interned import InternedEngine
 from repro.core.probability import ExactConfig
 from repro.core.procpool import ProcessPoolBackend
@@ -103,9 +103,9 @@ class EngineStats:
     The ``circuit_*`` family tracks the compile-once / evaluate-many layer:
     ``circuits_compiled`` decompositions recorded into circuits,
     ``circuit_cache_hits`` compile requests answered from the handle's
-    circuit cache (including circuits that survived a world-table
-    replacement via rebinding), ``circuit_evals`` what-if evaluations
-    answered from circuits, and ``circuit_compile_time`` /
+    circuit cache (which lives as long as the engine memo, so it includes
+    circuits compiled before an ``assert``), ``circuit_evals`` what-if
+    evaluations answered from circuits, and ``circuit_compile_time`` /
     ``circuit_eval_time`` their summed wall-clock seconds.
 
     ``cond_memo_hits`` / ``cond_memo_misses`` sum the per-run conditioning
@@ -241,12 +241,12 @@ class EngineHandle:
         self._parallel_components = 0
         self._parallel_busy_time = 0.0
         self._parallel_wall_time = 0.0
-        # Compiled lineage circuits, keyed by the canonical (sorted) interned
-        # descriptor tuple of their simplified source ws-set.  Survives
-        # _retire(): a world-table replacement flows into _refresh_circuits,
-        # which keeps circuits whose variables the change did not touch.
-        self._circuit_cache: dict[tuple, "Circuit"] = {}
-        self._circuit_space = None
+        # Compiled lineage circuits follow the engine memo: the same key (the
+        # sorted interned descriptors of the simplified ws-set), the same
+        # lifetime (kept by rebind, cleared by _retire) and the same bound.
+        self._circuit_cache: dict[tuple, "Circuit"] = make_memo(
+            self.config.memo_limit
+        )
         self._circuits_compiled = 0
         self._circuit_cache_hits = 0
         self._circuit_evals = 0
@@ -287,9 +287,10 @@ class EngineHandle:
         engine's (the table an executed ``assert`` produced), the live engine
         is re-pointed at it and keeps its memo: conditioning never
         re-weights an existing id, it only appends new ones and orphans
-        dropped ones, so every memo entry still denotes the same ws-set
-        (``engine_extensions`` counts these).  Any other table retires the
-        engine, which the next :meth:`engine` access rebuilds cold.
+        dropped ones, so every memo entry and compiled circuit still denotes
+        the same ws-set (``engine_extensions`` counts these).  Any other
+        table retires the engine and the circuits, and the next
+        :meth:`engine` access rebuilds cold.
         """
         with self._lock:
             if world_table is self._world_table:
@@ -305,19 +306,12 @@ class EngineHandle:
             self._extensions += 1
 
     def invalidate(self) -> None:
-        """Drop the current engine (and its memo); it is rebuilt lazily.
+        """Drop the current engine, its memo and the compiled circuits.
 
-        Compiled circuits are dropped too — this is the explicit "cold
-        everything" entry point.  A world-table *replacement* (conditioning)
-        does **not** come through here: it goes through :meth:`rebind`, which
-        keeps the engine memo across an executed ``assert``, and the circuit
-        cache is then selectively revalidated against the new interned space
-        (a circuit survives iff the change did not touch its variables).
+        The engine is rebuilt lazily and circuits are recompiled on demand.
         """
         with self._lock:
             self._retire()
-            self._circuit_cache.clear()
-            self._circuit_space = None
 
     def close(self) -> None:
         """Shut down the worker pool and disable parallel evaluation.
@@ -346,6 +340,7 @@ class EngineHandle:
         backend.warm_up()
 
     def _retire(self) -> None:
+        self._circuit_cache.clear()
         if self._engine is not None:
             self._retired_frames += self._engine.stats.recursive_calls
             self._retired_hits += self._engine.cache_hits
@@ -409,19 +404,6 @@ class EngineHandle:
         with self._lock:
             return self._timed(
                 lambda engine: engine.compute_wsset(ws_set), max_calls, time_limit
-            )
-
-    def probability_of_descriptors(
-        self,
-        descriptors: list[dict],
-        *,
-        max_calls: int | None = None,
-        time_limit: float | None = None,
-    ) -> float:
-        """Like :meth:`probability` for plain-dict descriptors."""
-        with self._lock:
-            return self._timed(
-                lambda engine: engine.compute(descriptors), max_calls, time_limit
             )
 
     def _timed(self, run, max_calls: int | None, time_limit: float | None) -> float:
@@ -534,22 +516,21 @@ class EngineHandle:
         the canonical descriptor tuple keys the handle's circuit cache.  A
         miss records the decomposition once (budgeted like a computation);
         every later compile of a structurally identical ws-set — and every
-        :meth:`what_if` sweep — reuses the circuit.  After a world-table
-        replacement cached circuits are revalidated lazily: circuits whose
-        variables kept their distributions are retargeted and kept, touched
-        ones are dropped and recompiled on demand.
+        :meth:`what_if` sweep — reuses the circuit.  The cache lives exactly
+        as long as the engine memo: an ``assert`` keeps it, an in-place
+        mutation or :meth:`invalidate` drops it.
         """
         from repro.circuit import CircuitRecorder
 
         with self._lock:
             engine = self.engine()
-            space = engine.space
-            if self._circuit_space is not space:
-                self._refresh_circuits(space)
             interned = engine.simplified(ws_set)
             key = tuple(sorted(interned))
             circuit = self._circuit_cache.get(key)
             if circuit is not None:
+                # An assert since the compile may have appended variables
+                # that a later sweep or override names.
+                circuit.space = engine.space
                 self._circuit_cache_hits += 1
                 return circuit
             engine.reset_budget(self._budget(max_calls, time_limit))
@@ -560,23 +541,6 @@ class EngineHandle:
             self._circuits_compiled += 1
             self._circuit_cache[key] = circuit
             return circuit
-
-    def _refresh_circuits(self, space) -> None:
-        """Revalidate every cached circuit against a new interned space.
-
-        Runs once per world-table change, on the next compile/what-if.  Each
-        circuit either survives (its variables' distributions are unchanged —
-        ids are retargeted in place when the dense id assignment moved) or is
-        dropped for recompilation.  This is the selective invalidation that
-        makes conditioning cheap for sweep workloads touching other parts of
-        the table.
-        """
-        survivors: dict[tuple, "Circuit"] = {}
-        for circuit in self._circuit_cache.values():
-            if circuit.rebind(space):
-                survivors[circuit.key] = circuit
-        self._circuit_cache = survivors
-        self._circuit_space = space
 
     def what_if(
         self,

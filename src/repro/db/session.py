@@ -122,9 +122,9 @@ class ConfidenceRequest:
     ``epsilon`` / ``delta`` / ``seed`` configure the approximate methods (and
     the fallback leg of ``hybrid``); ``max_calls`` / ``time_limit`` override
     the session's per-computation budget for the exact methods (and bound the
-    exact leg of ``hybrid``); ``hybrid_scale`` multiplies the *adaptive*
-    exact-leg budget of ``hybrid`` when no explicit budget is given (see
-    :func:`adaptive_hybrid_budget`).  Unset fields inherit the session
+    exact leg of ``hybrid``); ``hybrid_scale`` (1.0 when unset) multiplies
+    the *adaptive* exact-leg budget of ``hybrid`` when no explicit budget is
+    given (see :func:`adaptive_hybrid_budget`).  Unset fields inherit the session
     defaults.
 
     ``deadline_ms`` is the request's answer-by budget: for ``exact`` and
@@ -301,9 +301,6 @@ class Session(ConfidenceAPI):
         delta: float = 0.01,
         seed: int | None = None,
         memo_limit: int | None = None,
-        hybrid_max_calls: int | None = None,
-        hybrid_time_limit: float | None = None,
-        hybrid_scale: float = 1.0,
         workers: int | None = None,
         trace: bool = False,
     ) -> None:
@@ -318,9 +315,6 @@ class Session(ConfidenceAPI):
         self.epsilon = epsilon
         self.delta = delta
         self.seed = seed
-        self.hybrid_max_calls = hybrid_max_calls
-        self.hybrid_time_limit = hybrid_time_limit
-        self.hybrid_scale = hybrid_scale
         # trace=True traces every request of this session; the most recent
         # span tree is kept on last_trace.
         self._trace = trace
@@ -675,10 +669,9 @@ class Session(ConfidenceAPI):
     ) -> tuple[int | None, float | None]:
         """The exact leg's ``(max_calls, time_limit)`` for a bounded request.
 
-        ``hybrid`` fills unset request bounds from the session's
-        ``hybrid_max_calls`` / ``hybrid_time_limit``; when no call budget
-        results and no time limit was set, or a deadline is set, it derives
-        one from the instance size (:func:`adaptive_hybrid_budget`), so
+        A ``hybrid`` request without a call budget, and without a time limit
+        or with a deadline, gets one derived from the instance size
+        (:func:`adaptive_hybrid_budget`, scaled by ``hybrid_scale``), so
         "hybrid" always means "bounded exact" and whichever bound trips first
         triggers the fallback.  A deadline then grants the exact leg
         :data:`DEADLINE_EXACT_FRACTION` of itself as a wall-clock limit —
@@ -687,20 +680,15 @@ class Session(ConfidenceAPI):
         """
         max_calls, time_limit = request.max_calls, request.time_limit
         deadline_ms = request.deadline_ms
-        if request.method == "hybrid":
-            if max_calls is None:
-                max_calls = self.hybrid_max_calls
-            if time_limit is None:
-                time_limit = self.hybrid_time_limit
-            if max_calls is None and (time_limit is None or deadline_ms is not None):
-                scale = (
-                    request.hybrid_scale
-                    if request.hybrid_scale is not None
-                    else self.hybrid_scale
-                )
-                max_calls = adaptive_hybrid_budget(
-                    len(ws_set), len(ws_set.variables()), scale
-                )
+        if (
+            request.method == "hybrid"
+            and max_calls is None
+            and (time_limit is None or deadline_ms is not None)
+        ):
+            scale = request.hybrid_scale if request.hybrid_scale is not None else 1.0
+            max_calls = adaptive_hybrid_budget(
+                len(ws_set), len(ws_set.variables()), scale
+            )
         if deadline_ms is not None:
             share = (deadline_ms / 1000.0) * DEADLINE_EXACT_FRACTION
             time_limit = share if time_limit is None else min(time_limit, share)

@@ -487,12 +487,19 @@ class ConfidenceServer:
             except (ConnectionError, OSError):
                 pass
 
+    def _error(
+        self, id: object, code: str, message: str, detail: dict | None = None
+    ) -> dict:
+        """One error frame, counted once in the stats and in the registry."""
+        self._errors_total += 1
+        self.metrics.counter("repro_server_errors_total", code=code).inc()
+        return error_frame(id, code, message, detail)
+
     async def _send_error(
         self, writer: asyncio.StreamWriter, id: object, code: str, message: str
     ) -> None:
-        self._errors_total += 1
         await protocol.write_frame(
-            writer, error_frame(id, code, message),
+            writer, self._error(id, code, message),
             max_frame_bytes=self._max_frame_bytes,
         )
 
@@ -503,8 +510,7 @@ class ConfidenceServer:
             id = None
         version = frame.get("v")
         if version != PROTOCOL_VERSION:
-            self._errors_total += 1
-            return error_frame(
+            return self._error(
                 id,
                 "unsupported-version",
                 f"this server speaks protocol version {PROTOCOL_VERSION}, "
@@ -512,24 +518,21 @@ class ConfidenceServer:
             )
         op = frame.get("op")
         if op not in protocol.OPS:
-            self._errors_total += 1
-            return error_frame(
+            return self._error(
                 id,
                 "unknown-op",
                 f"unknown operation {op!r}; known: {', '.join(protocol.OPS)}",
             )
         args = frame.get("args") or {}
         if not isinstance(args, dict):
-            self._errors_total += 1
-            return error_frame(id, "malformed-frame", "args must be an object")
+            return self._error(id, "malformed-frame", "args must be an object")
         deadline_ms = frame.get("deadline_ms")
         if deadline_ms is not None and (
             isinstance(deadline_ms, bool)
             or not isinstance(deadline_ms, (int, float))
             or deadline_ms <= 0
         ):
-            self._errors_total += 1
-            return error_frame(
+            return self._error(
                 id,
                 "malformed-frame",
                 f"deadline_ms must be a positive number of milliseconds, "
@@ -540,30 +543,24 @@ class ConfidenceServer:
         )
         self._requests_total += 1
         started = time.monotonic()
-        code: str | None = None
         try:
             result = await self._dispatch(op, args, deadline)
         except ReproError as error:
-            self._errors_total += 1
             if isinstance(error, DeadlineExceededError):
                 self._deadline_exceeded_total += 1
-            code = protocol.error_code(error)
-            return error_frame(id, code, str(error), protocol.error_detail(error))
+            return self._error(
+                id, protocol.error_code(error), str(error), protocol.error_detail(error)
+            )
         except (KeyError, TypeError, ValueError) as error:
-            self._errors_total += 1
-            code = "malformed-frame"
-            return error_frame(id, code, f"bad arguments for {op}: {error}")
+            message = f"bad arguments for {op}: {error}"
+            return self._error(id, "malformed-frame", message)
         except Exception as error:  # noqa: BLE001 - a request must never kill the server
             logger.exception("internal error answering %s", op)
-            self._errors_total += 1
-            code = "internal"
-            return error_frame(id, "internal", f"{type(error).__name__}: {error}")
+            return self._error(id, "internal", f"{type(error).__name__}: {error}")
         finally:
             elapsed = time.monotonic() - started
             self.metrics.histogram("repro_server_op_seconds", op=op).record(elapsed)
             self.metrics.counter("repro_server_requests_total", op=op).inc()
-            if code is not None:
-                self.metrics.counter("repro_server_errors_total", code=code).inc()
         return ok_frame(id, result)
 
     # ------------------------------------------------------------------

@@ -365,13 +365,13 @@ class TestCacheAndInvalidation:
         database.assert_condition(WSSet([{"z": 1}]))
 
         # Conditioning made z certain, so the posterior table dropped it:
-        # the z circuit cannot be rebound, and a fresh compile of its
-        # lineage fails the same way a confidence query would.
+        # a compile of its lineage fails the same way a confidence query
+        # would, though the cached z circuit is still in the cache.
         with pytest.raises(UnknownVariableError):
             session.compile(WSSet([{"z": 1}]))
         assert z.evaluate() == pytest.approx(0.5)  # the stale object still works
-        # The x/y circuit's variables kept their distributions: rebound onto
-        # the posterior space, still answering what the engine answers.
+        # The posterior space extends the prior's ids, so the x/y circuit is
+        # a cache hit, still answering what the engine answers.
         xy_after = session.compile(WSSet([{"x": 1}, {"y": 1}]))
         assert xy_after is xy
         assert xy_after.evaluate() == (
@@ -386,14 +386,57 @@ class TestCacheAndInvalidation:
         assert recompiled is not circuit
         assert recompiled.evaluate() == session.confidence(ws_set).value
 
-    def test_untouched_circuit_survives_reweighting(self, world_table):
+    def test_in_place_mutation_drops_every_circuit(self, world_table):
+        # As it drops the memo: even a circuit over variables the mutation
+        # did not touch is recompiled.
         session = Session(world_table)
         xy = session.compile(WSSet([{"x": 1}, {"y": 2}]))
         world_table.set_distribution("z", {1: 0.9, 2: 0.05, 3: 0.05})
-        assert session.compile(WSSet([{"x": 1}, {"y": 2}])) is xy
-        assert xy.evaluate() == (
+        recompiled = session.compile(WSSet([{"x": 1}, {"y": 2}]))
+        assert recompiled is not xy
+        assert recompiled.evaluate() == xy.evaluate() == (
             session.confidence(WSSet([{"x": 1}, {"y": 2}])).value
         )
+        assert session.statistics().circuits_compiled == 2
+
+    def test_cached_circuit_survives_an_assert_that_adds_a_variable(self):
+        database = ProbabilisticDatabase()
+        table = database.world_table
+        table.add_variable("x", {1: 0.3, 2: 0.7})
+        table.add_variable("y", {1: 0.4, 2: 0.6})
+        table.add_variable("z", {1: 0.5, 2: 0.5})
+        relation = database.create_relation("R", ("A",))
+        relation.add({"x": 1}, ("a",))
+        relation.add({"y": 1}, ("b",))
+        relation.add({"z": 1}, ("c",))
+        session = database.session()
+        target = WSSet([{"x": 1}])
+        circuit = session.compile(target)
+
+        database.assert_condition(WSSet([{"y": 1}, {"z": 1}]))
+        added = set(database.world_table.variables) - {"x", "y", "z"}
+        assert added == {"y'"}
+
+        # The circuit is a cache hit re-pointed at the posterior space, so a
+        # sweep may name the variable the assert appended.
+        points = [0.1, 0.5, 0.9]
+        assert session.compile(target) is circuit
+        swept = session.what_if(target, "y'", points)
+        fresh = Session(database.world_table).what_if(target, "y'", points)
+        assert swept == fresh == [0.3, 0.3, 0.3]
+
+    def test_circuit_cache_is_bounded_by_memo_limit(self, world_table):
+        session = Session(world_table, memo_limit=2)
+        targets = [
+            WSSet([{"x": 1}]),
+            WSSet([{"x": 1}, {"y": 2}]),
+            WSSet([{"y": 1, "z": 2}, {"x": 2, "z": 1}]),
+        ]
+        for target in targets:
+            circuit = session.compile(target)
+            assert len(session.handle._circuit_cache) <= 2
+            assert circuit.evaluate() == session.confidence(target).value
+        assert session.statistics().circuits_compiled == 3
 
     def test_explicit_invalidate_clears_circuits(self, world_table, ws_set):
         session = Session(world_table)

@@ -4,8 +4,9 @@ Seeded ``random``-module sweeps (the heavier cousin of the hypothesis suite
 in ``tests/core/test_properties.py``): on random world tables and ws-sets,
 a compiled circuit answers within 1e-12 of the interned engine — at the
 recording weights (where it is bit-identical), after re-weighting, after
-database conditioning (stale circuits must invalidate, surviving ones must
-rebind), and with the process executor behind the session.
+database conditioning (lineage over a dropped variable must fail to
+compile, every other circuit stays cached), and with the process executor
+behind the session.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def test_circuit_survives_conditioning_or_invalidates():
                 session.compile(ws_set)
         else:
             recompiled = session.compile(ws_set)
-            assert recompiled is circuit, case  # rebind, not a recompile
+            assert recompiled is circuit, case  # a cache hit, not a recompile
             expected = session.confidence(ws_set).value
             assert recompiled.evaluate() == pytest.approx(expected, abs=TOLERANCE)
 

@@ -241,9 +241,9 @@ def test_session_hybrid_scale_knob_forces_fallback():
     )
     assert scaled.fell_back and scaled.method == "karp_luby"
 
-    # The session-level knob does the same for every request of a session.
-    eager = Session(instance.world_table, seed=9, hybrid_scale=1e-6)
-    result = eager.confidence(instance.ws_set, method="hybrid")
+    # confidence() passes the same request field through.
+    eager = Session(instance.world_table, seed=9)
+    result = eager.confidence(instance.ws_set, method="hybrid", hybrid_scale=1e-6)
     assert result.fell_back and result.method == "karp_luby"
 
 
@@ -262,7 +262,7 @@ def test_session_hybrid_explicit_budget_overrides_adaptive(monkeypatch):
 
 
 def test_session_hybrid_uses_default_budget_when_none_given(monkeypatch):
-    # Without any request/session budget the exact leg still gets the default
+    # Without any request budget the exact leg still gets the default
     # call budget, so pathological instances cannot hang a budgetless hybrid
     # query.  Shrink the module default so the safety net trips fast; were
     # the default not installed, the exact leg would solve this instance and
@@ -272,7 +272,6 @@ def test_session_hybrid_uses_default_budget_when_none_given(monkeypatch):
     monkeypatch.setattr(session_module, "DEFAULT_HYBRID_MAX_CALLS", 10)
     instance = hard_instance(num_descriptors=128)
     session = Session(instance.world_table, seed=3)
-    assert session.hybrid_max_calls is None and session.hybrid_time_limit is None
     result = session.confidence(instance.ws_set, method="hybrid")
     assert result.fell_back and result.method == "karp_luby"
     assert result.epsilon is not None
@@ -360,16 +359,16 @@ def test_bounded_memo_session_cache_clears_oldest_half():
         BoundedMemo(1)
 
 
-@pytest.mark.parametrize("session_limit", [None, 3.0])
+@pytest.mark.parametrize("time_limit", [None, 3.0])
 @pytest.mark.parametrize("deadline_ms", [None, 60_000.0])
 @pytest.mark.parametrize("method", ["exact", "hybrid"])
-def test_exact_leg_bounds(monkeypatch, method, deadline_ms, session_limit):
+def test_exact_leg_bounds(monkeypatch, method, deadline_ms, time_limit):
     """The ``max_calls`` / ``time_limit`` the exact leg runs under.
 
-    ``exact`` ignores the session's hybrid limits; ``hybrid`` fills unset
-    bounds from them and falls back to the adaptive call budget when no
-    time limit bounds it; a deadline grants half of itself and may only
-    tighten a limit already set, never widen it.
+    Both methods keep the request's own ``time_limit``; ``hybrid`` falls
+    back to the adaptive call budget when no time limit bounds it; a
+    deadline grants half of itself and may only tighten a limit already
+    set, never widen it.
     """
     from repro.core.engine import EngineHandle
     from repro.db.session import DEADLINE_EXACT_FRACTION, adaptive_hybrid_budget
@@ -383,23 +382,20 @@ def test_exact_leg_bounds(monkeypatch, method, deadline_ms, session_limit):
     monkeypatch.setattr(EngineHandle, "probability", probability)
     instance = hard_instance(num_descriptors=8)
     ws_set = instance.ws_set
-    session = Session(instance.world_table, hybrid_time_limit=session_limit)
-    result = session.confidence(ws_set, method, deadline_ms=deadline_ms)
+    session = Session(instance.world_table)
+    result = session.confidence(
+        ws_set, method, time_limit=time_limit, deadline_ms=deadline_ms
+    )
     assert result.value == 0.5 and result.method == "exact"
 
     adaptive = adaptive_hybrid_budget(len(ws_set), len(ws_set.variables()))
     share = None
     if deadline_ms is not None:
         share = deadline_ms / 1000.0 * DEADLINE_EXACT_FRACTION
-    if method == "exact":
-        expected = (None, share)
-    else:
-        limits = [limit for limit in (session_limit, share) if limit is not None]
-        time_limit = min(limits) if limits else None
-        bounded_by_time = session_limit is not None and deadline_ms is None
-        max_calls = None if bounded_by_time else adaptive
-        expected = (max_calls, time_limit)
-    assert calls == [expected]
+    limits = [limit for limit in (time_limit, share) if limit is not None]
+    bounded_by_time = time_limit is not None and deadline_ms is None
+    max_calls = None if method == "exact" or bounded_by_time else adaptive
+    assert calls == [(max_calls, min(limits) if limits else None)]
 
 
 def test_session_wall_time_covers_approximate_methods():

@@ -396,6 +396,43 @@ class TestProtocolRobustness:
             with connect(server.host, server.port) as session:
                 assert session.confidence("R").value == pytest.approx(1.0)
 
+    def test_every_error_frame_is_counted_once_under_its_code(
+        self, running_server, ssn_database
+    ):
+        def frame(**fields) -> bytes:
+            blob = json.dumps({"v": PROTOCOL_VERSION, "id": 1, **fields}).encode()
+            return HEADER.pack(len(blob)) + blob
+
+        oversized = b'{"v":4,"id":9,"op":"ping","pad":"' + b"x" * 8000 + b'"}'
+        bad_frames = [
+            (HEADER.pack(9) + b"\x00garbage\xff", "malformed-frame"),
+            (HEADER.pack(len(oversized)) + oversized, "frame-too-large"),
+            (frame(v=99, op="ping"), "unsupported-version"),
+            (frame(op="teleport"), "unknown-op"),
+            (frame(op="ping", args=[1]), "malformed-frame"),
+            (frame(op="ping", deadline_ms=-5), "malformed-frame"),
+            (
+                frame(op="confidence_many", args={"requests": [{"target": "oops"}]}),
+                "malformed-frame",
+            ),
+        ]
+        with running_server(ssn_database, max_frame_bytes=4096) as server:
+            with socket.create_connection((server.host, server.port)) as sock:
+                for blob, code in bad_frames:
+                    response = self._raw_roundtrip(sock, blob)
+                    assert response["error"]["code"] == code
+            with connect(server.host, server.port) as session:
+                errors_total = session.server_stats()["server"]["errors_total"]
+                counters = session.metrics()["counters"]
+        series = {
+            key: value
+            for key, value in counters.items()
+            if key.startswith("repro_server_errors_total")
+        }
+        assert errors_total == len(bad_frames) == sum(series.values())
+        for _, code in bad_frames:
+            assert f'repro_server_errors_total{{code="{code}"}}' in series
+
     def test_oversized_response_becomes_error_frame_not_disconnect(
         self, running_server
     ):
