@@ -340,8 +340,8 @@ def ablation_engine_options(
     )
     instances = sweep_wsset_sizes(base, list(sizes))
     configurations = {
-        # The default memoises; the ablation pair is therefore default vs
-        # memoisation switched off.
+        # indve(minlog) is the paper's configuration and memoises like the
+        # default; the ablation pair is therefore memoisation on vs off.
         "indve(minlog)": ExactConfig.indve("minlog", time_limit=time_limit),
         "indve-no-memo": ExactConfig.indve(
             "minlog", memoize=False, time_limit=time_limit

@@ -2,7 +2,7 @@
 
 This subpackage contains the paper's primary contribution: world-set
 descriptors and ws-sets (Sections 2-3), the Davis-Putnam-style ws-tree
-decomposition with the minlog/minmax heuristics (Section 4), run by the
+decomposition with its variable-choice heuristics (Section 4), run by the
 interned engine fused with exact confidence computation (Section 4.3) and
 recorded as a ws-tree by :mod:`repro.circuit`, ws-descriptor elimination
 (Section 6), the conditioning algorithm (Section 5), and the brute-force

@@ -140,9 +140,9 @@ def condition_wsset(
     world_table:
         The prior world table (it is not modified).
     config:
-        Engine configuration (INDVE/VE, heuristic, ...); defaults to INDVE
-        with the minlog heuristic.  ``config.condition_memoize`` (on by
-        default) memoises solved subproblems for the length of this run.
+        Engine configuration (INDVE/VE, heuristic, ...); defaults to
+        ``ExactConfig()``.  ``config.condition_memoize`` (on by default)
+        memoises solved subproblems for the length of this run.
     prune_unrelated:
         Return tuple descriptors unchanged as soon as they share no variable
         with the remaining condition (their presence condition is independent

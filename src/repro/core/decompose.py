@@ -65,15 +65,6 @@ class DecompositionStats:
     memo_hits: int = 0
     memo_misses: int = 0
 
-    def node_count(self) -> int:
-        """Total number of ⊗-, ⊕-, ∅- and ⊥-nodes the decomposition visited."""
-        return (
-            self.independent_nodes
-            + self.variable_nodes
-            + self.leaf_nodes
-            + self.bottom_nodes
-        )
-
 
 class Budget:
     """Optional resource guard shared by the recursive engines.

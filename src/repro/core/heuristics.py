@@ -14,9 +14,12 @@ heuristics and benchmarks them against each other in Figure 13:
   to evaluate but blind to the number of large branches (Remark 4.6 gives a
   scenario where it is suboptimal).
 
-For ablation experiments two extra strategies are provided: the first
-variable encountered and the most frequently occurring variable.  Every
-strategy is a pure function of the occurrence counts and domain sizes, so
+The default is **frequency**, the Davis-Putnam max-occurrence rule: over
+seeds of the Figure 11a/12 shapes and of Figure 13's from 200 descriptors
+up it expands 20–42% fewer frames than minlog (about 4% fewer at r ≥ 3;
+not on every instance, see the README), and a candidate's score is a plain
+sum.  **first** is an ablation baseline.  Every strategy is a pure
+function of the occurrence counts and domain sizes, so
 the same ws-set always eliminates the same variable — which is what lets a
 recorded circuit evaluate bit-identically to the run it records.
 """
@@ -174,11 +177,12 @@ class FirstVariableHeuristic(Heuristic):
 
 
 class MostFrequentHeuristic(Heuristic):
-    """Ablation baseline: eliminate the variable occurring in most descriptors.
+    """The default: eliminate the variable occurring in most descriptors.
 
-    This is the classic "max-occurrence" Davis-Putnam branching rule; it tends
-    to shrink ``T`` fast but ignores how evenly the occurrences split across
-    the variable's alternatives.
+    This is the classic "max-occurrence" Davis-Putnam branching rule.  It
+    keeps ``T``, the descriptors copied into every branch, smallest; on the
+    paper's hard families that saves more frames than minlog's size
+    estimate, though it ignores how the occurrences split across values.
     """
 
     name = "frequency"

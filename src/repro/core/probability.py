@@ -15,9 +15,9 @@ Two algorithm variants of the experimental section are obtained through
 * **INDVE** — independent partitioning + variable elimination (the default);
 * **VE** — variable elimination only.
 
-plus the heuristic choice (``minlog`` / ``minmax`` / ablation heuristics) and
-the engineering knobs evaluated in the ablation benchmarks: subsumption
-simplification and memoisation of repeated sub-ws-sets.
+plus the heuristic choice (the default ``frequency``, the paper's ``minlog`` /
+``minmax``, ``first``) and the engineering knobs evaluated in the ablation
+benchmarks: subsumption simplification and memoisation of repeated sub-ws-sets.
 
 The recursion itself is the integer-packed iterative engine of
 :mod:`repro.core.interned`: variables and values are interned into dense ids,
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.core.decompose import Budget, DecompositionStats
-from repro.core.heuristics import Heuristic
+from repro.core.heuristics import Heuristic, make_heuristic
 from repro.core.interned import InternedEngine
 from repro.core.wsset import WSSet
 
@@ -50,7 +50,8 @@ class ExactConfig:
         ``True`` gives INDVE, ``False`` gives plain VE (Section 7, "Algorithms").
     heuristic:
         Variable-elimination heuristic: a name accepted by
-        :func:`repro.core.heuristics.make_heuristic` or an instance.
+        :func:`repro.core.heuristics.make_heuristic` (checked here) or an
+        instance; why the default is ``"frequency"``: :mod:`repro.core.heuristics`.
     simplify_subsumed:
         Remove subsumed descriptors before starting (Example 3.2).
     subsumption_every_step:
@@ -81,7 +82,7 @@ class ExactConfig:
     """
 
     use_independent_partitioning: bool = True
-    heuristic: "str | Heuristic" = "minlog"
+    heuristic: "str | Heuristic" = "frequency"
     simplify_subsumed: bool = True
     subsumption_every_step: bool = False
     memoize: bool = True
@@ -93,16 +94,19 @@ class ExactConfig:
     def __post_init__(self) -> None:
         if self.memo_limit is not None and self.memo_limit < 2:
             raise ValueError("memo_limit must be at least 2")
+        make_heuristic(self.heuristic)  # fail fast on an unknown name
 
     @classmethod
-    def indve(cls, heuristic: "str | Heuristic" = "minlog", **kwargs) -> "ExactConfig":
-        """The INDVE configuration (independent partitioning + variable elimination)."""
-        return cls(use_independent_partitioning=True, heuristic=heuristic, **kwargs)
+    def indve(cls, heuristic: "str | Heuristic | None" = None, **kw) -> "ExactConfig":
+        """INDVE (partitioning + elimination); ``heuristic=None`` takes the default."""
+        heuristic = cls.heuristic if heuristic is None else heuristic
+        return cls(use_independent_partitioning=True, heuristic=heuristic, **kw)
 
     @classmethod
-    def ve(cls, heuristic: "str | Heuristic" = "minlog", **kwargs) -> "ExactConfig":
-        """The VE configuration (variable elimination only)."""
-        return cls(use_independent_partitioning=False, heuristic=heuristic, **kwargs)
+    def ve(cls, heuristic: "str | Heuristic | None" = None, **kw) -> "ExactConfig":
+        """VE (variable elimination only); ``heuristic=None`` takes the default."""
+        heuristic = cls.heuristic if heuristic is None else heuristic
+        return cls(use_independent_partitioning=False, heuristic=heuristic, **kw)
 
     def with_heuristic(self, heuristic: "str | Heuristic") -> "ExactConfig":
         """A copy of this configuration with a different heuristic."""

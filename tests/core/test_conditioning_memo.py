@@ -43,6 +43,7 @@ CONFIGS = [
     ExactConfig(),
     ExactConfig(subsumption_every_step=True),
     ExactConfig(heuristic="minmax"),
+    ExactConfig(heuristic="minlog"),
     ExactConfig.ve(),
     ExactConfig(simplify_subsumed=False),
 ]
@@ -103,7 +104,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: (
         "serial"
         f"{'-subs' if c.subsumption_every_step else ''}"
-        f"{'-' + c.heuristic if c.heuristic != 'minlog' else ''}"
+        f"{'-' + c.heuristic if c.heuristic != ExactConfig().heuristic else ''}"
         f"{'' if c.use_independent_partitioning else '-ve'}"
         f"{'' if c.simplify_subsumed else '-unsimplified'}"
     ))

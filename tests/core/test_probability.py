@@ -119,6 +119,21 @@ class TestConfigurations:
             ExactConfig(**{field: 1})
         assert getattr(ExactConfig(**{field: 2}), field) == 2
 
+    def test_unknown_heuristic_is_rejected_at_construction(self):
+        # Not at the first query of a session opened with the config: the
+        # engine behind a session is built lazily.
+        with pytest.raises(ValueError, match="unknown heuristic 'minlgo'"):
+            ExactConfig(heuristic="minlgo")
+        with pytest.raises(ValueError, match="unknown heuristic"):
+            ExactConfig.ve("minlgo")
+        with pytest.raises(ValueError, match="unknown heuristic"):
+            ExactConfig().with_heuristic("minlgo")
+
+    def test_one_default_heuristic(self):
+        assert ExactConfig.indve() == ExactConfig()
+        assert ExactConfig.ve() == ExactConfig(use_independent_partitioning=False)
+        assert ExactConfig().heuristic == "frequency"
+
     def test_one_engine_one_sampler_no_selectors(self):
         """The pre-interning forks are gone, not hidden behind a default."""
         import dataclasses
