@@ -21,8 +21,7 @@ statistics) at the repo root::
 
     PYTHONPATH=src python benchmarks/bench_session_batching.py
 
-The same measurement is also exposed as pytest-benchmark cases
-(``bench_session_batching``) for the benchmark runner used by the figures.
+It reuses the timing and reporting helpers of ``benchmarks/paper``.
 """
 
 from __future__ import annotations
@@ -30,10 +29,8 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-import pytest
-
-from repro.bench.reporting import format_sweep_result, write_sweep_json
-from repro.bench.runner import MeasuredPoint, Series, SweepResult, measure
+from paper.reporting import format_sweep_result, write_sweep_json
+from paper.runner import MeasuredPoint, Series, SweepResult, measure
 from repro.core.probability import ExactConfig, probability
 from repro.core.wsset import WSSet
 from repro.db.session import Session
@@ -189,19 +186,6 @@ def main(report_path: "str | Path | None" = None) -> Path:
     )
     print(f"wrote {path}")
     return path
-
-
-@pytest.mark.figure("session-batching")
-@pytest.mark.parametrize("size", SIZES)
-@pytest.mark.parametrize("strategy", ("cold-per-tuple", "session-batch"))
-def bench_session_batching(benchmark, size, strategy):
-    world_table, relation = build_workload(size)
-    run = cold_per_tuple if strategy == "cold-per-tuple" else session_batch
-    value = benchmark.pedantic(
-        lambda: run(world_table, relation), rounds=1, iterations=1
-    )
-    benchmark.extra_info["confidence_sum"] = value
-    assert value >= 0.0
 
 
 if __name__ == "__main__":

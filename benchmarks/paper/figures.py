@@ -10,8 +10,8 @@ easy-hard-easy transitions are — not absolute times.
 
 Run from the command line::
 
-    python -m repro.bench.figures --figure 10
-    python -m repro.bench.figures --figure 11a --full
+    PYTHONPATH=src:benchmarks python -m paper.figures --figure 10
+    PYTHONPATH=src:benchmarks python -m paper.figures --figure 11a --full
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.bench.reporting import format_sweep_result, format_table
-from repro.bench.runner import SweepResult, measure, method_registry, run_sweep
+from paper.reporting import format_sweep_result, format_table
+from paper.runner import SweepResult, measure, method_registry, run_sweep
 from repro.core.conditioning import condition_wsset
 from repro.core.probability import ExactConfig, probability
 from repro.workloads.hard import HardCaseParameters, sweep_wsset_sizes
@@ -286,7 +286,7 @@ def figure13(
 
 
 # ----------------------------------------------------------------------
-# Ablations called out in DESIGN.md
+# Ablations: the exact methods and the engine options
 # ----------------------------------------------------------------------
 def ablation_methods(
     sizes: Sequence[int] = (20, 40, 80, 160),
@@ -297,7 +297,7 @@ def ablation_methods(
     seed: int = 0,
     time_limit: float | None = 60.0,
 ) -> SweepResult:
-    """INDVE vs VE vs WE on a single family of instances (E6 in DESIGN.md)."""
+    """INDVE vs VE vs WE (the Section 6 baseline) on one family of instances."""
     base = HardCaseParameters(
         num_variables=num_variables,
         alternatives=alternatives,
@@ -330,7 +330,7 @@ def ablation_engine_options(
     seed: int = 0,
     time_limit: float | None = 60.0,
 ) -> SweepResult:
-    """Engine-option ablation: memoisation and per-step subsumption (E7)."""
+    """Engine-option ablation: memoisation, per-step subsumption, heuristics."""
     base = HardCaseParameters(
         num_variables=num_variables,
         alternatives=alternatives,
@@ -372,7 +372,7 @@ def conditioning_overhead(
     descriptor_length: int = 2,
     seed: int = 0,
 ) -> list[tuple[int, float, float]]:
-    """Confidence computation vs full conditioning on the same ws-sets (E8).
+    """Confidence computation vs full conditioning on the same ws-sets.
 
     Reproduces the claim of Section 7 that computing the conditioned
     representation "adds only a small overhead over confidence computation":

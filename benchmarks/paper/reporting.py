@@ -2,9 +2,9 @@
 
 The paper reports its experiments either as a table (Figure 10) or as
 time-versus-ws-set-size series on log-log axes (Figures 11-13).  The helpers
-here turn :class:`~repro.bench.runner.SweepResult` objects into the same
-rows/series in textual form, which is what ``EXPERIMENTS.md`` and the
-benchmark scripts print.
+here turn :class:`~paper.runner.SweepResult` objects into the same
+rows/series in textual form, which is what :mod:`paper.figures` and
+``benchmarks/bench_session_batching.py`` print.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 from collections.abc import Sequence
 from pathlib import Path
 
-from repro.bench.runner import SweepResult
+from paper.runner import SweepResult
 
 
 def format_table(rows: Sequence[Sequence[object]], headers: Sequence[str]) -> str:
@@ -71,8 +71,8 @@ def format_sweep_result(result: SweepResult, *, markdown: bool = False) -> str:
 def summarize_shape(result: SweepResult) -> str:
     """A one-paragraph qualitative summary: which method wins where.
 
-    Used to compare the measured behaviour with the paper's findings in
-    ``EXPERIMENTS.md`` without relying on absolute numbers.
+    Used to compare the measured behaviour with the paper's findings without
+    relying on absolute numbers.
     """
     lines = []
     xs = sorted({point.x for series in result.series for point in series.points})

@@ -5,7 +5,7 @@ instances (a ws-set plus a world table) indexed by some parameter (scale
 factor, ws-set size), run a set of confidence-computation methods on each
 instance, and report the running time per method as a function of the
 parameter.  This module provides exactly that machinery, independent of any
-specific figure; :mod:`repro.bench.figures` instantiates it per figure.
+specific figure; :mod:`paper.figures` instantiates it per figure.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from __future__ import annotations
 import time
 
 from repro import ExactConfig, descriptor_elimination_probability, karp_luby_confidence, probability
-from repro.bench.reporting import format_table
 from repro.errors import BudgetExceededError
 from repro.workloads.hard import HardCaseParameters, generate_hard_instance
 
@@ -79,7 +78,10 @@ def main() -> None:
     rows = []
     for case in cases:
         rows.extend(explore(case))
-    print(format_table(rows, headers=("instance", "method", "time", "confidence")))
+    row_format = "{:<24}  {:<13}  {:>8}  {}"
+    print(row_format.format("instance", "method", "time", "confidence"))
+    for row in rows:
+        print(row_format.format(*row))
     print(
         "\nNote how the exact methods are fastest in the two extreme regimes while\n"
         "the hard region (#descriptors ≈ #variables) is where approximation can win,\n"

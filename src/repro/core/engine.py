@@ -53,6 +53,7 @@ import time
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
+from repro.core.components import merge_component_values
 from repro.core.decompose import Budget, make_memo
 from repro.core.interned import InternedEngine
 from repro.core.probability import ExactConfig
@@ -702,16 +703,7 @@ class EngineHandle:
                     slots[index] = value
                     if key is not None:
                         cache[key] = value
-        results = []
-        for slots in groups:
-            if len(slots) == 1:
-                results.append(slots[0])
-                continue
-            complement = 1.0
-            for value in slots:
-                complement *= 1.0 - value
-            results.append(1.0 - complement)
-        return results
+        return [merge_component_values(slots) for slots in groups]
 
     # ------------------------------------------------------------------
     # Statistics

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from repro.core.decompose import Budget, DecompositionStats
+from repro.core.decompose import DecompositionStats
 from repro.core.heuristics import Heuristic, make_heuristic
 from repro.core.interned import InternedEngine
 from repro.core.wsset import WSSet
@@ -177,25 +177,3 @@ def confidence(
 ) -> float:
     """Alias of :func:`probability` using the paper's "confidence" terminology."""
     return probability(ws_set, world_table, config)
-
-
-def probability_of_descriptors(
-    descriptors: list[dict],
-    world_table: "WorldTable",
-    config: ExactConfig | None = None,
-    *,
-    budget: "Budget | None" = None,
-) -> float:
-    """Exact probability of a ws-set given in the engine's internal (plain-dict) form.
-
-    Used to delegate confidence-only subproblems (subtrees below which no
-    tuple descriptor needs rewriting) to the fast exact engine without
-    converting back and forth through :class:`WSSet`.  An external
-    :class:`~repro.core.decompose.Budget` may be shared so that time limits
-    cover a whole enclosing run.  Callers issuing *many* such subproblems over
-    one world table (e.g. the conditioning engine) should instead build one
-    :class:`~repro.core.interned.InternedEngine` and reuse it, so the memo
-    cache is shared across the calls.
-    """
-    config = config or ExactConfig()
-    return InternedEngine(world_table, config, budget=budget).compute(descriptors)

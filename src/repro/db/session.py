@@ -466,8 +466,10 @@ class Session(ConfidenceAPI):
         The :class:`~repro.circuit.circuit.Circuit` re-evaluates the target
         under re-weightings, what-if sweeps and per-weight gradients without
         decomposing again.  The handle caches circuits by descriptor
-        structure (:meth:`EngineHandle.compile`), and conditioning drops only
-        those whose variables it touched.
+        structure (:meth:`EngineHandle.compile`) for as long as the engine
+        memo lives: an ``assert`` keeps every cached circuit (conditioning
+        never re-weights an existing variable id), an in-place mutation or
+        :meth:`clear_cache` drops them.
         """
         ws_set = self._as_wsset(target)
         self.refresh()

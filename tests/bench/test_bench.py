@@ -1,4 +1,4 @@
-"""Tests for the benchmark harness (runner, reporting, per-figure definitions).
+"""Tests for the paper-experiment harness in ``benchmarks/paper``.
 
 The figure functions are exercised at tiny parameter settings so that the
 whole module runs in a few seconds; what is checked is the plumbing — every
@@ -8,18 +8,29 @@ timeouts are reported — not the timings themselves.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.bench.figures import (
+from repro.workloads.hard import HardCaseParameters, generate_hard_instance
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent.parent / "benchmarks"))
+
+from paper.figures import (  # noqa: E402
+    ablation_engine_options,
+    ablation_methods,
     conditioning_overhead,
     conditioning_overhead_table,
     figure10,
     figure10_table,
     figure11a,
+    figure11b,
     figure12,
     figure13,
+    main,
 )
-from repro.bench.reporting import (
+from paper.reporting import (  # noqa: E402
     format_sweep_result,
     format_table,
     summarize_shape,
@@ -27,8 +38,7 @@ from repro.bench.reporting import (
     to_markdown,
     write_sweep_json,
 )
-from repro.bench.runner import method_registry, run_sweep
-from repro.workloads.hard import HardCaseParameters, generate_hard_instance
+from paper.runner import method_registry, run_sweep  # noqa: E402
 
 
 class TestRunner:
@@ -153,3 +163,45 @@ class TestFigureDefinitions:
         assert [size for size, _, _ in rows] == [5, 10]
         table = conditioning_overhead_table(rows)
         assert "overhead factor" in table
+
+    def test_figure11b_tiny(self):
+        result = figure11b(
+            sizes=(4, 8), num_variables=40, alternatives=4, descriptor_length=2,
+            time_limit=10.0, kl_max_iterations=500,
+        )
+        assert result.methods() == ["indve(minlog)", "kl(e0.1)", "kl(e0.01)"]
+        assert all(len(series.points) == 2 for series in result.series)
+
+    def test_ablation_methods_tiny(self):
+        result = ablation_methods(
+            sizes=(4, 8), num_variables=8, alternatives=2, descriptor_length=2,
+            time_limit=10.0,
+        )
+        assert result.methods() == ["indve(minlog)", "ve(minlog)", "we"]
+        _assert_methods_agree(result)
+
+    def test_ablation_engine_options_tiny(self):
+        result = ablation_engine_options(
+            sizes=(4, 8), num_variables=8, alternatives=2, descriptor_length=2,
+            time_limit=10.0,
+        )
+        assert result.methods() == [
+            "indve(minlog)", "indve-no-memo", "indve+subsume-steps",
+            "indve(frequency)",
+        ]
+        _assert_methods_agree(result)
+
+
+def _assert_methods_agree(result):
+    """Every method of an exact sweep gives the same confidence at every x."""
+    points = [point for series in result.series for point in series.points]
+    assert not any(point.timed_out for point in points)
+    for x in {point.x for point in points}:
+        values = [point.value for point in points if point.x == x]
+        assert max(values) - min(values) < 1e-9, (x, values)
+
+
+def test_cli_runs_figure10(capsys):
+    assert main(["--figure", "10"]) == 0
+    output = capsys.readouterr().out
+    assert "Size of ws-set" in output and "total experiment time" in output

@@ -38,7 +38,6 @@ from repro.core.interned import (
 from repro.core.probability import (
     ExactConfig,
     probability,
-    probability_of_descriptors,
     probability_with_stats,
 )
 from repro.core.wsset import WSSet
@@ -218,9 +217,10 @@ class TestEngineBasics:
         self, figure3_wsset, figure3_world_table
     ):
         descriptors = [dict(d.items()) for d in figure3_wsset]
-        assert probability_of_descriptors(
-            descriptors, figure3_world_table
-        ) == pytest.approx(probability(figure3_wsset, figure3_world_table))
+        engine = InternedEngine(figure3_world_table, ExactConfig())
+        assert engine.compute(descriptors) == pytest.approx(
+            probability(figure3_wsset, figure3_world_table)
+        )
 
 
 class TestCrossEngineAgreement:
