@@ -55,11 +55,9 @@ def simplify_descriptors(
         if descriptor not in seen:
             seen.add(descriptor)
             unique.append(descriptor)
-    if not simplify_subsumed or len(unique) <= 1:
+    if not simplify_subsumed or len(set(map(len, unique))) <= 1:
         return unique
     kept = kept_after_subsumption([set(d.items()) for d in unique])
-    if len(kept) == len(unique):
-        return unique
     return [unique[index] for index in kept]
 
 

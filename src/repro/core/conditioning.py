@@ -52,8 +52,10 @@ assembly.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from repro.core.decompose import Budget, DecompositionStats
@@ -61,7 +63,6 @@ from repro.core.descriptors import WSDescriptor, as_descriptor
 from repro.core.interned import (
     InternedEngine,
     PackedDescriptor,
-    count_occurrences_interned,
     deduplicate_interned,
     remove_subsumed_interned,
     split_on_variable_interned,
@@ -664,7 +665,7 @@ class _InternedConditioningEngine:
         space = self.space
         shift = space.shift
         stats = self.stats
-        occurrences = count_occurrences_interned(descriptors, shift, space.mask)
+        counts = Counter(chain.from_iterable(descriptors))
         if self.prune_unrelated and tuples:
             # Prefer eliminating variables the remaining tuples depend on, so
             # that the rewriting spine stays short and the rest of the
@@ -673,14 +674,14 @@ class _InternedConditioningEngine:
             for t in tuples:
                 tuple_mask |= t[2]
             shared = {
-                variable_id: counts
-                for variable_id, counts in occurrences.items()
-                if (tuple_mask >> variable_id) & 1
+                packed: count
+                for packed, count in counts.items()
+                if (tuple_mask >> (packed >> shift)) & 1
             }
             if shared:
-                occurrences = shared
+                counts = shared
         variable_id = self.confidence_engine.select_variable_id(
-            occurrences, len(descriptors)
+            counts, len(descriptors)
         )
         stats.eliminated_variables.append(space.variables[variable_id])
         stats.variable_nodes += 1

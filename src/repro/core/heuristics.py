@@ -22,6 +22,10 @@ sum.  **first** is an ablation baseline.  Every strategy is a pure
 function of the occurrence counts and domain sizes, so
 the same ws-set always eliminates the same variable — which is what lets a
 recorded circuit evaluate bit-identically to the run it records.
+
+The engine chooses through :meth:`Heuristic.select_packed` from packed
+counts; :meth:`Heuristic.select_variable` is the dict API (also the Figure 8
+oracle's), and frequency sums the packed counts per variable instead.
 """
 
 from __future__ import annotations
@@ -102,6 +106,22 @@ class Heuristic:
             raise ValueError("cannot select a variable from an empty ws-set")
         return best_variable
 
+    def select_packed(self, counts, descriptor_count: int, space) -> int:
+        """:meth:`select_variable` over ``counts``, ``packed -> occurrences``.
+
+        ``space`` has ``shift``, ``mask`` and ``domain_size``.  The counts are
+        grouped per variable id in first-seen order and a lone candidate is
+        returned at once, so a heuristic that defines only :meth:`estimate`
+        chooses as through :meth:`select_variable`.
+        """
+        shift, mask = space.shift, space.mask
+        occurrences: dict[int, dict[int, int]] = {}
+        for packed, count in counts.items():
+            occurrences.setdefault(packed >> shift, {})[packed & mask] = count
+        if len(occurrences) == 1:
+            return next(iter(occurrences))
+        return self.select_variable(occurrences, descriptor_count, space)
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
@@ -172,9 +192,6 @@ class FirstVariableHeuristic(Heuristic):
     def estimate(self, variable, value_counts, t_size, domain_size) -> float:
         return 0.0
 
-    def select_variable(self, occurrences, descriptor_count, world_table):
-        return next(iter(occurrences))
-
 
 class MostFrequentHeuristic(Heuristic):
     """The default: eliminate the variable occurring in most descriptors.
@@ -189,6 +206,14 @@ class MostFrequentHeuristic(Heuristic):
 
     def estimate(self, variable, value_counts, t_size, domain_size) -> float:
         return -float(sum(value_counts.values()))
+
+    def select_packed(self, counts, descriptor_count, space):
+        # Totals per variable; ``max`` keeps the first maximum, as ``<`` does.
+        shift = space.shift
+        totals: dict[int, int] = {}
+        for packed, count in counts.items():
+            totals[packed >> shift] = totals.get(packed >> shift, 0) + count
+        return max(totals, key=totals.__getitem__)
 
 
 _HEURISTICS = {

@@ -33,6 +33,7 @@ and agrees with brute-force enumeration (see ``tests/core/test_interned.py``).
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from collections import Counter
 from itertools import chain
 from typing import TYPE_CHECKING
@@ -246,13 +247,13 @@ def remove_subsumed_interned(
     """Drop descriptors that extend (are contained in) another descriptor.
 
     Size-sorted pass over packed-int sets; first occurrence wins among
-    duplicates, and the surviving descriptors keep their input order.
+    duplicates, and the surviving descriptors keep their input order.  When
+    every descriptor has one size the pass is only deduplication: distinct
+    sets of equal size never contain one another.
     """
-    if len(descriptors) <= 1:
-        return list(descriptors)
+    if len(set(map(len, descriptors))) <= 1:
+        return deduplicate_interned(descriptors)
     kept = kept_after_subsumption([set(descriptor) for descriptor in descriptors])
-    if len(kept) == len(descriptors):
-        return list(descriptors)
     return [descriptors[index] for index in kept]
 
 
@@ -342,21 +343,22 @@ def split_on_variable_interned(
     assignment removed (tuples stay sorted), then ``T`` minus duplicates —
     or :data:`CERTAIN` when some descriptor is ``{x → i}`` alone, or ``None``
     when no descriptor mentions the value (the absent values share ``T``).
+    Descriptors are sorted: ``x``'s assignment is found by one bisection.
     """
     low = variable_id << shift
     high = (variable_id + 1) << shift
     branches: list = [None] * domain_size
     unmentioned: list[PackedDescriptor] = []
     for descriptor in descriptors:
-        for index, packed in enumerate(descriptor):
-            if low <= packed < high:
-                reduced = descriptor[:index] + descriptor[index + 1 :]
-                branch = branches[packed - low]
-                if branch is None:
-                    branches[packed - low] = [reduced]
-                else:
-                    branch.append(reduced)
-                break
+        index = bisect_left(descriptor, low)
+        packed = descriptor[index] if index < len(descriptor) else high
+        if packed < high:
+            reduced = descriptor[:index] + descriptor[index + 1 :]
+            branch = branches[packed - low]
+            if branch is None:
+                branches[packed - low] = [reduced]
+            else:
+                branch.append(reduced)
         else:
             unmentioned.append(descriptor)
     for value_id, branch in enumerate(branches):
@@ -369,25 +371,6 @@ def split_on_variable_interned(
             seen = set(branch)
             branch.extend([t for t in unmentioned if t not in seen])
     return branches, unmentioned
-
-
-def count_occurrences_interned(
-    descriptors: list[PackedDescriptor], shift: int, mask: int
-) -> dict[int, dict[int, int]]:
-    """``variable_id -> value_id -> count`` statistics in one pass.
-
-    Counts packed assignments with :class:`collections.Counter` (a C loop)
-    and only then groups the — much fewer — distinct assignments by variable.
-    """
-    counts = Counter(chain.from_iterable(descriptors))
-    occurrences: dict[int, dict[int, int]] = {}
-    for packed, count in counts.items():
-        variable_id = packed >> shift
-        by_value = occurrences.get(variable_id)
-        if by_value is None:
-            occurrences[variable_id] = by_value = {}
-        by_value[packed & mask] = count
-    return occurrences
 
 
 def merge_interned(
@@ -586,24 +569,17 @@ class InternedEngine:
         """
         return connected_components_interned(interned, self.space.shift)
 
-    def select_variable_id(
-        self, occurrences: dict[int, dict[int, int]], descriptor_count: int
-    ) -> int:
+    def select_variable_id(self, counts, descriptor_count: int) -> int:
         """The variable the engine would eliminate next at a ⊕-node.
 
-        This is the full selection dispatch of :meth:`_expand` — single
-        candidate short-circuit, configured heuristic otherwise — which the
-        circuit recorder runs as part of the same walk and the interned
-        conditioning engine calls, so conditioning eliminates what the engine
-        would.  The choice depends only on occurrence counts and domain
-        sizes, never on the weights themselves, which is what makes a
-        recorded circuit valid under arbitrary re-weightings.
+        ``counts`` maps the ws-set's packed assignments to their occurrences.
+        The circuit recorder runs this as part of the same walk and the
+        interned conditioning engine calls it, so conditioning eliminates
+        what the engine would.  The choice depends only on occurrence counts
+        and domain sizes, never on the weights themselves, which is what
+        makes a recorded circuit valid under arbitrary re-weightings.
         """
-        if len(occurrences) == 1:
-            return next(iter(occurrences))
-        return self.heuristic.select_variable(
-            occurrences, descriptor_count, self.space
-        )
+        return self.heuristic.select_packed(counts, descriptor_count, self.space)
 
     # -- public entry points --------------------------------------------
     def compute_wsset(self, ws_set: "WSSet") -> float:
@@ -742,8 +718,8 @@ class InternedEngine:
                 return None
 
         # ⊕-node: eliminate a variable.
-        occurrences = count_occurrences_interned(descriptors, shift, space.mask)
-        variable_id = self.select_variable_id(occurrences, len(descriptors))
+        counts = Counter(chain.from_iterable(descriptors))
+        variable_id = self.select_variable_id(counts, len(descriptors))
         if self.record_elimination_order:
             stats.eliminated_variables.append(space.variables[variable_id])
         stats.variable_nodes += 1

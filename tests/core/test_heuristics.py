@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
+from itertools import chain
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import EngineHandle
 from repro.core.heuristics import (
@@ -188,3 +192,99 @@ class TestDefaultHeuristic:
                 )
                 frames[name] += result.stats.recursive_calls
         assert frames[ExactConfig().heuristic] == min(frames.values()), frames
+
+
+class _CoarseEstimate(Heuristic):
+    """A user heuristic that defines only ``estimate``; coarse, so it ties often."""
+
+    name = "coarse"
+
+    def estimate(self, variable, value_counts, t_size, domain_size) -> float:
+        return float(max(value_counts.values()) // 2 - t_size // 3 + domain_size % 2)
+
+
+SELECTORS = [make_heuristic(name) for name in available_heuristics()]
+SELECTORS.append(_CoarseEstimate())
+
+
+def _packed_wsset(rng):
+    """A random packed ws-set with a forced tie, and its id space.
+
+    Variables ``a`` and ``b`` get one domain size and the ws-set is closed
+    under swapping them, so both have the same per-value counts: every
+    heuristic scores them equally and only the first-seen rule decides.
+    """
+    variable_count = rng.randint(2, 7)
+    domains = [rng.randint(2, 5) for _ in range(variable_count)]
+    a, b = rng.sample(range(variable_count), 2)
+    domains[b] = domains[a]
+    shift = max(1, (max(domains) - 1).bit_length())
+    space = SimpleNamespace(
+        shift=shift, mask=(1 << shift) - 1, domain_size=domains.__getitem__
+    )
+    swap = {a: b, b: a}
+    descriptors = []
+    for _ in range(rng.randint(1, 12)):
+        size = rng.randint(1, min(4, variable_count))
+        variables = rng.sample(range(variable_count), size)
+        assignment = {v: rng.randrange(domains[v]) for v in variables}
+        for image in (assignment, {swap.get(v, v): i for v, i in assignment.items()}):
+            descriptor = tuple(sorted((v << shift) | i for v, i in image.items()))
+            if descriptor not in descriptors:
+                descriptors.append(descriptor)
+    rng.shuffle(descriptors)
+    return descriptors, space, rng.getrandbits(variable_count)
+
+
+def _grouped(descriptors, space, tuple_mask=None):
+    """``variable -> value -> count`` in first-seen order, by a plain scan."""
+    occurrences: dict = {}
+    for packed in chain.from_iterable(descriptors):
+        variable, value = packed >> space.shift, packed & space.mask
+        if tuple_mask is None or (tuple_mask >> variable) & 1:
+            by_value = occurrences.setdefault(variable, {})
+            by_value[value] = by_value.get(value, 0) + 1
+    return occurrences
+
+
+def _check_select_packed(descriptors, space, tuple_mask):
+    counts = Counter(chain.from_iterable(descriptors))
+    # Conditioning's preference: only variables the remaining tuples mention.
+    shared = {
+        packed: count
+        for packed, count in counts.items()
+        if (tuple_mask >> (packed >> space.shift)) & 1
+    }
+    cases = [(counts, _grouped(descriptors, space))]
+    if shared:
+        cases.append((shared, _grouped(descriptors, space, tuple_mask)))
+    for heuristic in SELECTORS:
+        for packed_counts, occurrences in cases:
+            if len(occurrences) == 1:
+                expected = next(iter(occurrences))
+            else:
+                expected = heuristic.select_variable(
+                    occurrences, len(descriptors), space
+                )
+            chosen = heuristic.select_packed(packed_counts, len(descriptors), space)
+            assert chosen == expected, (heuristic, descriptors, tuple_mask)
+
+
+class TestSelectPacked:
+    """``select_packed`` picks what ``select_variable`` picks from grouped counts."""
+
+    def test_seeded(self):
+        for seed in range(300):
+            _check_select_packed(*_packed_wsset(random.Random(seed)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_hypothesis(self, rng):
+        _check_select_packed(*_packed_wsset(rng))
+
+    def test_frequency_ties_go_to_the_first_seen_variable(self):
+        space = SimpleNamespace(shift=1, mask=1, domain_size=lambda variable: 2)
+        # Variables 2 and 0 occur twice each; 2 is seen first.
+        descriptors = [(4, 7), (0, 5), (1, 2)]
+        counts = Counter(chain.from_iterable(descriptors))
+        assert MostFrequentHeuristic().select_packed(counts, 3, space) == 2

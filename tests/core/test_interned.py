@@ -13,24 +13,25 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.core.bruteforce import brute_force_probability
-from repro.core.components import split_components
+from repro.core.components import simplify_descriptors, split_components
 from repro.core.conditioning import condition_wsset, conditioned_world_table
 from repro.core.decompose import kept_after_subsumption
 from repro.core.descriptors import WSDescriptor
+from repro.core.heuristics import Heuristic
 from repro.core.interned import (
     CERTAIN,
     InternedEngine,
     InternedSpace,
     connected_components_interned,
-    count_occurrences_interned,
     deduplicate_interned,
     remove_subsumed_interned,
     split_on_variable_interned,
@@ -158,12 +159,31 @@ class TestInternedHelpers:
         assert branches[x1] == [y2, d3]
 
     def test_count_occurrences(self, space):
+        """Packed counts reach ``select_variable`` grouped per variable id."""
+        seen = []
+
+        class Recording(Heuristic):
+            def select_variable(self, occurrences, descriptor_count, world_table):
+                seen.append((occurrences, descriptor_count))
+                return next(iter(occurrences))
+
         d1 = space.intern_items([("x", 1), ("y", 2)])
         d2 = space.intern_items([("x", 1)])
-        occurrences = count_occurrences_interned([d1, d2], space.shift, space.mask)
+        counts = Counter(chain.from_iterable([d1, d2]))
         x_id, y_id = space.variable_ids["x"], space.variable_ids["y"]
-        assert occurrences[x_id] == {space.value_ids[x_id][1]: 2}
-        assert occurrences[y_id] == {space.value_ids[y_id][2]: 1}
+        assert Recording().select_packed(counts, 2, space) == x_id
+        assert seen == [
+            (
+                {
+                    x_id: {space.value_ids[x_id][1]: 2},
+                    y_id: {space.value_ids[y_id][2]: 1},
+                },
+                2,
+            )
+        ]
+        # A lone candidate is returned without consulting the heuristic.
+        assert Recording().select_packed(Counter(d2), 1, space) == x_id
+        assert len(seen) == 1
 
 
 class TestEngineBasics:
@@ -454,6 +474,43 @@ class TestPartitionOracles:
             for component in split_components(descriptors)
         ] == connected_components_interned(interned, ORACLE_SHIFT)
 
+    @settings(max_examples=200, deadline=None)
+    @given(assignment_lists(), st.booleans())
+    def test_simplify_descriptors_equals_the_interned_pipeline(
+        self, assignments, uniform
+    ):
+        """The coordinator's mirror keeps what the engine's entry keeps, in order."""
+        if uniform and assignments:
+            size = len(assignments[0])
+            assignments = [a for a in assignments if len(a) == size]
+        descriptors = [WSDescriptor(descriptor) for descriptor in assignments]
+        image = {
+            descriptor: packed(assignment)
+            for descriptor, assignment in zip(descriptors, assignments)
+        }
+        interned = [packed(descriptor) for descriptor in assignments]
+        assert [image[d] for d in simplify_descriptors(descriptors)] == (
+            remove_subsumed_interned(deduplicate_interned(interned))
+        )
+
+    @pytest.mark.parametrize("sizes", [(3,), (1, 2, 3)], ids=["uniform", "mixed"])
+    def test_simplify_descriptors_seeded(self, sizes):
+        for seed in range(100):
+            rng = random.Random(seed)
+            count = rng.randint(0, 30)
+            interned, _ = random_packed_wsset(rng, 8, [4] * 8, count, sizes)
+            if interned:
+                interned += rng.choices(interned, k=rng.randint(0, 8))
+            rng.shuffle(interned)
+            descriptors = [
+                WSDescriptor([(p >> ORACLE_SHIFT, p & 3) for p in descriptor])
+                for descriptor in interned
+            ]
+            image = dict(zip(descriptors, interned))
+            assert [image[d] for d in simplify_descriptors(descriptors)] == (
+                remove_subsumed_interned(deduplicate_interned(interned))
+            ), seed
+
     @settings(max_examples=300, deadline=None)
     @given(assignment_lists())
     def test_kept_after_subsumption_equals_the_scan(self, assignments):
@@ -475,6 +532,94 @@ class TestPartitionOracles:
     )
     def test_kept_after_subsumption_corner_cases(self, items):
         assert kept_after_subsumption(items) == scan_kept_after_subsumption(items)
+
+
+def scan_split(descriptors, variable_id, shift, domain_size):
+    """The linear scan ``split_on_variable_interned`` used to make."""
+    low, high = variable_id << shift, (variable_id + 1) << shift
+    branches = [None] * domain_size
+    unmentioned = []
+    for descriptor in descriptors:
+        for index, assignment in enumerate(descriptor):
+            if low <= assignment < high:
+                reduced = descriptor[:index] + descriptor[index + 1 :]
+                branch = branches[assignment - low]
+                if branch is None:
+                    branches[assignment - low] = [reduced]
+                else:
+                    branch.append(reduced)
+                break
+        else:
+            unmentioned.append(descriptor)
+    for value_id, branch in enumerate(branches):
+        if branch is None:
+            continue
+        if () in branch:
+            branches[value_id] = CERTAIN
+        elif unmentioned:
+            branch.extend([t for t in unmentioned if t not in set(branch)])
+    return branches, unmentioned
+
+
+def random_packed_wsset(rng, variable_count, domains, count, sizes):
+    """``count`` sorted packed descriptors of a size drawn from ``sizes``."""
+    shift = max(1, (max(domains) - 1).bit_length())
+    descriptors = []
+    for _ in range(count):
+        size = min(rng.choice(sizes), variable_count)
+        variables = rng.sample(range(variable_count), size)
+        descriptors.append(
+            tuple(sorted((v << shift) | rng.randrange(domains[v]) for v in variables))
+        )
+    return descriptors, shift
+
+
+class TestSplitAndUniformSubsumption:
+    def test_split_equals_the_linear_scan(self):
+        for seed in range(100):
+            rng = random.Random(seed)
+            variable_count = rng.randint(1, 9)
+            # Domains of 2-5 values: shift 3 whenever some domain exceeds 4.
+            domains = [rng.randint(2, 5) for _ in range(variable_count)]
+            descriptors, shift = random_packed_wsset(
+                rng, variable_count, domains, rng.randint(0, 25), (1, 2, 3, 4)
+            )
+            descriptors = deduplicate_interned(descriptors)
+            # Every id, so 0 and the largest are always among them.
+            for variable_id, domain_size in enumerate(domains):
+                assert split_on_variable_interned(
+                    descriptors, variable_id, shift, domain_size
+                ) == scan_split(descriptors, variable_id, shift, domain_size), seed
+
+    def test_split_at_the_id_edges(self):
+        shift = 3  # a five-value domain
+        zero, last = 0, 6
+        descriptors = [
+            ((zero << shift) | 4, (3 << shift) | 1),
+            ((3 << shift) | 0, (last << shift) | 4),
+            ((last << shift) | 2,),
+            ((zero << shift) | 1,),
+            ((2 << shift) | 2, (3 << shift) | 3),
+        ]
+        for variable_id in (zero, last):
+            assert split_on_variable_interned(
+                descriptors, variable_id, shift, 5
+            ) == scan_split(descriptors, variable_id, shift, 5)
+
+    def test_uniform_size_subsumption_is_deduplication(self):
+        for seed in range(100):
+            rng = random.Random(seed)
+            size = rng.randint(0, 4)
+            descriptors, _ = random_packed_wsset(
+                rng, 6, [rng.randint(2, 5)] * 6, rng.randint(0, 30), (size,)
+            )
+            if descriptors:
+                descriptors += rng.choices(descriptors, k=rng.randint(0, 8))
+            rng.shuffle(descriptors)
+            kept = kept_after_subsumption([set(d) for d in descriptors])
+            simplified = remove_subsumed_interned(descriptors)
+            assert simplified == [descriptors[i] for i in kept], seed
+            assert simplified == deduplicate_interned(descriptors), seed
 
 
 class TestSparseScale:
