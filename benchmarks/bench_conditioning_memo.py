@@ -22,7 +22,9 @@ The enforced gate is deterministic, so it holds on any machine:
 * every memoised result is **bit-identical** to the unmemoised one — same
   confidence, same rewritten descriptors, same new-variable weights, and
   for the assert the same ``ConditioningSummary`` (new variables, dropped
-  variables, rewritten-tuple count);
+  variables, rewritten-tuple count).  A hit shares its subtree's new
+  variables; rule 3 folds the copies the unmemoised run allocates into the
+  same ones;
 * the sibling run records at least ``fanout - 1`` memo hits;
 * with the memo on, the constraint assert eliminates fewer variables than
   with it off.

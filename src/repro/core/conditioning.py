@@ -42,11 +42,12 @@ soon as they share no variable with the remaining condition, (c) delegating
 confidence-only subproblems (no tuples left to rewrite) to the fast INDVE
 probability engine, and (d) memoising solved subproblems for the length of
 one run, so that sibling ⊕-branches leaving the same residual problem solve
-it once (``ExactConfig.condition_memoize`` is the ablation knob).  The
-literal Figure 8 ⊗-rule is kept as a test oracle
-(``tests/core/figure8_oracle.py``), which reproduces the paper's printed
-Example 5.2 output exactly through this module's rule-3 merge and ΔW
-assembly.
+it once and share its new variables (``ExactConfig.condition_memoize`` is
+the ablation knob).  The recursion only allocates new-variable ids; rule 3
+and naming run once, after it.  The literal Figure 8 ⊗-rule is kept as a
+test oracle (``tests/core/figure8_oracle.py``), which reproduces the
+paper's printed Example 5.2 output exactly through this module's rule-3
+merge and ΔW assembly.
 """
 
 from __future__ import annotations
@@ -191,13 +192,17 @@ def condition_wsset(
                 break
         else:
             alive.append(pair)
+    names, delta_rows, variable_sources = engine.new_variables(
+        merge_equal_new_variables, every
+    )
     return _conditioning_result(
-        engine,
         confidence,
-        engine.externalize_tuples(rewritten_packed),
+        delta_rows,
+        variable_sources,
+        engine.externalize_tuples(rewritten_packed, names),
         every,
         alive,
-        merge_equal_new_variables=merge_equal_new_variables,
+        engine.stats,
     )
 
 
@@ -227,21 +232,21 @@ def _split_unrelated(condition: WSSet, tuples, prune_unrelated: bool):
 
 
 def _conditioning_result(
-    engine,
     confidence: float,
+    delta_rows: dict,
+    variable_sources: dict,
     rewritten_internal: list,
     every: list,
     unrelated: list,
-    *,
-    merge_equal_new_variables: bool,
+    stats: DecompositionStats,
 ) -> ConditioningResult:
-    """The tail of a conditioning run: rule 3, ΔW and the per-tag rewrites.
+    """The tail of a conditioning run: ΔW and the per-tag rewrites.
 
-    ``engine`` supplies ``new_variable_rows()``, ``variable_sources`` and
-    ``stats``; ``rewritten_internal`` holds its ``(tag, dict)`` rewrites and
-    ``unrelated`` the pairs that pass through unchanged.  Raises
-    :class:`~repro.errors.ZeroProbabilityConditionError` when the condition
-    has probability zero.
+    ``delta_rows`` / ``variable_sources`` describe the new variables after
+    rule 3, ``rewritten_internal`` holds the ``(tag, dict)`` rewrites under
+    their names and ``unrelated`` the pairs that pass through unchanged.
+    Raises :class:`~repro.errors.ZeroProbabilityConditionError` when the
+    condition has probability zero.
     """
     if confidence <= 0.0:
         raise ZeroProbabilityConditionError(
@@ -250,22 +255,6 @@ def _conditioning_result(
     # Imported here (not at module level) to keep repro.core importable on its
     # own: repro.db.database imports this module in turn.
     from repro.db.world_table import WorldTable
-
-    delta_rows = engine.new_variable_rows()
-    variable_sources = dict(engine.variable_sources)
-
-    if merge_equal_new_variables:
-        delta_rows, variable_sources, rename = _merge_equal_variables(
-            delta_rows, variable_sources
-        )
-        if rename:
-            rewritten_internal = [
-                (
-                    tag,
-                    {rename.get(var, var): value for var, value in descriptor.items()},
-                )
-                for tag, descriptor in rewritten_internal
-            ]
 
     delta_world_table = WorldTable()
     for variable, distribution in delta_rows.items():
@@ -282,7 +271,7 @@ def _conditioning_result(
         delta_world_table=delta_world_table,
         rewritten=rewritten,
         variable_sources=variable_sources,
-        stats=engine.stats,
+        stats=stats,
     )
 
 
@@ -293,11 +282,8 @@ class _CondFrame:
     branch_tuples)``; ``results`` collects the children's ``(confidence,
     rewritten)`` pairs in the same order; ``unrelated`` are the tuples pruned
     at this node, appended unchanged once the node's confidence is known.
-    ``memo_key``/``alloc_start`` carry what ``_finish`` needs to store the
-    node's result in the run's memo: its signature and the first
-    extended-variable index the subtree may allocate (the slice from there to
-    the end at fold time is exactly the subtree's new-variable allocations,
-    since the recursion is depth-first).
+    ``memo_key`` is the node's signature in the run's memo (``None`` when
+    the node is not memoised), under which ``_finish`` stores its result.
     """
 
     __slots__ = (
@@ -308,10 +294,9 @@ class _CondFrame:
         "unrelated",
         "depth",
         "memo_key",
-        "alloc_start",
     )
 
-    def __init__(self, variable_id, branches, unrelated, depth, memo_key, alloc_start):
+    def __init__(self, variable_id, branches, unrelated, depth, memo_key):
         self.variable_id = variable_id
         self.branches = branches
         self.index = 0
@@ -319,7 +304,6 @@ class _CondFrame:
         self.unrelated = unrelated
         self.depth = depth
         self.memo_key = memo_key
-        self.alloc_start = alloc_start
 
 
 class _InternedConditioningEngine:
@@ -339,7 +323,9 @@ class _InternedConditioningEngine:
     New variables created by the branch re-weighting extend the id space past
     the world table's ids: new variable ``base + k`` re-uses its *source*
     variable's value ids, so the eliminated-variable rewriting is a packed-int
-    swap and externalisation recovers the original domain values.
+    swap and externalisation recovers the original domain values.  The
+    recursion gives them no names: :meth:`new_variables` applies rule 3 and
+    names the kept ones once, after :meth:`run`.
 
     The rewriting itself is **lazy**: instead of materialising every
     rewritten descriptor at every ⊕-node (one copy of each tuple per
@@ -382,23 +368,20 @@ class _InternedConditioningEngine:
         )
         # Condition-descriptor variable masks (shared verbatim between nodes).
         self._condition_masks: dict[PackedDescriptor, int] = {}
-        # New variables: id ``base + k`` with name, source variable id, and
+        # New variables: id ``base + k`` with source variable id and
         # (normalised) value_id -> weight distribution at index ``k``.
         self._base = len(self.space.variables)
-        self._extended_names: list = []
         self._extended_sources: list[int] = []
         self._extended_distributions: list[dict] = []
-        self._new_names: set = set()
-        self._fresh_counter = 0
-        # source variable id -> number of primes already handed out, so fresh
-        # string names extend from the last one instead of rescanning.
-        self._prime_counts: dict[int, int] = {}
         # Conditioning-subproblem memo, owned by this run: hits skip whole
         # subtrees of the recursion (sibling ⊕-branches often leave the same
         # residual problem).  Keys are exact content signatures — the sorted
         # residual condition descriptors plus every remaining tuple record's
-        # content key — and values ``(confidence, rewrite-tree chunks,
-        # new-variable allocations)``.  ``id(record) -> key`` gives each
+        # content key — and values ``(confidence, rewrite-tree chunks)``.  A
+        # hit shares the chunks, new-variable ids included: the same residual
+        # problem yields the same sources and weights, and the two uses sit
+        # in different branches of an ancestor ⊕-node, so no world holds
+        # both.  ``id(record) -> key`` gives each
         # interned tuple record its content key (``None`` marks a record
         # whose tag or alien values are unhashable, which opts the nodes
         # containing it out of memoisation).
@@ -463,12 +446,13 @@ class _InternedConditioningEngine:
                 record_keys[id(record)] = key
         return interned
 
-    def externalize_tuples(self, chunks) -> list[tuple]:
+    def externalize_tuples(self, chunks, names: list) -> list[tuple]:
         """Walk a rewrite tree once, emitting ``(tag, dict)`` pairs.
 
         The walk threads the accumulated eliminated-variable bitmask and the
         shared new-assignment chain down the tree; each surviving record is
-        touched exactly once.
+        touched exactly once.  New variable ``base + k`` is written under
+        ``names[k]`` (see :meth:`new_variables`).
         """
         space = self.space
         shift = space.shift
@@ -476,7 +460,6 @@ class _InternedConditioningEngine:
         base = self._base
         variables = space.variables
         values = space.values
-        extended_names = self._extended_names
         extended_sources = self._extended_sources
         out = []
         stack = [(chunk, 0, None) for chunk in reversed(chunks)]
@@ -496,7 +479,7 @@ class _InternedConditioningEngine:
                     while link is not None:
                         p, link = link
                         index = (p >> shift) - base
-                        descriptor[extended_names[index]] = values[
+                        descriptor[names[index]] = values[
                             extended_sources[index]
                         ][p & value_mask]
                     if alien:
@@ -558,7 +541,7 @@ class _InternedConditioningEngine:
                 entry = memo.get(memo_key)
                 if entry is not None:
                     stats.memo_hits += 1
-                    return self._replay(entry)
+                    return entry
                 stats.memo_misses += 1
 
         if self.prune_unrelated:
@@ -570,7 +553,7 @@ class _InternedConditioningEngine:
                 confidence = self.confidence_engine.compute_interned(descriptors)
                 chunks = [("leaf", tuples)]
                 if memo_key is not None:
-                    memo[memo_key] = (confidence, chunks, ())
+                    memo[memo_key] = (confidence, chunks)
                 return confidence, chunks
             unrelated = [t for t in tuples if not (t[2] & condition_mask)]
             self._push_eliminate(
@@ -614,51 +597,6 @@ class _InternedConditioningEngine:
                 return None
             tuple_keys.append(key)
         return (tuple(sorted(descriptors)), tuple(tuple_keys))
-
-    def _replay(self, entry):
-        """Re-materialise a cached subproblem bit-identically.
-
-        Fresh variables are re-allocated *live* in the stored order: the
-        naming walk consults the world table and the run's own
-        ``_new_names``, so replayed names match exactly what the unmemoised
-        recursion would have produced at this point, and the cached
-        distributions — never mutated after the ``_finish`` that filled them
-        — are shared rather than copied.  The op spine is then rebuilt
-        iteratively (deep spines would blow the recursion limit) with the
-        remapped new-variable ids, while leaf chunks are shared verbatim:
-        records are immutable, so sharing them between sibling subtrees is
-        safe.
-        """
-        confidence, chunks, allocations = entry
-        if not allocations:
-            return confidence, chunks
-        base = self._base
-        distributions = self._extended_distributions
-        remap = {}
-        for source_id, old_id, distribution in allocations:
-            new_id = self._fresh_variable(source_id)
-            distributions[new_id - base] = distribution
-            remap[old_id] = new_id
-
-        shift = self.space.shift
-        value_mask = self.space.mask
-        rebound: list = []
-        stack = [(chunks, rebound)]
-        while stack:
-            children, target = stack.pop()
-            for chunk in children:
-                if chunk[0] == "leaf":
-                    target.append(chunk)
-                else:
-                    _, var_bit, new_packed, sub = chunk
-                    if new_packed is not None:
-                        new_packed = (remap[new_packed >> shift] << shift) | (
-                            new_packed & value_mask
-                        )
-                    fresh: list = []
-                    target.append(("op", var_bit, new_packed, fresh))
-                    stack.append((sub, fresh))
-        return confidence, rebound
 
     def _push_eliminate(self, descriptors, tuples, unrelated, depth, stack, memo_key):
         """⊕-node: pick a variable, prepare its branches, push the frame."""
@@ -714,16 +652,7 @@ class _InternedConditioningEngine:
                 else:
                     branch_tuples.append(t)
             branches.append((value_id, weight, subset, branch_tuples))
-        stack.append(
-            _CondFrame(
-                variable_id,
-                branches,
-                unrelated,
-                depth,
-                memo_key,
-                len(self._extended_names),
-            )
-        )
+        stack.append(_CondFrame(variable_id, branches, unrelated, depth, memo_key))
 
     def _finish(self, frame: _CondFrame):
         """Fold a completed ⊕-frame: renormalise and emit rewrite-tree ops."""
@@ -741,9 +670,7 @@ class _InternedConditioningEngine:
                 surviving.append((value_id, weight, confidence, rewritten))
         if node_confidence == 0.0:
             if frame.memo_key is not None:
-                # A proven-zero subtree allocates no variables (every branch
-                # folded to zero, recursively), so the entry is just the fact.
-                self._memo[frame.memo_key] = (0.0, [], ())
+                self._memo[frame.memo_key] = (0.0, [])
             return 0.0, []
 
         if self.drop_singleton_new_variables and len(surviving) == 1:
@@ -763,73 +690,81 @@ class _InternedConditioningEngine:
         if frame.unrelated:
             chunks.append(("leaf", frame.unrelated))
         if frame.memo_key is not None:
-            # The extended-variable slice from ``alloc_start`` is exactly the
-            # subtree's allocations (depth-first recursion), in allocation
-            # order; replay walks them through ``_fresh_variable`` again so
-            # the entry stays valid whatever names were taken since.
-            allocations = tuple(
-                (
-                    self._extended_sources[k],
-                    self._base + k,
-                    self._extended_distributions[k],
-                )
-                for k in range(frame.alloc_start, len(self._extended_names))
-            )
-            self._memo[frame.memo_key] = (node_confidence, chunks, allocations)
+            self._memo[frame.memo_key] = (node_confidence, chunks)
         return node_confidence, chunks
 
     # -- new-variable bookkeeping ----------------------------------------
     def _fresh_variable(self, source_id: int) -> int:
-        """Allocate a fresh variable id derived from the source variable."""
-        source = self.space.variables[source_id]
-        if isinstance(source, str):
-            primes = self._prime_counts.get(source_id, 0) + 1
-            candidate = source + "'" * primes
-            while candidate in self.world_table or candidate in self._new_names:
-                primes += 1
-                candidate += "'"
-            self._prime_counts[source_id] = primes
-        else:
-            self._fresh_counter += 1
-            candidate = (source, "prime", self._fresh_counter)
-            while candidate in self.world_table or candidate in self._new_names:
-                self._fresh_counter += 1
-                candidate = (source, "prime", self._fresh_counter)
-        self._new_names.add(candidate)
-        new_id = self._base + len(self._extended_names)
-        self._extended_names.append(candidate)
+        """Allocate a new variable id derived from the source variable."""
+        new_id = self._base + len(self._extended_sources)
         self._extended_sources.append(source_id)
         self._extended_distributions.append({})
         return new_id
 
-    def new_variable_rows(self) -> dict:
-        """``new variable -> {value: weight}`` for all created variables."""
-        values = self.space.values
-        return {
-            name: {
-                values[source_id][value_id]: weight
+    def new_variables(self, merge_equal: bool, tuples) -> tuple[list, dict, dict]:
+        """Rule 3 and naming, once, after :meth:`run`.
+
+        Returns ``(names, delta_rows, variable_sources)``: ``names[k]`` is the
+        name new variable ``base + k`` is written under (that of the variable
+        rule 3 merged it into), ``delta_rows`` maps each kept name to its
+        ``{value: weight}`` distribution and ``variable_sources`` to its
+        original variable.  Kept variables are named in allocation order,
+        ``x'``, ``x''``, ... for a string source and ``(x, "prime", n)``
+        otherwise, skipping names the world table or any of the input
+        ``(tag, descriptor)`` pairs ``tuples`` already uses.
+        """
+        sources = dict(enumerate(self._extended_sources))
+        distributions = dict(enumerate(self._extended_distributions))
+        rename: dict = {}
+        if merge_equal:
+            distributions, sources, rename = _merge_equal_variables(
+                distributions, sources
+            )
+        variables, values = self.space.variables, self.space.values
+        taken: set = set()
+        for _, descriptor in tuples:
+            taken.update(descriptor)
+        world_table = self.world_table
+        named: dict[int, Hashable] = {}
+        primes: dict[int, int] = {}
+        counter = 0
+        for k, source_id in sources.items():
+            source = variables[source_id]
+            if isinstance(source, str):
+                count = primes.get(source_id, 0) + 1
+                name = source + "'" * count
+                while name in world_table or name in taken:
+                    count += 1
+                    name += "'"
+                primes[source_id] = count
+            else:
+                counter += 1
+                name = (source, "prime", counter)
+                while name in world_table or name in taken:
+                    counter += 1
+                    name = (source, "prime", counter)
+            taken.add(name)
+            named[k] = name
+        names = [named[rename.get(k, k)] for k in range(len(self._extended_sources))]
+        delta_rows = {
+            named[k]: {
+                values[sources[k]][value_id]: weight
                 for value_id, weight in distribution.items()
             }
-            for name, source_id, distribution in zip(
-                self._extended_names,
-                self._extended_sources,
-                self._extended_distributions,
-            )
+            for k, distribution in distributions.items()
         }
-
-    @property
-    def variable_sources(self) -> dict:
-        """``new variable -> original variable`` for every created variable."""
-        variables = self.space.variables
-        return {
-            name: variables[source_id]
-            for name, source_id in zip(self._extended_names, self._extended_sources)
+        variable_sources = {
+            named[k]: variables[source_id] for k, source_id in sources.items()
         }
+        return names, delta_rows, variable_sources
 
 
 def _merge_equal_variables(delta_rows: dict, variable_sources: dict):
     """Simplification rule 3: merge new variables with identical sources and weights.
 
+    ``delta_rows`` maps each new variable (any hashable key: a name, or an
+    engine's new-variable index) to its ``{value: weight}`` distribution and
+    ``variable_sources`` to its source.  The first of each class is kept.
     Returns the merged ``delta_rows``, the updated ``variable_sources`` and the
     renaming ``dropped variable -> kept variable`` to apply to descriptors.
     """

@@ -74,9 +74,10 @@ class ExactConfig:
         keyed by the exact interned signature of the residual condition
         *and* the remaining tuple records — are solved once, so sibling
         ⊕-branches leaving the same residual problem share it.  The memo
-        lives and dies with the run.  Cached hits re-allocate their fresh
-        variables live and rebind the shared rewrite trees, so results are
-        bit-identical to the unmemoised run.  ``False`` is the ablation knob.
+        lives and dies with the run.  A hit shares the cached rewrite tree
+        and its new variables; the unmemoised run allocates copies instead,
+        which rule 3 folds into the same variables, so with rule 3 on the
+        results are bit-identical.  ``False`` is the ablation knob.
     max_calls, time_limit:
         Optional budget limits forwarded to :class:`~repro.core.decompose.Budget`.
     """

@@ -7,7 +7,8 @@ and Figure 9 output, but it does not preserve the posterior distribution
 (Theorem 5.3), so :func:`repro.core.conditioning.condition_wsset` renormalises
 through ⊕-nodes only.  :func:`condition_literal` runs the printed recursion
 over plain dicts and hands its output to the library's own rule-3 merge and
-ΔW assembly, so the two differ only in the recursion.
+ΔW assembly, so the two differ only in the recursion (and in naming: the
+oracle names each new variable as it creates it).
 
 The dict helpers below (``to_internal`` … ``count_occurrences``) are the
 plain-dict ws-set operations of Figure 4 that the recursion runs on; the
@@ -20,6 +21,7 @@ from __future__ import annotations
 from repro.core.conditioning import (
     ConditioningResult,
     _conditioning_result,
+    _merge_equal_variables,
     _split_unrelated,
 )
 from repro.core.decompose import (
@@ -150,13 +152,23 @@ def condition_literal(
     internal_tuples = [(tag, dict(descriptor.items())) for tag, descriptor in tagged]
     with recursion_guard():
         confidence, rewritten = engine.run(descriptors, internal_tuples)
+    delta_rows, variable_sources = engine.new_variable_rows(), engine.variable_sources
+    if merge_equal_new_variables:
+        delta_rows, variable_sources, rename = _merge_equal_variables(
+            delta_rows, variable_sources
+        )
+        rewritten = [
+            (tag, {rename.get(var, var): value for var, value in descriptor.items()})
+            for tag, descriptor in rewritten
+        ]
     return _conditioning_result(
-        engine,
         confidence,
+        delta_rows,
+        variable_sources,
         rewritten,
         every,
         unrelated,
-        merge_equal_new_variables=merge_equal_new_variables,
+        engine.stats,
     )
 
 

@@ -4,9 +4,11 @@ The memo lives for one conditioning run.  The central guarantee: memoised
 conditioning is **bit-identical** to the unmemoised recursion — same
 confidence, same rewritten descriptors, same new variables with the same
 float weights — across configurations, including runs whose sibling branches
-replay cached subtrees.  On top of that: the memoised path still agrees with
-brute force, a session sums the runs' hit counts into its statistics, and an
-interleaved assert/confidence/what_if session never serves stale posteriors.
+share cached subtrees and their new variables (rule 3 folds the unmemoised
+run's copies into the same variables).  On top of that: the memoised path
+still agrees with brute force, a session sums the runs' hit counts into its
+statistics, and an interleaved assert/confidence/what_if session never serves
+stale posteriors.
 """
 
 from __future__ import annotations
@@ -16,13 +18,10 @@ import random
 
 import pytest
 
-from repro.core.bruteforce import (
-    brute_force_posterior_worlds,
-    brute_force_probability,
-)
-from repro.core.conditioning import condition_wsset, conditioned_world_table
+from repro.core.bruteforce import brute_force_probability
+from repro.core.conditioning import condition_wsset
 from repro.core.descriptors import WSDescriptor
-from repro.core.probability import ExactConfig, probability
+from repro.core.probability import ExactConfig
 from repro.core.wsset import WSSet
 from repro.db.database import ProbabilisticDatabase
 from repro.db.session import Session
@@ -32,6 +31,12 @@ from repro.workloads.random_instances import (
     random_tuple_independent_database,
     random_world_table,
     random_wsset,
+)
+
+# The posterior-marginal oracles of the interned-conditioning suite.
+from test_interned_conditioning import (
+    brute_force_tuple_marginals,
+    posterior_tuple_marginals,
 )
 
 MEMO_OFF = ExactConfig(condition_memoize=False)
@@ -136,39 +141,41 @@ class TestBitIdentity:
         assert interned.confidence == pytest.approx(
             brute_force_probability(condition, world_table), abs=1e-12
         )
-        posterior = brute_force_posterior_worlds(condition, world_table)
-        combined = conditioned_world_table(world_table, interned)
-        for tag, descriptor in tuples:
-            expected = sum(
-                weight
-                for world, weight in posterior
-                if descriptor.is_satisfied_by(world)
-            )
-            ws_set = WSSet(interned.rewritten.get(tag, ()))
-            actual = probability(ws_set, combined) if len(ws_set) else 0.0
-            assert actual == pytest.approx(expected, abs=1e-9), tag
+        actual = posterior_tuple_marginals(interned, tuples, world_table)
+        assert actual == pytest.approx(
+            brute_force_tuple_marginals(condition, tuples, world_table), abs=1e-9
+        )
 
     def test_sibling_branches_hit_within_one_run(self):
         world_table, condition, tuples = sibling_heavy_case()
         on = condition_wsset(condition, tuples, world_table)
         off = condition_wsset(condition, tuples, world_table, MEMO_OFF)
         assert signature(on) == signature(off)
-        assert on.stats.memo_hits >= 1  # identical sibling subproblems replayed
-        # Unpruned, the replayed subtrees allocate new variables, and without
-        # rule 3 they all stay visible: a replay that reused the first
-        # sibling's ids instead of fresh ones would show here.
+        assert on.stats.memo_hits >= 1  # identical sibling subproblems shared
+        # Unpruned, the shared subtrees hold new variables.  Without rule 3
+        # the unmemoised run keeps one copy per sibling, while a hit reuses
+        # the first sibling's ids; the posteriors are the same.
         unmerged = dict(prune_unrelated=False, merge_equal_new_variables=False)
         unmerged_on = condition_wsset(condition, tuples, world_table, **unmerged)
         unmerged_off = condition_wsset(
             condition, tuples, world_table, MEMO_OFF, **unmerged
         )
-        assert signature(unmerged_on) == signature(unmerged_off)
+        assert len(unmerged_on.delta_world_table) < len(
+            unmerged_off.delta_world_table
+        )
+        shared = posterior_tuple_marginals(unmerged_on, tuples, world_table)
+        assert shared == pytest.approx(
+            posterior_tuple_marginals(unmerged_off, tuples, world_table), abs=1e-12
+        )
+        assert shared == pytest.approx(
+            brute_force_tuple_marginals(condition, tuples, world_table), abs=1e-12
+        )
 
     def test_deep_spine_replays_iteratively(self):
         # The 1200-variable single-branch spine of the interned suite behind
         # a 4-way fan-out variable: ``w`` is eliminated first and every
-        # sibling branch after the first is a single hit whose replay must
-        # rebuild a 1200-deep op spine without recursion.
+        # sibling branch after the first is a single hit sharing the cached
+        # 1200-deep op spine, which externalisation walks without recursion.
         count = 1200
         world_table = WorldTable()
         world_table.add_variable("w", {j: 0.25 for j in range(4)})
@@ -187,7 +194,7 @@ class TestBitIdentity:
     def test_alien_tuple_variables_round_trip_through_cache(self):
         # ``b`` is in the world table but not in the condition, ``ghost`` in
         # neither: without pruning the tuple rides through every sibling
-        # branch of ``w``, replayed ones included, and keeps both.
+        # branch of ``w``, shared ones included, and keeps both.
         world_table, condition, _ = sibling_heavy_case()
         world_table.add_variable("b", {4: 0.3, 7: 0.7})
         tuples = [("t", WSDescriptor({"b": 4, "ghost": 9}))]

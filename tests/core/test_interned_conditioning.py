@@ -15,12 +15,17 @@ from repro.core.bruteforce import (
     brute_force_posterior_worlds,
     brute_force_probability,
 )
-from repro.core.conditioning import condition_wsset, conditioned_world_table
+from repro.core.conditioning import (
+    _InternedConditioningEngine,
+    condition_wsset,
+    conditioned_world_table,
+)
 from repro.core.descriptors import WSDescriptor
 from repro.core.probability import probability
 from repro.core.wsset import WSSet
 from repro.db.world_table import WorldTable
 from repro.errors import ZeroProbabilityConditionError
+from repro.workloads.hard import HardCaseParameters, generate_hard_instance
 from repro.workloads.random_instances import random_world_table, random_wsset
 
 
@@ -164,6 +169,50 @@ class TestInternedSpecifics:
         (descriptor,) = result.rewritten["t"]
         assert descriptor.get("ghost") == 9
         assert descriptor.get("b") == 4
+
+    def test_new_variable_names_skip_alien_tuple_variables(self):
+        # ``x'`` occurs only in tuple descriptors, so the new variable derived
+        # from ``x`` must not take that name: ``t`` keeps both assignments and
+        # ``u`` is left as it was.
+        world_table = WorldTable()
+        world_table.add_variable("x", {1: 0.3, 2: 0.3, 3: 0.4})
+        world_table.add_variable("y", {1: 0.5, 2: 0.5})
+        condition = WSSet([{"x": 1}, {"x": 2, "y": 1}])
+        tuples = [
+            ("t", WSDescriptor({"x": 2, "x'": 9})),
+            ("u", WSDescriptor({"x'": 9})),
+        ]
+        result = condition_wsset(condition, tuples, world_table)
+        assert result.rewritten["t"] == [WSDescriptor({"x''": 2, "x'": 9})]
+        assert result.rewritten["u"] == [WSDescriptor({"x'": 9})]
+        assert result.variable_sources == {"x''": "x"}
+
+    def test_memo_hits_share_new_variables(self, monkeypatch):
+        # A hard instance conditioned on its own descriptors: the memo hits
+        # reuse their subtrees' new variables, so the recursion allocates
+        # exactly the 18 that rule 3 keeps (one per distinct source and
+        # weights) instead of one per path of the expansion.
+        instance = generate_hard_instance(
+            HardCaseParameters(
+                num_variables=200,
+                alternatives=2,
+                descriptor_length=2,
+                num_descriptors=10,
+                seed=0,
+            )
+        )
+        calls = []
+        fresh = _InternedConditioningEngine._fresh_variable
+
+        def counted(engine, source_id):
+            calls.append(source_id)
+            return fresh(engine, source_id)
+
+        monkeypatch.setattr(_InternedConditioningEngine, "_fresh_variable", counted)
+        tuples = list(enumerate(instance.ws_set))
+        result = condition_wsset(instance.ws_set, tuples, instance.world_table)
+        assert result.stats.memo_hits > 0
+        assert len(calls) == len(result.delta_world_table) == 18
 
     def test_out_of_domain_tuple_value_denotes_no_world(self, figure2_world_table):
         condition = WSSet([{"j": 1}])
