@@ -64,7 +64,6 @@ from repro.core.descriptors import WSDescriptor, as_descriptor
 from repro.core.interned import (
     InternedEngine,
     PackedDescriptor,
-    deduplicate_interned,
     remove_subsumed_interned,
     split_on_variable_interned,
 )
@@ -170,7 +169,7 @@ def condition_wsset(
         prune_unrelated=prune_unrelated,
         drop_singleton_new_variables=drop_singleton_new_variables,
     )
-    interned_condition = deduplicate_interned(engine.space.intern_wsset(condition))
+    interned_condition = engine.space.intern_wsset(condition)
     if config.simplify_subsumed:
         interned_condition = remove_subsumed_interned(interned_condition)
     with _span(
@@ -583,11 +582,12 @@ class _InternedConditioningEngine:
     def _memo_key(self, descriptors, tuples):
         """The node's exact content signature, or ``None`` if unkeyable.
 
-        Covers the residual condition (canonically sorted — descriptor lists
-        arrive in branch-dependent orders) and the full remaining tuple set,
-        *including* tuples about to be pruned as unrelated: the split is a
-        deterministic function of the key, so cached chunks embed the
-        pass-through leaf too.
+        Covers the residual condition in its order — variable-choice ties
+        and float summation below the node follow it, so two orders are two
+        problems — and the full remaining tuple set, *including* tuples
+        about to be pruned as unrelated: the split is a deterministic
+        function of the key, so cached chunks embed the pass-through leaf
+        too.
         """
         record_keys = self._record_keys
         tuple_keys = []
@@ -596,7 +596,7 @@ class _InternedConditioningEngine:
             if key is None:
                 return None
             tuple_keys.append(key)
-        return (tuple(sorted(descriptors)), tuple(tuple_keys))
+        return (tuple(descriptors), tuple(tuple_keys))
 
     def _push_eliminate(self, descriptors, tuples, unrelated, depth, stack, memo_key):
         """⊕-node: pick a variable, prepare its branches, push the frame."""

@@ -219,8 +219,16 @@ class InternedSpace:
         return interned
 
     def intern_wsset(self, ws_set: "WSSet") -> list[PackedDescriptor]:
-        """Intern every descriptor of a :class:`~repro.core.wsset.WSSet`."""
-        return self.intern_descriptors(ws_set)
+        """Intern a :class:`~repro.core.wsset.WSSet`, each descriptor once.
+
+        Reads :meth:`~repro.core.wsset.WSSet.assignments`, so a set decoded
+        from the wire is interned from its lists; either form gives the same
+        list (first occurrences, unsatisfiable descriptors dropped).
+        """
+        interned = map(self.intern_items, ws_set.assignments())
+        return deduplicate_interned(
+            [packed for packed in interned if packed is not None]
+        )
 
     def externalize(self, descriptor: PackedDescriptor) -> dict:
         """The plain-dict form of an interned descriptor (tests / debugging)."""
@@ -592,12 +600,13 @@ class InternedEngine:
         Answers exactly when the top-level :meth:`_expand` resolves without
         pushing a frame — the memo holds the whole ws-set, or it is empty,
         contains ∅ or fits the closed form — with the counters of that one
-        frame; a miss (and a ws-set over :data:`_PROBE_LIMIT`) leaves every
-        counter as it was.
+        frame; a miss (and a ws-set of over :data:`_PROBE_LIMIT` distinct
+        interned descriptors) leaves every counter as it was.
         """
-        if len(ws_set) > _PROBE_LIMIT:
+        interned = self.space.intern_wsset(ws_set)
+        if len(interned) > _PROBE_LIMIT:
             return None
-        return self._expand(self.simplified(ws_set), 0, None, False)
+        return self._expand(self._simplify(interned), 0, None, False)
 
     def simplified(self, ws_set: "WSSet") -> list[PackedDescriptor]:
         """A :class:`WSSet` interned, with the input simplifications applied."""
@@ -624,10 +633,10 @@ class InternedEngine:
         return self._evaluate(self._simplify(interned))
 
     def _simplify(self, interned: list[PackedDescriptor]) -> list[PackedDescriptor]:
-        interned = deduplicate_interned(interned)
+        # Subsumption removal drops later duplicates itself.
         if self.config.simplify_subsumed:
-            interned = remove_subsumed_interned(interned)
-        return interned
+            return remove_subsumed_interned(interned)
+        return deduplicate_interned(interned)
 
     # -- iterative evaluation -------------------------------------------
     def _evaluate(self, descriptors: list[PackedDescriptor]) -> float:

@@ -18,6 +18,7 @@ are implemented exactly as defined:
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from repro.core.decompose import kept_after_subsumption
@@ -37,6 +38,8 @@ class WSSet:
 
     Duplicate descriptors are removed at construction time; the first
     occurrence order is preserved, which keeps all algorithms deterministic.
+    A set decoded by :meth:`from_wire` builds its descriptors the first time
+    something reads them.
 
     Examples
     --------
@@ -47,7 +50,7 @@ class WSSet:
     True
     """
 
-    __slots__ = ("_descriptors", "_hash")
+    __slots__ = ("_descriptors", "_hash", "_wire")
 
     def __init__(self, descriptors: Iterable[DescriptorLike] = ()) -> None:
         seen: dict[WSDescriptor, None] = {}
@@ -55,6 +58,14 @@ class WSSet:
             seen.setdefault(as_descriptor(item), None)
         self._descriptors: tuple[WSDescriptor, ...] = tuple(seen)
         self._hash: int | None = None
+        self._wire: list[list] | None = None
+
+    def __getattr__(self, name: str) -> tuple[WSDescriptor, ...]:
+        # Reached only while a from_wire set's descriptor slot is unset.
+        if name != "_descriptors" or self._wire is None:
+            raise AttributeError(name)
+        self._descriptors = WSSet(self.assignments())._descriptors
+        return self._descriptors
 
     # ------------------------------------------------------------------
     # Constructors
@@ -73,6 +84,63 @@ class WSSet:
     def of(cls, *descriptors: DescriptorLike) -> "WSSet":
         """Convenience variadic constructor: ``WSSet.of({"x": 1}, {"y": 2})``."""
         return cls(descriptors)
+
+    # ------------------------------------------------------------------
+    # The wire form
+    # ------------------------------------------------------------------
+    def to_wire(self) -> list[list]:
+        """One flat ``[variable, value, variable, value, …]`` list per descriptor.
+
+        Assignments keep the descriptor's own order.  :meth:`from_wire`
+        reads it back; variables and values must survive JSON unchanged
+        (strings, numbers, booleans) for the round trip to be faithful.
+
+        >>> WSSet([{"x": 1, "y": 2}, {"z": 0}]).to_wire()
+        [['x', 1, 'y', 2], ['z', 0]]
+        """
+        return [list(chain.from_iterable(pairs)) for pairs in self.assignments()]
+
+    @classmethod
+    def from_wire(cls, lists: list) -> "WSSet":
+        """The ws-set of :meth:`to_wire` lists, its descriptors built on first read.
+
+        Checks the shape — a list of even-length lists, else
+        :class:`ValueError` — and that each descriptor is functional: a
+        variable listed twice with different values raises
+        :class:`~repro.errors.DescriptorError`, with equal values it counts
+        once.  Interning reads the lists directly (:meth:`assignments`).
+
+        >>> WSSet.from_wire([["x", 1, "x", 1], ["z", 0]]) == WSSet([{"x": 1}, {"z": 0}])
+        True
+        """
+        if not isinstance(lists, list):
+            raise ValueError(f"a wire ws-set is a list of descriptors, got {lists!r}")
+        wire = []
+        for flat in lists:
+            if not isinstance(flat, list) or len(flat) % 2:
+                raise ValueError(
+                    f"a wire descriptor is a flat [variable, value, ...] list, got {flat!r}"
+                )
+            variables = flat[::2]
+            if len(set(variables)) < len(variables):
+                pairs = WSDescriptor(zip(variables, flat[1::2])).items()
+                flat = list(chain.from_iterable(pairs))
+            wire.append(flat)
+        ws_set = cls.__new__(cls)
+        ws_set._hash = None
+        ws_set._wire = wire
+        return ws_set
+
+    def assignments(self) -> Iterator[Iterable[tuple[Variable, Value]]]:
+        """Each descriptor's ``(variable, value)`` pairs, in its own order.
+
+        A :meth:`from_wire` set yields them straight from its lists, in wire
+        order and with any repeated descriptor repeated, building no
+        :class:`WSDescriptor`.
+        """
+        if self._wire is None:
+            return (descriptor.items() for descriptor in self._descriptors)
+        return (zip(flat[::2], flat[1::2]) for flat in self._wire)
 
     # ------------------------------------------------------------------
     # Container protocol

@@ -286,27 +286,24 @@ def target_to_payload(target: "WSSet | URelation | str") -> dict:
 
     Relation names travel by name (``{"kind": "relation"}``) and are resolved
     against the server's database; ws-sets (and relations passed as objects)
-    travel extensionally as sorted assignment-pair lists (``{"kind":
-    "wsset"}``).  Variables and values must be JSON-representable (strings,
-    numbers, booleans) for the round trip to be faithful.
+    travel extensionally in :meth:`WSSet.to_wire` form, one flat
+    ``[variable, value, …]`` list per descriptor (``{"kind": "wsset"}``).
     """
     if isinstance(target, str):
         return {"kind": "relation", "name": target}
     if isinstance(target, URelation):
         target = target.descriptors()
     if isinstance(target, WSSet):
-        return {
-            "kind": "wsset",
-            "descriptors": [
-                [[variable, value] for variable, value in descriptor.sorted_items()]
-                for descriptor in target
-            ],
-        }
+        return {"kind": "wsset", "descriptors": target.to_wire()}
     raise TypeError(f"cannot encode {target!r} as a confidence target")
 
 
 def target_from_payload(payload: dict) -> "WSSet | str":
-    """Decode a :func:`target_to_payload` target."""
+    """Decode a :func:`target_to_payload` target.
+
+    A ws-set comes back through :meth:`WSSet.from_wire`, which checks its
+    shape and functionality and leaves descriptor objects unbuilt.
+    """
     if not isinstance(payload, dict) or "kind" not in payload:
         raise ValueError(f"malformed confidence target {payload!r}")
     if payload["kind"] == "relation":
@@ -315,12 +312,7 @@ def target_from_payload(payload: dict) -> "WSSet | str":
             raise ValueError(f"relation target needs a string name, got {name!r}")
         return name
     if payload["kind"] == "wsset":
-        descriptors = payload.get("descriptors")
-        if not isinstance(descriptors, list):
-            raise ValueError("wsset target needs a list of descriptors")
-        return WSSet(
-            {variable: value for variable, value in pairs} for pairs in descriptors
-        )
+        return WSSet.from_wire(payload.get("descriptors"))
     raise ValueError(f"unknown target kind {payload['kind']!r}")
 
 

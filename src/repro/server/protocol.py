@@ -110,7 +110,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: The one protocol version: clients send it on every frame, and the server
 #: answers a frame carrying anything else with ``unsupported-version``.
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 #: Default TCP port of ``python -m repro.server`` (the paper's year).
 DEFAULT_PORT = 2008
@@ -339,8 +339,14 @@ def error_frame(
 def encode_frame(
     payload: dict, *, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
 ) -> bytes:
-    """Serialise one frame: length prefix plus compact JSON body."""
-    body = json.dumps(payload, separators=(",", ":"), allow_nan=True).encode("utf-8")
+    """Serialise one frame: length prefix plus compact JSON body.
+
+    Frames are trees the codec builds, so the encoder skips its per-container
+    cycle check.
+    """
+    body = json.dumps(
+        payload, separators=(",", ":"), allow_nan=True, check_circular=False
+    ).encode("utf-8")
     if len(body) > max_frame_bytes:
         raise _too_large_error(len(body), max_frame_bytes)
     return HEADER.pack(len(body)) + body

@@ -131,6 +131,21 @@ class TestBitIdentity:
         assert first.stats.memo_hits + first.stats.memo_misses >= 1
         assert off.stats.memo_hits == off.stats.memo_misses == 0
 
+    def test_residual_order_is_part_of_the_memo_key(self):
+        # Two ⊕-branches leave the same residual condition in different
+        # orders here; the variable choice below follows the order, so a key
+        # that sorted it returned one branch's subtree for the other (4 new
+        # variables instead of the unmemoised run's 5).
+        world_table, condition, tuples = random_case(
+            90078, num_variables=6, condition_size=6, tuple_count=6
+        )
+        off = condition_wsset(
+            condition, tuples, world_table, MEMO_OFF, prune_unrelated=False
+        )
+        on = condition_wsset(condition, tuples, world_table, prune_unrelated=False)
+        assert len(off.delta_world_table.variables) == 5
+        assert signature(on) == signature(off)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_memoised_matches_brute_force_marginals(self, seed):
         world_table, condition, tuples = random_case(67000 + seed)

@@ -164,7 +164,7 @@ class TestProtocolVersioning:
     ):
         with running_server(ssn_database) as server:
             with connect(server.host, server.port) as session:
-                assert session.ping()["protocol"] == PROTOCOL_VERSION == 5
+                assert session.ping()["protocol"] == PROTOCOL_VERSION == 6
 
     @pytest.mark.parametrize("version", [1, 3, 99, None, "4"])
     def test_any_other_version_is_rejected(
