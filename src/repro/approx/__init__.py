@@ -2,10 +2,10 @@
 
 The paper compares its exact algorithms against Monte-Carlo approximation:
 the Karp-Luby FPRAS for DNF counting adapted to ws-set confidence
-(:mod:`repro.approx.karp_luby`), driven either by the classic fixed iteration
-bound or by the optimal-stopping algorithm of Dagum, Karp, Luby and Ross
-(:mod:`repro.approx.stopping`).  A naive Monte-Carlo estimator
-(:mod:`repro.approx.montecarlo`) is included as a further baseline.
+(:mod:`repro.approx.karp_luby`), driven by the optimal-stopping algorithm of
+Dagum, Karp, Luby and Ross (:mod:`repro.approx.stopping`).  A naive
+Monte-Carlo estimator (:mod:`repro.approx.montecarlo`) is included as a
+further baseline.
 """
 
 from repro.approx.karp_luby import (
@@ -14,18 +14,13 @@ from repro.approx.karp_luby import (
     ApproximationResult,
 )
 from repro.approx.montecarlo import naive_monte_carlo_confidence
-from repro.approx.stopping import (
-    karp_luby_iteration_bound,
-    optimal_stopping_rule,
-    StoppingRuleResult,
-)
+from repro.approx.stopping import optimal_stopping_rule, StoppingRuleResult
 
 __all__ = [
     "KarpLubyEstimator",
     "karp_luby_confidence",
     "ApproximationResult",
     "naive_monte_carlo_confidence",
-    "karp_luby_iteration_bound",
     "optimal_stopping_rule",
     "StoppingRuleResult",
 ]

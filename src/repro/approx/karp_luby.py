@@ -35,11 +35,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
-from repro.approx.stopping import (
-    StoppingRuleResult,
-    karp_luby_iteration_bound,
-    optimal_stopping_rule,
-)
+from repro.approx.stopping import StoppingRuleResult, optimal_stopping_rule
 from repro.core.wsset import WSSet
 from repro.obs.trace import span as _span
 
@@ -60,6 +56,10 @@ class ApproximationResult:
     method: str = "karp-luby"
 
 
+#: ``method`` of every Karp-Luby result: the first-clause estimator.
+_METHOD = "karp-luby[first-clause]"
+
+
 class KarpLubyEstimator:
     """Reusable Karp-Luby estimator for one ws-set over one world table.
 
@@ -75,14 +75,8 @@ class KarpLubyEstimator:
         world_table: "WorldTable",
         *,
         seed: int | None = None,
-        estimator: str = "first-clause",
     ) -> None:
-        if estimator not in ("first-clause", "coverage"):
-            raise ValueError(
-                f"unknown estimator {estimator!r}; use 'first-clause' or 'coverage'"
-            )
         self.world_table = world_table
-        self.estimator = estimator
         self.rng = random.Random(seed)
         space = world_table.interned()
         self._space = space
@@ -97,7 +91,6 @@ class KarpLubyEstimator:
         # Relevant variables (dense ids, ascending = world-table order) and
         # their cumulative weight arrays for O(log r) value sampling.
         relevant = sorted({p >> self._shift for clause in clauses for p in clause})
-        self._relevant_ids = relevant
         self._cumulative_by_id: dict[int, list[float]] = {
             variable_id: list(accumulate(space.weights[variable_id]))
             for variable_id in relevant
@@ -136,33 +129,20 @@ class KarpLubyEstimator:
             return 0.0
         if self._trivially_true:
             return 1.0 / self.total_weight if self.total_weight else 0.0
-        clause_index = self._sample_clause()
-        if self.estimator == "first-clause":
-            # Only the variables of clauses 0..clause_index-1 can influence the
-            # outcome, so sample them lazily: the expected per-iteration cost
-            # drops from O(#relevant variables) to O(earlier clause sizes).
-            return 1.0 if self._is_first_covering(clause_index) else 0.0
-        return 1.0 / self._coverage_count(clause_index)
+        # Only the variables of the clauses before the sampled one can
+        # influence the outcome, so sample them lazily: the expected cost per
+        # iteration drops from O(#relevant variables) to O(earlier clause sizes).
+        return 1.0 if self._is_first_covering(self._sample_clause()) else 0.0
 
     def estimate(self, iterations: int) -> ApproximationResult:
         """Average ``iterations`` draws of the (unnormalised) estimator."""
         if iterations <= 0:
             raise ValueError("iterations must be positive")
         if not self._clause_count:
-            return ApproximationResult(0.0, 0, method=self._method_name())
+            return ApproximationResult(0.0, 0, method=_METHOD)
         total = sum(self.sample_once() for _ in range(iterations))
         estimate = self.total_weight * total / iterations
-        return ApproximationResult(estimate, iterations, method=self._method_name())
-
-    def estimate_with_bound(self, epsilon: float, delta: float) -> ApproximationResult:
-        """(ε, δ)-approximation with the classic fixed Karp-Luby iteration bound."""
-        iterations = karp_luby_iteration_bound(self._clause_count, epsilon, delta)
-        if iterations == 0:
-            return ApproximationResult(0.0, 0, epsilon, delta, self._method_name())
-        result = self.estimate(iterations)
-        return ApproximationResult(
-            result.estimate, result.iterations, epsilon, delta, self._method_name()
-        )
+        return ApproximationResult(estimate, iterations, method=_METHOD)
 
     def estimate_optimal(
         self,
@@ -178,7 +158,7 @@ class KarpLubyEstimator:
         a constant factor from optimal) from the observed samples themselves.
         """
         if not self._clause_count or self.total_weight == 0.0:
-            return ApproximationResult(0.0, 0, epsilon, delta, self._method_name())
+            return ApproximationResult(0.0, 0, epsilon, delta, _METHOD)
         rule: StoppingRuleResult = optimal_stopping_rule(
             self.sample_once, epsilon, delta, max_iterations=max_iterations
         )
@@ -187,15 +167,12 @@ class KarpLubyEstimator:
             rule.iterations,
             epsilon,
             delta,
-            self._method_name(),
+            _METHOD,
         )
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _method_name(self) -> str:
-        return f"karp-luby[{self.estimator}]"
-
     def _sample_clause(self) -> int:
         """One clause index, proportional to clause weight (cumulative walk)."""
         cumulative = self._cumulative_weights
@@ -237,26 +214,6 @@ class KarpLubyEstimator:
                 return False
         return True
 
-    def _coverage_count(self, clause_index: int) -> int:
-        """Number of clauses covering a full world sampled from P(· | clause)."""
-        shift = self._shift
-        value_mask = self._value_mask
-        clause = self._clauses[clause_index]
-        world = {p >> shift: p & value_mask for p in clause}
-        for variable_id in self._relevant_ids:
-            if variable_id not in world:
-                world[variable_id] = self._sample_value_id(variable_id)
-        count = 0
-        for candidate in self._clauses:
-            for p in candidate:
-                if world[p >> shift] != p & value_mask:
-                    break
-            else:
-                count += 1
-        if count == 0:
-            raise AssertionError("sampled world is not covered by any clause")
-        return count
-
 
 def karp_luby_confidence(
     ws_set: WSSet,
@@ -265,29 +222,20 @@ def karp_luby_confidence(
     delta: float = 0.01,
     *,
     seed: int | None = None,
-    use_optimal_stopping: bool = True,
-    estimator: str = "first-clause",
     max_iterations: int | None = 2_000_000,
 ) -> ApproximationResult:
     """One-shot (ε, δ)-approximate confidence of a ws-set.
 
-    With ``use_optimal_stopping`` (the default, matching the paper) the number
-    of iterations is decided by the Dagum-Karp-Luby-Ross stopping rule;
-    otherwise the classic ``⌈4 m ln(2/δ)/ε²⌉`` bound is used.
-    ``max_iterations`` caps the work of the stopping rule (the observed sample
-    mean is returned when the cap is hit), analogous to the wall-clock caps
-    the paper places on its experiments.
+    The number of iterations is decided by the Dagum-Karp-Luby-Ross stopping
+    rule, as in the paper's ``kl(ε)`` baseline.  ``max_iterations`` caps its
+    work (the observed sample mean is returned when the cap is hit),
+    analogous to the wall-clock caps the paper places on its experiments.
     """
     if ws_set.contains_universal:
         return ApproximationResult(1.0, 0, epsilon, delta, "karp-luby")
-    kl = KarpLubyEstimator(ws_set, world_table, seed=seed, estimator=estimator)
+    kl = KarpLubyEstimator(ws_set, world_table, seed=seed)
     with _span("karp_luby_rounds", epsilon=epsilon, delta=delta) as sp:
-        if use_optimal_stopping:
-            result = kl.estimate_optimal(
-                epsilon, delta, max_iterations=max_iterations
-            )
-        else:
-            result = kl.estimate_with_bound(epsilon, delta)
+        result = kl.estimate_optimal(epsilon, delta, max_iterations=max_iterations)
         if sp.enabled:
             sp.set(iterations=result.iterations)
         return result

@@ -33,15 +33,14 @@ def naive_monte_carlo_confidence(
     ws_set: WSSet,
     world_table: "WorldTable",
     *,
-    iterations: int | None = None,
     epsilon: float = 0.05,
     delta: float = 0.05,
     seed: int | None = None,
 ) -> ApproximationResult:
     """Estimate the confidence of ``ws_set`` by sampling complete worlds.
 
-    If ``iterations`` is omitted, a Chernoff-style bound guaranteeing an
-    *additive* (ε, δ)-approximation is used.  Only the variables mentioned by
+    The number of samples is the Chernoff-style bound that guarantees an
+    *additive* (ε, δ)-approximation.  Only the variables mentioned by
     the ws-set are sampled; the others are irrelevant to the event.  A
     descriptor over a variable the world table does not know raises
     :class:`~repro.errors.UnknownVariableError`, like every other method.
@@ -51,8 +50,7 @@ def naive_monte_carlo_confidence(
     if ws_set.contains_universal:
         return ApproximationResult(1.0, 0, epsilon, delta, "naive-mc")
 
-    if iterations is None:
-        iterations = zero_one_estimator_iterations(epsilon, delta)
+    iterations = zero_one_estimator_iterations(epsilon, delta)
     rng = random.Random(seed)
 
     with _span("montecarlo_sample", iterations=iterations):

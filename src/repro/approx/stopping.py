@@ -1,15 +1,11 @@
-"""Iteration bounds and stopping rules for Monte-Carlo confidence estimation.
+"""Iteration counts for Monte-Carlo confidence estimation.
 
-Two ways of deciding how many Monte-Carlo iterations to run are used in the
-paper's experiments:
-
-* the classic Karp-Luby bound ``⌈4 · m · ln(2/δ) / ε²⌉`` iterations for a ws-set
-  (DNF) with ``m`` descriptors (clauses), guaranteeing an (ε, δ)-approximation;
-* the **optimal Monte-Carlo estimation** algorithm of Dagum, Karp, Luby and
-  Ross (the "stopping rule" / AA algorithm), which first collects statistics
-  on the input by running the simulation a small number of times and then
-  decides a sufficient number of iterations within a constant factor of
-  optimal.  The paper uses this to drive its ``kl(ε)`` baseline.
+* Karp-Luby runs until the stopping rule of Dagum, Karp, Luby and Ross says
+  enough samples were seen: the number of iterations follows from the
+  samples themselves and is within a constant factor of optimal.  The paper
+  uses this to drive its ``kl(ε)`` baseline.
+* The naive Monte-Carlo baseline runs a fixed Chernoff-style count for an
+  *additive* (ε, δ)-approximation.
 """
 
 from __future__ import annotations
@@ -20,17 +16,6 @@ from dataclasses import dataclass
 
 #: ``e - 2``, the constant of the Dagum-Karp-Luby-Ross bounds.
 _E_MINUS_2 = math.e - 2.0
-
-
-def karp_luby_iteration_bound(clause_count: int, epsilon: float, delta: float) -> int:
-    """The classic fixed iteration count ``⌈4 m ln(2/δ) / ε²⌉`` (paper, Section 7).
-
-    ``clause_count`` is the number of ws-descriptors (DNF clauses) ``m``.
-    """
-    _check_parameters(epsilon, delta)
-    if clause_count <= 0:
-        return 0
-    return math.ceil(4.0 * clause_count * math.log(2.0 / delta) / (epsilon * epsilon))
 
 
 @dataclass

@@ -51,7 +51,7 @@ class CircuitRecorder(InternedEngine):
 
     def __init__(self, engine: InternedEngine) -> None:
         super().__init__(
-            engine.world_table, engine.config, engine.budget, False, space=engine.space
+            engine.world_table, engine.config, engine.budget, space=engine.space
         )
         self.heuristic = engine.heuristic
         #: Engine-canonical key (sorted descriptor tuple) -> node id.

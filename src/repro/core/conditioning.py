@@ -64,6 +64,7 @@ from repro.core.descriptors import WSDescriptor, as_descriptor
 from repro.core.interned import (
     InternedEngine,
     PackedDescriptor,
+    mixed_sizes,
     remove_subsumed_interned,
     split_on_variable_interned,
 )
@@ -170,7 +171,7 @@ def condition_wsset(
         drop_singleton_new_variables=drop_singleton_new_variables,
     )
     interned_condition = engine.space.intern_wsset(condition)
-    if config.simplify_subsumed:
+    if config.simplify_subsumed and mixed_sizes(interned_condition):
         interned_condition = remove_subsumed_interned(interned_condition)
     with _span(
         "conditioning",
@@ -362,9 +363,7 @@ class _InternedConditioningEngine:
         # subproblem: the budget covers the whole run and the memo cache
         # persists across delegated calls (many branches leave identical
         # residual condition ws-sets).
-        self.confidence_engine = InternedEngine(
-            world_table, config, budget=self.budget, record_elimination_order=False
-        )
+        self.confidence_engine = InternedEngine(world_table, config, budget=self.budget)
         # Condition-descriptor variable masks (shared verbatim between nodes).
         self._condition_masks: dict[PackedDescriptor, int] = {}
         # New variables: id ``base + k`` with source variable id and

@@ -60,6 +60,7 @@ class DecompositionStats:
     #: inclusion-exclusion closed form instead of a decomposition subtree.
     closed_form_nodes: int = 0
     max_depth: int = 0
+    #: Conditioning only: the variable of each ⊕-node, in visiting order.
     eliminated_variables: list = field(default_factory=list)
     #: Conditioning only: subproblems answered from / added to the run's memo.
     memo_hits: int = 0

@@ -30,11 +30,6 @@ from repro.core.wsset import WSSet, _difference_pair
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db.world_table import WorldTable
 
-#: Supported descriptor-elimination orders (an ablation knob; the paper
-#: eliminates descriptors in the order given).
-ELIMINATION_ORDERS = ("given", "shortest-first", "longest-first", "most-probable-first")
-
-
 @dataclass
 class EliminationResult:
     """Probability plus counters describing a descriptor-elimination run."""
@@ -48,15 +43,16 @@ def descriptor_elimination_probability(
     ws_set: WSSet,
     world_table: "WorldTable",
     *,
-    order: str = "given",
     max_calls: int | None = None,
     time_limit: float | None = None,
 ) -> float:
-    """Exact probability of ``ws_set`` using the WE method of Section 6."""
+    """Exact probability of ``ws_set`` using the WE method of Section 6.
+
+    Descriptors are eliminated in the order given, as in the paper.
+    """
     return descriptor_elimination_with_stats(
         ws_set,
         world_table,
-        order=order,
         max_calls=max_calls,
         time_limit=time_limit,
     ).probability
@@ -66,7 +62,6 @@ def descriptor_elimination_with_stats(
     ws_set: WSSet,
     world_table: "WorldTable",
     *,
-    order: str = "given",
     max_calls: int | None = None,
     time_limit: float | None = None,
 ) -> EliminationResult:
@@ -76,7 +71,7 @@ def descriptor_elimination_with_stats(
     if ws_set.contains_universal:
         return EliminationResult(1.0, 0, 0)
 
-    descriptors = _ordered(ws_set, world_table, order)
+    descriptors = list(ws_set.descriptors)
     budget = Budget(max_calls, time_limit)
     total = 0.0
     generated = 0
@@ -107,24 +102,6 @@ def mutex_normal_form(ws_set: WSSet, world_table: "WorldTable") -> WSSet:
             later = descriptors[index + 1:]
             result.extend(_stream_difference(descriptor, later, world_table, budget))
     return WSSet(result)
-
-
-def _ordered(
-    ws_set: WSSet, world_table: "WorldTable", order: str
-) -> list[WSDescriptor]:
-    descriptors = list(ws_set.descriptors)
-    if order == "given":
-        return descriptors
-    if order == "shortest-first":
-        return sorted(descriptors, key=len)
-    if order == "longest-first":
-        return sorted(descriptors, key=len, reverse=True)
-    if order == "most-probable-first":
-        return sorted(
-            descriptors, key=lambda d: d.probability(world_table), reverse=True
-        )
-    known = ", ".join(ELIMINATION_ORDERS)
-    raise ValueError(f"unknown elimination order {order!r}; known orders: {known}")
 
 
 def _stream_difference(

@@ -359,9 +359,7 @@ class EngineHandle:
             version = self._world_table.version
             if self._engine is None or version != self._engine_version:
                 self._retire()
-                self._engine = InternedEngine(
-                    self._world_table, self.config, record_elimination_order=False
-                )
+                self._engine = InternedEngine(self._world_table, self.config)
                 self._engine_version = version
             return self._engine
 

@@ -210,13 +210,12 @@ class InternedSpace:
         return tuple(packed)
 
     def intern_descriptors(self, descriptors) -> list[PackedDescriptor]:
-        """Intern plain-dict (or ``.items()``-bearing) descriptors, dropping unsatisfiable ones."""
-        interned = []
-        for descriptor in descriptors:
-            packed = self.intern_items(descriptor.items())
-            if packed is not None:
-                interned.append(packed)
-        return interned
+        """Intern plain-dict (or ``.items()``-bearing) descriptors, each once.
+
+        Like every interned list, the result is duplicate-free: first
+        occurrences in input order, unsatisfiable descriptors dropped.
+        """
+        return self._intern_all(descriptor.items() for descriptor in descriptors)
 
     def intern_wsset(self, ws_set: "WSSet") -> list[PackedDescriptor]:
         """Intern a :class:`~repro.core.wsset.WSSet`, each descriptor once.
@@ -225,7 +224,10 @@ class InternedSpace:
         from the wire is interned from its lists; either form gives the same
         list (first occurrences, unsatisfiable descriptors dropped).
         """
-        interned = map(self.intern_items, ws_set.assignments())
+        return self._intern_all(ws_set.assignments())
+
+    def _intern_all(self, descriptors) -> list[PackedDescriptor]:
+        interned = map(self.intern_items, descriptors)
         return deduplicate_interned(
             [packed for packed in interned if packed is not None]
         )
@@ -259,10 +261,15 @@ def remove_subsumed_interned(
     every descriptor has one size the pass is only deduplication: distinct
     sets of equal size never contain one another.
     """
-    if len(set(map(len, descriptors))) <= 1:
+    if not mixed_sizes(descriptors):
         return deduplicate_interned(descriptors)
     kept = kept_after_subsumption([set(descriptor) for descriptor in descriptors])
     return [descriptors[index] for index in kept]
+
+
+def mixed_sizes(descriptors: list[PackedDescriptor]) -> bool:
+    """True iff the descriptors differ in size: only then can one subsume another."""
+    return len(set(map(len, descriptors))) > 1
 
 
 def connected_components_interned(
@@ -510,7 +517,6 @@ class InternedEngine:
         world_table: "WorldTable | None",
         config: "ExactConfig",
         budget: Budget | None = None,
-        record_elimination_order: bool = True,
         *,
         space=None,
     ) -> None:
@@ -526,9 +532,6 @@ class InternedEngine:
         # :class:`InternedSpace`.
         self.space = space if space is not None else world_table.interned()
         self.heuristic = make_heuristic(config.heuristic)
-        # Long-lived shared engines (conditioning's delegate) disable the
-        # per-node elimination log, which would otherwise grow without bound.
-        self.record_elimination_order = record_elimination_order
         self.budget = budget if budget is not None else Budget(
             config.max_calls, config.time_limit
         )
@@ -628,15 +631,15 @@ class InternedEngine:
         The entry point for callers that already live in the packed-int id
         space — the interned conditioning engine delegates its
         confidence-only subproblems here without ever materialising dict
-        descriptors.
+        descriptors; its lists may hold duplicates, so they are dropped first.
         """
-        return self._evaluate(self._simplify(interned))
+        return self._evaluate(self._simplify(deduplicate_interned(interned)))
 
     def _simplify(self, interned: list[PackedDescriptor]) -> list[PackedDescriptor]:
-        # Subsumption removal drops later duplicates itself.
-        if self.config.simplify_subsumed:
+        # ``interned`` is duplicate-free, so only mixed sizes leave work.
+        if self.config.simplify_subsumed and mixed_sizes(interned):
             return remove_subsumed_interned(interned)
-        return deduplicate_interned(interned)
+        return interned
 
     # -- iterative evaluation -------------------------------------------
     def _evaluate(self, descriptors: list[PackedDescriptor]) -> float:
@@ -729,8 +732,6 @@ class InternedEngine:
         # ⊕-node: eliminate a variable.
         counts = Counter(chain.from_iterable(descriptors))
         variable_id = self.select_variable_id(counts, len(descriptors))
-        if self.record_elimination_order:
-            stats.eliminated_variables.append(space.variables[variable_id])
         stats.variable_nodes += 1
         branches, unmentioned = split_on_variable_interned(
             descriptors, variable_id, shift, len(space.weights[variable_id])

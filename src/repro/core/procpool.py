@@ -216,9 +216,7 @@ def _compute_chunk(
     if engine is None or _worker_generation != snapshot.generation:
         from repro.core.interned import InternedEngine
 
-        engine = InternedEngine(
-            None, config, record_elimination_order=False, space=snapshot
-        )
+        engine = InternedEngine(None, config, space=snapshot)
         _worker_engine = engine
         _worker_generation = snapshot.generation
     registry = MetricsRegistry()
@@ -251,7 +249,7 @@ def _compute_chunk(
     return results, {"metrics": registry.snapshot(), "spans": spans}
 
 
-def _warm_up_worker(seconds: float) -> bool:
+def _warm_up_worker() -> bool:
     """Load the engine modules, then hold this worker while its siblings spawn.
 
     :func:`_compute_chunk` imports the engine lazily; a warm-up that skipped
@@ -259,7 +257,7 @@ def _warm_up_worker(seconds: float) -> bool:
     """
     import repro.core.interned  # noqa: F401
 
-    time.sleep(seconds)
+    time.sleep(0.05)
     return True
 
 
@@ -277,11 +275,11 @@ class ProcessPoolBackend:
     across worker processes.
     """
 
-    def __init__(self, workers: int, *, start_method: str = START_METHOD) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError(f"process pool needs at least 1 worker, got {workers}")
         self.workers = workers
-        self._context = multiprocessing.get_context(start_method)
+        self._context = multiprocessing.get_context(START_METHOD)
         self._executor: ProcessPoolExecutor | None = None
         self._closed = False
         self._lock = threading.Lock()
@@ -330,7 +328,7 @@ class ProcessPoolBackend:
             )
             current.shutdown(wait=False, cancel_futures=True)
 
-    def warm_up(self, *, per_worker_seconds: float = 0.05) -> None:
+    def warm_up(self) -> None:
         """Spawn all workers now instead of on the first computation.
 
         Submits one short sleeper per worker; because each sleeper occupies
@@ -339,10 +337,7 @@ class ProcessPoolBackend:
         startup so the first client pays neither spawn nor import latency.
         """
         executor = self._ensure_executor()
-        futures = [
-            executor.submit(_warm_up_worker, per_worker_seconds)
-            for _ in range(self.workers)
-        ]
+        futures = [executor.submit(_warm_up_worker) for _ in range(self.workers)]
         for future in futures:
             future.result()
 

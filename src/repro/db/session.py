@@ -300,14 +300,11 @@ class Session(ConfidenceAPI):
         epsilon: float = 0.1,
         delta: float = 0.01,
         seed: int | None = None,
-        memo_limit: int | None = None,
         workers: int | None = None,
         trace: bool = False,
     ) -> None:
         config = config or ExactConfig()
-        if memo_limit is not None:
-            config = replace(config, memo_limit=memo_limit)
-        elif config.memo_limit is None and config.memoize:
+        if config.memo_limit is None and config.memoize:
             # Bound the shared memo sanely: a session's cache must not grow
             # without bound over thousands of queries.
             config = replace(config, memo_limit=DEFAULT_MEMO_LIMIT)

@@ -5,12 +5,12 @@ bytes of UTF-8 JSON encoding one object.  Requests carry the protocol version
 (:data:`PROTOCOL_VERSION`, the only one spoken), a client-chosen correlation
 id, an operation name and its arguments::
 
-    {"v": 5, "id": 7, "op": "confidence_many", "args": {"requests": [...]}}
+    {"v": 6, "id": 7, "op": "confidence_many", "args": {"requests": [...]}}
 
 Responses echo the id and carry either a result or a structured error::
 
-    {"v": 5, "id": 7, "ok": true,  "result": {"results": [...]}}
-    {"v": 5, "id": 7, "ok": false, "error": {"code": "budget-exceeded",
+    {"v": 6, "id": 7, "ok": true,  "result": {"results": [...]}}
+    {"v": 6, "id": 7, "ok": false, "error": {"code": "budget-exceeded",
                                              "message": "..."}}
 
 Operations (see ``docs/protocol.md`` for the full schemas):

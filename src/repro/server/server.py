@@ -60,6 +60,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
+from repro.core.probability import ExactConfig
 from repro.db.api import target_from_payload
 from repro.db.session import ConfidenceRequest, Session
 from repro.obs.metrics import MetricsRegistry, merge_snapshots, render_prometheus
@@ -80,7 +81,6 @@ from repro.server.protocol import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.probability import ExactConfig
     from repro.db.database import ProbabilisticDatabase
     from repro.db.session import ConfidenceResult
 
@@ -256,11 +256,8 @@ class ConfidenceServer:
         host: str = "127.0.0.1",
         port: int = 0,
         pool_size: int = 4,
-        config: "ExactConfig | None" = None,
         memo_limit: int | None = None,
         workers: int | None = None,
-        epsilon: float = 0.1,
-        delta: float = 0.01,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         max_inflight: int | None = None,
         max_queue: int | None = None,
@@ -293,12 +290,7 @@ class ConfidenceServer:
         # connection fan out across a shared process pool while the memo and
         # the interned space stay in this (parent) process.
         self._session = Session(
-            database,
-            config,
-            epsilon=epsilon,
-            delta=delta,
-            memo_limit=memo_limit,
-            workers=workers,
+            database, ExactConfig(memo_limit=memo_limit), workers=workers
         )
         self._gate = _ReadWriteGate()
         # Admission defaults follow the pool: more in-flight computations

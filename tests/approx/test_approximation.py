@@ -13,7 +13,6 @@ from repro.approx.karp_luby import (
 )
 from repro.approx.montecarlo import naive_monte_carlo_confidence
 from repro.approx.stopping import (
-    karp_luby_iteration_bound,
     optimal_stopping_rule,
     zero_one_estimator_iterations,
 )
@@ -24,17 +23,11 @@ from repro.workloads.random_instances import random_world_table, random_wsset
 
 
 class TestStoppingRules:
-    def test_karp_luby_iteration_bound(self):
-        assert karp_luby_iteration_bound(10, 0.1, 0.05) == pytest.approx(
-            4 * 10 * 3.6888794541139363 / 0.01, abs=1.0
-        )
-        assert karp_luby_iteration_bound(0, 0.1, 0.05) == 0
-
     def test_bound_parameters_validated(self):
         with pytest.raises(ValueError):
-            karp_luby_iteration_bound(10, 1.5, 0.1)
+            zero_one_estimator_iterations(1.5, 0.1)
         with pytest.raises(ValueError):
-            karp_luby_iteration_bound(10, 0.1, 0.0)
+            zero_one_estimator_iterations(0.1, 0.0)
 
     def test_zero_one_iterations(self):
         assert zero_one_estimator_iterations(0.1, 0.1) > 100
@@ -71,30 +64,6 @@ class TestKarpLuby:
         )
         assert result.estimate == pytest.approx(exact, rel=0.1)
         assert result.iterations > 0
-
-    def test_fixed_bound_variant(self, figure3_wsset, figure3_world_table):
-        exact = probability(figure3_wsset, figure3_world_table)
-        result = karp_luby_confidence(
-            figure3_wsset,
-            figure3_world_table,
-            epsilon=0.1,
-            delta=0.1,
-            seed=3,
-            use_optimal_stopping=False,
-        )
-        assert result.estimate == pytest.approx(exact, rel=0.15)
-
-    def test_coverage_estimator_variant(self, figure3_wsset, figure3_world_table):
-        exact = probability(figure3_wsset, figure3_world_table)
-        estimator = KarpLubyEstimator(
-            figure3_wsset, figure3_world_table, seed=5, estimator="coverage"
-        )
-        result = estimator.estimate(4000)
-        assert result.estimate == pytest.approx(exact, rel=0.1)
-
-    def test_unknown_estimator_rejected(self, figure3_wsset, figure3_world_table):
-        with pytest.raises(ValueError):
-            KarpLubyEstimator(figure3_wsset, figure3_world_table, estimator="bogus")
 
     def test_edge_cases(self, figure3_world_table):
         assert karp_luby_confidence(WSSet.empty(), figure3_world_table).estimate == 0.0
@@ -133,7 +102,7 @@ class TestNaiveMonteCarlo:
     def test_matches_exact_on_paper_example(self, figure3_wsset, figure3_world_table):
         exact = probability(figure3_wsset, figure3_world_table)
         result = naive_monte_carlo_confidence(
-            figure3_wsset, figure3_world_table, iterations=20000, seed=4
+            figure3_wsset, figure3_world_table, epsilon=0.02, delta=0.05, seed=4
         )
         assert result.estimate == pytest.approx(exact, abs=0.02)
         assert result.method == "naive-mc"

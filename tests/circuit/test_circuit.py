@@ -426,7 +426,7 @@ class TestCacheAndInvalidation:
         assert swept == fresh == [0.3, 0.3, 0.3]
 
     def test_circuit_cache_is_bounded_by_memo_limit(self, world_table):
-        session = Session(world_table, memo_limit=2)
+        session = Session(world_table, ExactConfig(memo_limit=2))
         targets = [
             WSSet([{"x": 1}]),
             WSSet([{"x": 1}, {"y": 2}]),

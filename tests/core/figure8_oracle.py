@@ -201,9 +201,7 @@ class Figure8Engine:
         # subproblem of this conditioning run: the budget covers the whole run
         # and the engine's memo cache persists across the delegated calls
         # (many branches leave identical residual condition ws-sets).
-        self.confidence_engine = InternedEngine(
-            world_table, config, budget=self.budget, record_elimination_order=False
-        )
+        self.confidence_engine = InternedEngine(world_table, config, budget=self.budget)
         # new variable -> {value: unnormalised weight}; normalised at the end.
         self._new_variables: dict = {}
         self.variable_sources: dict = {}

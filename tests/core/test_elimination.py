@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.bruteforce import brute_force_probability
 from repro.core.elimination import (
-    ELIMINATION_ORDERS,
     descriptor_elimination_probability,
     descriptor_elimination_with_stats,
     mutex_normal_form,
@@ -73,12 +72,6 @@ class TestEdgeCases:
                 figure3_wsset, figure3_world_table, max_calls=1
             )
 
-    def test_unknown_order_rejected(self, figure3_wsset, figure3_world_table):
-        with pytest.raises(ValueError):
-            descriptor_elimination_probability(
-                figure3_wsset, figure3_world_table, order="bogus"
-            )
-
 
 class TestMutexNormalForm:
     def test_corollary_64_equivalence(self, figure3_wsset, figure3_world_table):
@@ -104,13 +97,7 @@ class TestMutexNormalForm:
         )
 
 
-class TestOrdersAndRandomisedAgreement:
-    @pytest.mark.parametrize("order", ELIMINATION_ORDERS)
-    def test_orders_agree(self, order, figure3_wsset, figure3_world_table):
-        assert descriptor_elimination_probability(
-            figure3_wsset, figure3_world_table, order=order
-        ) == pytest.approx(0.7578)
-
+class TestRandomisedAgreement:
     @pytest.mark.parametrize("seed", range(15))
     def test_we_matches_brute_force(self, seed):
         rng = random.Random(3000 + seed)

@@ -621,6 +621,29 @@ class TestSplitAndUniformSubsumption:
             assert simplified == [descriptors[i] for i in kept], seed
             assert simplified == deduplicate_interned(descriptors), seed
 
+    def test_uniform_size_probe_deduplicates_once(
+        self, monkeypatch, figure3_world_table
+    ):
+        """Interning leaves a duplicate-free list; the engine trusts it."""
+        import repro.core.interned as interned_module
+
+        calls = []
+
+        def counting(descriptors):
+            calls.append(len(descriptors))
+            return deduplicate_interned(descriptors)
+
+        monkeypatch.setattr(interned_module, "deduplicate_interned", counting)
+        engine = InternedEngine(figure3_world_table, ExactConfig())
+        ws_set = WSSet([{"x": 1, "y": 1}, {"x": 2, "z": 1}, {"x": 1, "y": 1}])
+        value = engine.cached_wsset(ws_set)
+        assert calls == [2]
+        assert value == probability(ws_set, figure3_world_table)
+
+    def test_interned_descriptor_lists_are_duplicate_free(self, space):
+        x1, x2 = space.intern_items([("x", 1)]), space.intern_items([("x", 2)])
+        assert space.intern_descriptors([{"x": 1}, {"x": 2}, {"x": 1}]) == [x1, x2]
+
 
 class TestSparseScale:
     def test_cold_confidence_of_4000_sparse_descriptors(self):

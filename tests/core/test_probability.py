@@ -211,6 +211,71 @@ class TestConfigurations:
             )
 
 
+def _warm_up_with_seconds(ws_set, world_table):
+    from repro.core.procpool import ProcessPoolBackend
+
+    backend = ProcessPoolBackend(1)
+    try:
+        backend.warm_up(per_worker_seconds=0.1)
+    finally:
+        backend.close()
+
+
+def _deleted_option_calls():
+    """One call per deleted keyword: options that only tests, or nobody, set."""
+    from repro.approx import (
+        KarpLubyEstimator,
+        karp_luby_confidence,
+        naive_monte_carlo_confidence,
+    )
+    from repro.core.elimination import descriptor_elimination_probability
+    from repro.core.interned import InternedEngine
+    from repro.core.procpool import ProcessPoolBackend
+    from repro.db.database import ProbabilisticDatabase
+    from repro.db.session import Session
+    from repro.server.server import ConfidenceServer
+
+    def server(**options):
+        return lambda s, w: ConfidenceServer(ProbabilisticDatabase(w), **options)
+
+    return {
+        "KarpLubyEstimator-estimator": lambda s, w: KarpLubyEstimator(
+            s, w, estimator="coverage"
+        ),
+        "karp_luby_confidence-estimator": lambda s, w: karp_luby_confidence(
+            s, w, estimator="coverage"
+        ),
+        "karp_luby_confidence-use_optimal_stopping": lambda s, w: (
+            karp_luby_confidence(s, w, use_optimal_stopping=False)
+        ),
+        "naive_monte_carlo_confidence-iterations": lambda s, w: (
+            naive_monte_carlo_confidence(s, w, iterations=100)
+        ),
+        "descriptor_elimination_probability-order": lambda s, w: (
+            descriptor_elimination_probability(s, w, order="shortest-first")
+        ),
+        "InternedEngine-record_elimination_order": lambda s, w: InternedEngine(
+            w, ExactConfig(), record_elimination_order=False
+        ),
+        "ProcessPoolBackend-start_method": lambda s, w: ProcessPoolBackend(
+            1, start_method="spawn"
+        ),
+        "ProcessPoolBackend.warm_up-per_worker_seconds": _warm_up_with_seconds,
+        "ConfidenceServer-config": server(config=ExactConfig()),
+        "ConfidenceServer-epsilon": server(epsilon=0.1),
+        "ConfidenceServer-delta": server(delta=0.01),
+        "Session-memo_limit": lambda s, w: Session(w, memo_limit=64),
+    }
+
+
+@pytest.mark.parametrize("option", sorted(_deleted_option_calls()))
+def test_deleted_option_raises_type_error(option, figure3_wsset, figure3_world_table):
+    """The deleted switches are gone, not ignored: passing one is a TypeError."""
+    call = _deleted_option_calls()[option]
+    with pytest.raises(TypeError):
+        call(figure3_wsset, figure3_world_table)
+
+
 class TestRandomisedAgreement:
     @pytest.mark.parametrize("seed", range(20))
     def test_indve_matches_brute_force(self, seed):

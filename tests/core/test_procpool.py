@@ -76,9 +76,7 @@ class TestSpaceSnapshot:
     def test_engine_over_snapshot_equals_engine_over_space(self):
         _, engine, components = interned_instance(3)
         snapshot = SpaceSnapshot.of_space(engine.space, generation=1)
-        worker_engine = InternedEngine(
-            None, engine.config, record_elimination_order=False, space=snapshot
-        )
+        worker_engine = InternedEngine(None, engine.config, space=snapshot)
         for component in components:
             assert worker_engine.run(list(component)) == engine.run(list(component))
 

@@ -326,7 +326,7 @@ def test_async_session_executes_sql(ssn_database):
 def test_session_bounded_memo_evicts_without_changing_results():
     instance = hard_instance(num_descriptors=128)
     reference = probability(instance.ws_set, instance.world_table, ExactConfig())
-    session = Session(instance.world_table, memo_limit=64)
+    session = Session(instance.world_table, ExactConfig(memo_limit=64))
     result = session.confidence(instance.ws_set)
     stats = session.statistics()
     assert abs(result.value - reference) < 1e-12

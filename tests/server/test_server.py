@@ -274,6 +274,19 @@ def test_memo_is_shared_across_connections(running_server):
             )
 
 
+def test_memo_limit_bounds_the_served_memo(running_server):
+    database, instance = hard_database(num_descriptors=128)
+    with running_server(database, memo_limit=64) as server:
+        with connect(server.host, server.port) as client:
+            result = client.confidence(instance.ws_set)
+            stats = client.statistics()
+    assert stats.memo_evictions > 0
+    assert stats.memo_size <= 64
+    assert result.value == pytest.approx(
+        Session(database.world_table).confidence(instance.ws_set).value, abs=1e-12
+    )
+
+
 # ----------------------------------------------------------------------
 # Concurrent multi-client access
 # ----------------------------------------------------------------------
