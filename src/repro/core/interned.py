@@ -82,10 +82,16 @@ class InternedSpace:
     ids are orphaned and never reused — so anything keyed by packed ids (the
     engine memo) stays valid across the replacement, and relative id order,
     hence every float fold order, matches a fresh build.
+
+    ``wire_cache`` maps the wire lists of a served ws-set (as a tuple of
+    tuples) to its interned list.  It belongs to this space object alone, so
+    a successor or an in-place rebuild starts with an empty one and no entry
+    outlives the ids and domains it was interned under.
     """
 
     __slots__ = (
         "version",
+        "wire_cache",
         "variables",
         "variable_ids",
         "values",
@@ -97,6 +103,7 @@ class InternedSpace:
 
     def __init__(self, world_table: "WorldTable") -> None:
         self.version = world_table.version
+        self.wire_cache: dict[tuple, list[PackedDescriptor]] = {}
         self.variables: list["Variable"] = []
         self.variable_ids: dict["Variable", int] = {}
         self.values: list[list["Value"]] = []
@@ -133,6 +140,7 @@ class InternedSpace:
             return None
         child = InternedSpace.__new__(InternedSpace)
         child.version = world_table.version
+        child.wire_cache = {}
         child.variables, child.values = self.variables, self.values
         child.value_ids, child.weights = self.value_ids, self.weights
         child.shift, child.mask = self.shift, self.mask
@@ -222,9 +230,25 @@ class InternedSpace:
 
         Reads :meth:`~repro.core.wsset.WSSet.assignments`, so a set decoded
         from the wire is interned from its lists; either form gives the same
-        list (first occurrences, unsatisfiable descriptors dropped).
+        list (first occurrences, unsatisfiable descriptors dropped).  A set
+        with wire lists of at most :data:`_PROBE_LIMIT` descriptors is looked
+        up in :attr:`wire_cache` first, so a repeated one costs a key build
+        and a lookup; the caller gets a copy it may keep.
         """
-        return self._intern_all(ws_set.assignments())
+        wire = ws_set._wire
+        if wire is None or len(wire) > _PROBE_LIMIT:
+            return self._intern_all(ws_set.assignments())
+        key = tuple(map(tuple, wire))
+        try:
+            interned = self.wire_cache.get(key)
+        except TypeError:  # an unhashable value fails as it does uncached
+            return self._intern_all(ws_set.assignments())
+        if interned is None:
+            interned = self._intern_all(ws_set.assignments())
+            if len(self.wire_cache) >= _WIRE_CACHE_LIMIT:
+                self.wire_cache.clear()  # atomic: loop and pool threads share it
+            self.wire_cache[key] = interned
+        return list(interned)
 
     def _intern_all(self, descriptors) -> list[PackedDescriptor]:
         interned = map(self.intern_items, descriptors)
@@ -484,6 +508,8 @@ _CLOSED_FORM_LIMIT = 5
 #: loop, and the quadratic worst case of subsumption removal must stay in
 #: ping territory (~0.15 ms at this size) however large a client's ws-set is.
 _PROBE_LIMIT = 64
+#: Entries an :attr:`InternedSpace.wire_cache` holds before it starts over.
+_WIRE_CACHE_LIMIT = 1024
 
 
 class _Frame:

@@ -94,11 +94,16 @@ class WSSet:
         Assignments keep the descriptor's own order.  :meth:`from_wire`
         reads it back; variables and values must survive JSON unchanged
         (strings, numbers, booleans) for the round trip to be faithful.
+        The set flattens itself once: the lists returned are its own and
+        read-only (:func:`~repro.db.api.target_to_payload`, the one caller,
+        only encodes them).
 
         >>> WSSet([{"x": 1, "y": 2}, {"z": 0}]).to_wire()
         [['x', 1, 'y', 2], ['z', 0]]
         """
-        return [list(chain.from_iterable(pairs)) for pairs in self.assignments()]
+        if self._wire is None:
+            self._wire = [list(chain(*pairs)) for pairs in self.assignments()]
+        return self._wire
 
     @classmethod
     def from_wire(cls, lists: list) -> "WSSet":
@@ -134,8 +139,9 @@ class WSSet:
     def assignments(self) -> Iterator[Iterable[tuple[Variable, Value]]]:
         """Each descriptor's ``(variable, value)`` pairs, in its own order.
 
-        A :meth:`from_wire` set yields them straight from its lists, in wire
-        order and with any repeated descriptor repeated, building no
+        A set with wire lists (from :meth:`from_wire`, or kept by
+        :meth:`to_wire`) yields them straight from its lists, in wire order
+        and with any repeated descriptor repeated, building no
         :class:`WSDescriptor`.
         """
         if self._wire is None:
